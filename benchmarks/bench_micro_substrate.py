@@ -14,7 +14,7 @@ from repro.datasets import generate_bsbm
 from repro.rdf import parse_ntriples, serialize_ntriples
 from repro.reasoner import Vocabulary
 from repro.reasoner.fragments import get_fragment
-from repro.store import VerticalTripleStore, create_store
+from repro.store import HashDictStore, create_store
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def test_store_add_all(benchmark, encoded_triples, backend):
 
 
 def test_store_match_by_predicate(benchmark, encoded_triples):
-    store = VerticalTripleStore()
+    store = HashDictStore()
     store.add_all(encoded_triples)
     predicates = store.predicates()
 
@@ -48,7 +48,7 @@ def test_store_match_by_predicate(benchmark, encoded_triples):
 
 
 def test_store_point_probes(benchmark, encoded_triples):
-    store = VerticalTripleStore()
+    store = HashDictStore()
     store.add_all(encoded_triples)
     probes = encoded_triples[:2000]
 
@@ -85,7 +85,7 @@ def test_rule_module_execution(benchmark):
     vocab = Vocabulary(dictionary)
     rules = {r.name: r for r in get_fragment("rhodf").rules(vocab)}
     cax_sco = rules["cax-sco"]
-    store = VerticalTripleStore()
+    store = HashDictStore()
     triples = [dictionary.encode_triple(t) for t in generate_bsbm(12_000)]
     store.add_all(triples)
     type_batch = [t for t in triples if t[1] == vocab.type][:1000]

@@ -30,6 +30,7 @@ import random
 import threading
 import time
 from http.client import HTTPConnection
+from typing import Callable
 
 from ..rdf.namespaces import RDF
 from ..rdf.terms import IRI, Triple
@@ -246,8 +247,17 @@ class RetryAfterClient:
     expose how much backoff the server asked for and got.
     """
 
-    def __init__(self, host: str, port: int, tenant: str, timeout: float = 10.0):
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        tenant: str,
+        timeout: float = 10.0,
+        sleep: Callable[[float], None] = time.sleep,
+    ):
         self.tenant = tenant
+        #: How the backoff is slept (tests advance a fake clock instead).
+        self._sleep = sleep
         self.attempts = 0
         self.rejections = 0
         self.committed = 0
@@ -276,7 +286,7 @@ class RetryAfterClient:
             if wait is None:
                 wait = float(response.getheader("Retry-After") or 1.0)
             self.slept_seconds += wait
-            time.sleep(wait)
+            self._sleep(wait)
         raise RuntimeError(f"write for {self.tenant!r} still rejected "
                            f"after {max_retries} retries")
 

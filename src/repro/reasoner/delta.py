@@ -8,6 +8,9 @@ query answering under updates, Berkholz et al., PODS'17):
 * :class:`Delta` — one batch of mutations (assertions + retractions),
   net-normalized: a triple both asserted and retracted in the same
   delta cancels out to a no-op.
+* :func:`net_deltas` — folds a *sequence* of deltas (independent
+  submissions drained together) into one, last-writer-wins in arrival
+  order; the one netting rule every batched commit path shares.
 * :class:`Transaction` — the ``with reasoner.transaction() as tx:``
   builder collecting ``tx.add(...)`` / ``tx.retract(...)`` calls into a
   single :class:`Delta`, committed atomically on exit.
@@ -37,7 +40,7 @@ from ..rdf.terms import BNode, IRI, Quad, Term, Triple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from .engine import Slider
 
-__all__ = ["Delta", "Transaction", "InferenceReport", "Ticket", "ChangeLog"]
+__all__ = ["Delta", "net_deltas", "Transaction", "InferenceReport", "Ticket", "ChangeLog"]
 
 
 def _as_triples(triples: Iterable[Triple] | Triple) -> list[Triple]:
@@ -154,6 +157,46 @@ class Delta:
         return (
             f"<Delta +{len(self.assertions)} -{len(self.retractions)}{scope}>"
         )
+
+
+def net_deltas(
+    deltas: "Iterable[Delta]", graph: "IRI | BNode | None" = None
+) -> Delta:
+    """Fold independently submitted deltas into one, in arrival order.
+
+    Netting is **last-writer-wins** — exactly the state a sequential
+    execution of the submissions would reach:
+
+    * a retraction cancels any earlier assertion of the same triple (and
+      stands, in case the triple is already stored);
+    * an assertion cancels any earlier retraction and stands.
+
+    This is deliberately *not* ``Delta``'s symmetric cancellation: with
+    independent callers, "A asserted t, then B retracted t" must end
+    with t absent even if t predates the batch, so order decides.
+
+    The result targets one graph: ``graph`` and the deltas' own labels
+    must agree (unlabelled deltas adopt the label, like bare triples in
+    a ``Delta``).
+    """
+    assertions: dict[Triple, None] = {}
+    retractions: dict[Triple, None] = {}
+    graphs = {graph}
+    for delta in deltas:
+        if not isinstance(delta, Delta):
+            raise TypeError(f"net_deltas takes Deltas, got {type(delta).__name__}")
+        graphs.add(delta.graph)
+        for triple in delta.retractions:
+            assertions.pop(triple, None)
+            retractions[triple] = None
+        for triple in delta.assertions:
+            retractions.pop(triple, None)
+            assertions[triple] = None
+    graphs.discard(None)
+    if len(graphs) > 1:
+        labels = ", ".join(sorted(g.n3() for g in graphs))
+        raise ValueError(f"a netted batch targets exactly one graph; got: {labels}")
+    return Delta(tuple(assertions), tuple(retractions), graph=next(iter(graphs), None))
 
 
 class Transaction:

@@ -82,7 +82,7 @@ from ..store.graph import Graph
 from ..store.query import TriplePattern
 from .adaptive import AdaptiveBufferController
 from .buffers import TripleBuffer
-from .delta import ChangeLog, Delta, InferenceReport, Ticket, Transaction
+from .delta import ChangeLog, Delta, InferenceReport, Ticket, Transaction, net_deltas
 from .dependency import DependencyGraph, build_routing_table
 from .distributor import Distributor
 from .fragments import Fragment, get_fragment
@@ -517,6 +517,17 @@ class Slider:
                 del self._staged_assertions[staged_mark[0]:]
                 del self._staged_retractions[staged_mark[1]:]
                 raise
+
+    def apply_many(self, deltas: Sequence[Delta]) -> InferenceReport:
+        """Commit a drained batch of deltas as **one** revision.
+
+        The engine half of the write pipeline's protocol (shared with
+        :class:`~repro.sharding.cluster.ShardedReasoner`): the batch is
+        netted last-writer-wins in arrival order
+        (:func:`~repro.reasoner.delta.net_deltas`) and the result goes
+        through :meth:`apply`.
+        """
+        return self.apply(net_deltas(deltas))
 
     def transaction(self, graph: Term | None = None) -> Transaction:
         """Open a :class:`~repro.reasoner.delta.Transaction` builder.

@@ -1,32 +1,38 @@
-"""The coalescing write queue: many callers, one Delta per drain tick.
+"""The write pipeline: many callers, one commit per key per drain round.
 
 Every ``POST /apply`` costs a full commit — quiesce, fixpoint, change-log
 snapshot, journal fsync when durable.  Under concurrent writers that
-cost should be paid *per tick*, not per caller: the coalescer queues
-submissions, nets them into one :class:`~repro.reasoner.delta.Delta`,
-funnels that through the engine's ``apply()`` pipeline on a dedicated
-drain thread, and resolves every waiter with the shared revision's
+cost should be paid *per round*, not per caller: the pipeline queues
+submissions, takes a round of them on a dedicated drain thread, hands
+each key's batch to ``commit_fn(key, deltas)`` as the sequence of
+submitted :class:`~repro.reasoner.delta.Delta` objects, and resolves
+every waiter of the batch with the shared revision's
 :class:`~repro.reasoner.delta.InferenceReport`.
 
-Netting is **last-writer-wins in arrival order** — exactly the state a
-sequential execution of the submissions would reach:
+This is the only drain loop in the system.  Queues are **keyed**: the
+default graph is the single key ``None``; the multi-tenant front end
+(:class:`~repro.tenancy.fairshare.FairShareCoalescer`) keys by tenant.
+A round is **deficit round robin** over the backlogged keys — each earns
+``weight * quantum`` credits and spends them popping submissions — and
+an unbounded quantum with one key *is* "take the whole queue" FIFO, so
+one policy serves both.
 
-* a retraction cancels any earlier queued assertion of the same triple
-  (and stands, in case the triple is already stored);
-* an assertion cancels any earlier queued retraction and stands.
-
-This is deliberately *not* ``Delta``'s symmetric cancellation: with
-independent callers, "A asserted t, then B retracted t" must end with t
-absent even if t predates the batch, so order decides.  Within one
-submission the usual transactional semantics hold (its delta is
-net-normalized on construction).
+Netting a batch to its user-level outcome is the engine's job
+(``apply_many`` on a :class:`~repro.reasoner.engine.Slider` or a
+:class:`~repro.sharding.cluster.ShardedReasoner`), through the one rule
+in :func:`~repro.reasoner.delta.net_deltas`: **last-writer-wins in
+arrival order**, the state a sequential execution of the submissions
+would reach.  Within one submission the usual transactional semantics
+hold (its delta is net-normalized on construction).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
-from typing import Callable, Iterable
+from collections import deque
+from typing import Callable, Hashable, Iterable, Sequence
 
 from ..obs import TRACER, instruments as _obs
 from ..rdf.terms import Triple
@@ -99,35 +105,70 @@ class PendingWrite:
         self._event.set()
 
 
-class WriteCoalescer:
-    """Single-drainer write queue in front of an ``apply()`` pipeline.
+class _KeyQueue:
+    """One key's pending writes plus its DRR and counter bookkeeping."""
 
-    ``apply_fn`` is called with the netted :class:`Delta` of each drained
-    batch and must return the committed revision's report — the service
+    __slots__ = ("pending", "deficit", "submitted", "commits", "rejected")
+
+    def __init__(self):
+        self.pending: deque[PendingWrite] = deque()
+        #: Unspent service credits (carried while backlogged, forfeited
+        #: when the queue empties — classic DRR).
+        self.deficit = 0.0
+        self.submitted = 0
+        self.commits = 0
+        self.rejected = 0
+
+
+class WriteCoalescer:
+    """Single-drainer keyed write queue in front of a commit pipeline.
+
+    ``commit_fn(key, deltas)`` is called on the drain thread with one
+    key's drained batch — the submitted deltas in arrival order — and
+    must commit them as one revision and return its report.  The service
     passes a closure that also advances the read views before waiters
-    resume, so a caller can immediately read its own write.
+    resume, so a caller can immediately read its own write.  Only the
+    drain thread ever calls it, so checks inside it cannot race another
+    writer of the same engine.
 
     ``tick`` is the coalescing window: after waking on the first queued
     submission the drainer sleeps this long so a burst can pile up.
+
+    The scheduling policy is deficit round robin: per round, each
+    backlogged key drains up to ``weight_fn(key) * quantum`` submissions.
+    The defaults — one key, an unbounded quantum — are the plain FIFO
+    coalescer: each round takes the whole queue.  Bounding a queue is
+    admission policy, which a subclass supplies (:meth:`_admit`).
     """
 
     def __init__(
         self,
-        apply_fn: Callable[[Delta], InferenceReport],
+        commit_fn: Callable[[Hashable, Sequence[Delta]], InferenceReport],
         tick: float = 0.002,
+        weight_fn: Callable[[Hashable], float] | None = None,
+        quantum: float = math.inf,
     ):
         if tick < 0:
             raise ValueError(f"tick must be >= 0, got {tick}")
-        self._apply = apply_fn
+        if quantum < 1:
+            raise ValueError(f"quantum must be >= 1, got {quantum}")
+        self._commit = commit_fn
         self._tick = tick
-        self._queue: list[PendingWrite] = []
+        self._weight = weight_fn or (lambda key: 1.0)
+        self._quantum = quantum
         self._cond = threading.Condition()
+        self._queues: dict[Hashable, _KeyQueue] = {}
+        #: Key service order; rotated one step per round so no key is
+        #: permanently first.
+        self._rotation: deque[Hashable] = deque()
+        self._queued = 0
         self._closed = False
         self._paused = False
         # Statistics (drain-thread writes, reader races are benign).
         self.commits = 0
         self.submitted = 0
         self.failed = 0
+        self.rounds = 0
         self.max_coalesced = 0
         self._drainer = threading.Thread(
             target=self._drain_loop, name="slider-write-coalescer", daemon=True
@@ -140,29 +181,42 @@ class WriteCoalescer:
         assertions: Iterable[Triple] | Triple = (),
         retractions: Iterable[Triple] | Triple = (),
         trace_id: str | None = None,
+        key: Hashable = None,
     ) -> PendingWrite:
-        """Queue one write; returns immediately with its pending handle."""
-        delta = Delta(assertions, retractions)
-        pending = PendingWrite(delta, trace_id)
+        """Queue one write on ``key``'s queue; returns immediately
+        with its pending handle."""
+        pending = PendingWrite(Delta(assertions, retractions), trace_id)
         with self._cond:
             if self._closed:
                 raise CoalescerClosedError("write queue is closed")
-            self._queue.append(pending)
+            queue = self._queues.get(key)
+            if queue is None:
+                queue = self._queues[key] = _KeyQueue()
+                self._rotation.append(key)
+            self._admit(key, queue)
+            queue.pending.append(pending)
+            queue.submitted += 1
             self.submitted += 1
+            self._queued += 1
             _obs.COALESCER_SUBMITTED.inc()
-            _obs.COALESCER_QUEUE_DEPTH.set(len(self._queue))
+            _obs.COALESCER_QUEUE_DEPTH.inc()
             self._cond.notify_all()
         return pending
 
-    def apply(
-        self,
-        assertions: Iterable[Triple] | Triple = (),
-        retractions: Iterable[Triple] | Triple = (),
-        timeout: float | None = 30.0,
-        trace_id: str | None = None,
-    ) -> CommitResult:
-        """Submit and wait: the blocking convenience most callers want."""
-        return self.submit(assertions, retractions, trace_id=trace_id).wait(timeout)
+    def apply(self, *write, timeout: float | None = 30.0, **options) -> CommitResult:
+        """Submit and wait: the blocking convenience most callers want.
+
+        Takes exactly :meth:`submit`'s arguments (``trace_id=``
+        included) plus the ``timeout`` for the wait.
+        """
+        return self.submit(*write, **options).wait(timeout)
+
+    def _admit(self, key: Hashable, queue: _KeyQueue) -> None:
+        """Admission hook, under the lock just before the write joins
+        ``queue``: raise to shed it.  The base admits everything."""
+
+    def _drained(self, key: Hashable, queue: _KeyQueue) -> None:
+        """Hook, under the lock, after a round popped from ``queue``."""
 
     # --- test/ops hooks -----------------------------------------------------
     @contextlib.contextmanager
@@ -188,7 +242,7 @@ class WriteCoalescer:
             "commits": self.commits,
             "failed": self.failed,
             "max_coalesced": self.max_coalesced,
-            "queued": len(self._queue),
+            "queued": self._queued,
             "tick_seconds": self._tick,
         }
 
@@ -207,9 +261,9 @@ class WriteCoalescer:
     def _drain_loop(self) -> None:
         while True:
             with self._cond:
-                while not self._closed and (not self._queue or self._paused):
+                while not self._closed and (not self._queued or self._paused):
                     self._cond.wait()
-                if self._closed and not self._queue:
+                if self._closed and not self._queued:
                     return
                 draining_on_close = self._closed
             if self._tick and not draining_on_close:
@@ -223,35 +277,54 @@ class WriteCoalescer:
                 # until resumed (or closing, which must drain).
                 while not self._closed and self._paused:
                     self._cond.wait()
-                batch, self._queue = self._queue, []
-                _obs.COALESCER_QUEUE_DEPTH.set(len(self._queue))
-            if batch:
-                self._commit_batch(batch)
+                batches = self._take_round()
+            for key, batch in batches:
+                self._commit_batch(key, batch)
 
-    def _apply_batch(self, batch: list[PendingWrite]) -> InferenceReport:
-        """Net the batch into one delta and commit it (subclass hook)."""
-        # Last-writer-wins netting in arrival order (module docstring).
-        assertions: dict[Triple, None] = {}
-        retractions: dict[Triple, None] = {}
-        for pending in batch:
-            for triple in pending.delta.retractions:
-                assertions.pop(triple, None)
-                retractions[triple] = None
-            for triple in pending.delta.assertions:
-                retractions.pop(triple, None)
-                assertions[triple] = None
-        return self._apply(Delta(tuple(assertions), tuple(retractions)))
+    def _take_round(self) -> list[tuple[Hashable, list[PendingWrite]]]:
+        """One DRR service round (called under the lock).
 
-    def _commit_batch(self, batch: list[PendingWrite]) -> None:
-        # One commit span shared by every writer netted into this batch:
-        # the engine/sharding/subscription spans opened while _apply_batch
-        # runs on this drain thread nest under it, so a client trace id
-        # is findable on the whole commit subtree.
+        Every backlogged key earns ``weight * quantum`` credits and
+        spends them popping submissions; the rotation advances one step
+        so round-start position is itself fair.
+        """
+        batches: list[tuple[Hashable, list[PendingWrite]]] = []
+        for key in self._rotation:
+            queue = self._queues[key]
+            if not queue.pending:
+                queue.deficit = 0.0
+                continue
+            queue.deficit += max(self._weight(key), 1e-9) * self._quantum
+            take = int(min(len(queue.pending), queue.deficit))
+            if take < 1:
+                continue
+            queue.deficit -= take
+            batches.append((key, [queue.pending.popleft() for _ in range(take)]))
+            self._queued -= take
+            # inc/dec, not set: the gauge is process-wide and a server
+            # may run two pipelines (default graph + tenants).
+            _obs.COALESCER_QUEUE_DEPTH.dec(take)
+            self._drained(key, queue)
+            if not queue.pending:
+                queue.deficit = 0.0
+        self._rotation.rotate(-1)
+        self.rounds += 1
+        return batches
+
+    def _commit_batch(self, key: Hashable, batch: list[PendingWrite]) -> None:
+        # One commit span shared by every writer of this batch: the
+        # engine/sharding/subscription spans opened while commit_fn runs
+        # on this drain thread nest under it, so a client trace id is
+        # findable on the whole commit subtree.
+        attrs = {"coalesced": len(batch)}
+        if key is not None:  # the default graph's span carries no key
+            attrs["tenant"] = key
         trace_ids = [p.trace_id for p in batch if p.trace_id]
-        with TRACER.span("commit", trace_ids=trace_ids, coalesced=len(batch)) as span:
+        with TRACER.span("commit", trace_ids=trace_ids, **attrs) as span:
             try:
-                report = self._apply_batch(batch)
-            except BaseException as error:
+                report = self._commit(key, [pending.delta for pending in batch])
+            except BaseException as error:  # noqa: BLE001 - waiters get the cause
+                # Fail the batch, not the loop: the drainer keeps serving.
                 span.set(error=type(error).__name__)
                 self.failed += len(batch)
                 _obs.COALESCER_FAILED.inc(len(batch))
@@ -260,15 +333,19 @@ class WriteCoalescer:
                 return
             span.set(revision=report.revision)
             self.commits += 1
+            self.max_coalesced = max(self.max_coalesced, len(batch))
+            queue = self._queues.get(key)  # None once forgotten
+            if queue is not None:
+                queue.commits += 1
             _obs.COALESCER_COMMITS.inc()
             _obs.COALESCER_BATCH_SIZE.observe(len(batch))
-            self.max_coalesced = max(self.max_coalesced, len(batch))
             result = CommitResult(report.revision, report, len(batch))
             for pending in batch:
                 pending._resolve(result)
 
     def __repr__(self):
         return (
-            f"<WriteCoalescer commits={self.commits} submitted={self.submitted} "
-            f"queued={len(self._queue)}>"
+            f"<{type(self).__name__} keys={len(self._queues)} "
+            f"commits={self.commits} submitted={self.submitted} "
+            f"queued={self._queued}>"
         )

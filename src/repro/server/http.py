@@ -212,18 +212,19 @@ class _Handler(BaseHTTPRequestHandler):
             )
         return manager
 
-    def _graph_at(self, params: dict):
-        """(graph, revision) for the request's (possibly pinned) view.
+    def _scope(self, tenant):
+        """What serves this request: the shared service, or — with a
+        tenant — that tenant's isolated slice of the manager.  Both
+        expose ``graph(at)``, ``apply(...)``, ``subscribe_channel(...)``."""
+        if tenant is None:
+            return self.service
+        if not isinstance(tenant, str):
+            raise _BadRequest('"tenant" must be a string')
+        return self._tenant_manager().scope(tenant)
 
-        With ``?tenant=`` the view comes from that tenant's isolated
-        engine instead of the shared service.
-        """
-        at = self._int(params, "at")
-        tenant = self._one(params, "tenant")
-        if tenant is not None:
-            graph = self._tenant_manager().view_graph(tenant, at)
-        else:
-            graph = self.service.graph(at)
+    def _graph_at(self, params: dict):
+        """(graph, revision) for the request's (possibly pinned) view."""
+        graph = self._scope(self._one(params, "tenant")).graph(self._int(params, "at"))
         return graph, graph.store.revision
 
     # --- dispatch -----------------------------------------------------------
@@ -591,22 +592,12 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(timeout, (int, float)) or timeout <= 0:
             raise _BadRequest('"timeout" must be a positive number of seconds')
         tenant = body.get("tenant") or self._one(self._params(), "tenant")
-        if tenant is not None and not isinstance(tenant, str):
-            raise _BadRequest('"tenant" must be a string')
+        scope = self._scope(tenant)
         try:
-            if tenant is not None:
-                # Tenant admission (404/413/429) surfaces via _dispatch.
-                result = self._tenant_manager().apply(
-                    tenant,
-                    assertions,
-                    retractions,
-                    timeout=timeout,
-                    trace_id=self._trace_id,
-                )
-            else:
-                result = self.service.apply(
-                    assertions, retractions, timeout=timeout, trace_id=self._trace_id
-                )
+            # Tenant admission (404/413/429) surfaces via _handle_request.
+            result = scope.apply(
+                assertions, retractions, timeout=timeout, trace_id=self._trace_id
+            )
         except TimeoutError:
             self._send_error_json(504, "write was not committed in time")
             return
@@ -615,7 +606,7 @@ class _Handler(BaseHTTPRequestHandler):
             "coalesced": result.coalesced,
             "report": result.report.as_dict(),
         }
-        if tenant is not None:
+        if tenant:  # echo whose engine committed
             payload["tenant"] = tenant
         self._send_json(payload)
 
@@ -818,21 +809,14 @@ class _Handler(BaseHTTPRequestHandler):
         # come from the retained view ring — 410 (before any SSE bytes)
         # when it was evicted, exactly like ``at=N`` reads — so a client
         # that drops mid-stream never silently skips binding deltas.
-        tenant = self._one(params, "tenant")
+        # A tenant-scoped stream rides the tenant's own engine and counts
+        # against its standing-query quota.
+        scope = self._scope(self._one(params, "tenant"))
         replay_from = None
         if last_seen is not None:
-            source = (
-                self._tenant_manager().view_graph(tenant, last_seen)
-                if tenant is not None
-                else self.service.graph(last_seen)
-            )
+            source = scope.graph(last_seen)
             replay_from = {frozenset(s.items()): s for s in solve(source, patterns)}
-        if tenant is not None:
-            # Tenant-scoped stream: the channel rides the tenant's own
-            # engine and counts against its standing-query quota.
-            channel = self._tenant_manager().subscribe_channel(tenant, patterns)
-        else:
-            channel = self.service.subscribe_channel(patterns)
+        channel = scope.subscribe_channel(patterns)
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")

@@ -8,11 +8,13 @@ skin over it; tests and embedders drive it directly):
   :class:`~repro.server.views.ReadView` (see that module), so readers
   observe exactly one committed revision, never an in-flight apply, and
   never block the write path;
-* **writes** funnel through a :class:`~repro.server.views` -advancing
-  :class:`~repro.server.coalescer.WriteCoalescer` — concurrent ``apply``
-  calls are netted into one Delta per drain tick and committed through
-  the engine's transactional pipeline; each caller gets the shared
-  revision's :class:`~repro.reasoner.delta.InferenceReport`;
+* **writes** funnel through the
+  :class:`~repro.server.coalescer.WriteCoalescer` pipeline — concurrent
+  ``apply`` calls drained in one tick commit as one revision through
+  the engine's ``apply_many`` (a lone ``Slider`` and a sharded cluster
+  implement the same protocol), the read views advance, and each
+  caller gets the shared revision's
+  :class:`~repro.reasoner.delta.InferenceReport`;
 * **subscriptions** bridge the engine's standing BGPs to pull-style
   consumers: :meth:`subscribe_channel` queues each revision's binding
   delta for one client (the SSE endpoint drains one channel per
@@ -41,6 +43,7 @@ from ..rdf.terms import Triple
 from ..reasoner.delta import Delta, InferenceReport
 from ..reasoner.engine import Slider
 from ..reasoner.subscription import Subscription, SubscriptionEvent
+from ..sharding import ShardedReasoner
 from ..store.graph import Graph
 from ..store.query import TriplePattern
 from .coalescer import CommitResult, PendingWrite, WriteCoalescer
@@ -70,12 +73,36 @@ class SubscriptionChannel:
     :meth:`get` means "no event within the timeout" (emit a heartbeat
     and keep waiting); :attr:`closed` turning true means the stream
     ended (client cancel or service shutdown).
+
+    The queue is bounded: a consumer that falls
+    :data:`SUBSCRIPTION_QUEUE_LIMIT` events behind is disconnected
+    (subscription cancelled, channel closed) rather than allowed to
+    buffer the write stream without limit.
+
+    ``subscribe(push)`` registers the standing query with ``push`` as
+    its callback and returns the :class:`Subscription` — the shared
+    service and a tenant scope differ only in that callable.
     """
 
-    def __init__(self, subscription: Subscription, events: "queue.Queue"):
-        self.subscription = subscription
-        self._queue = events
+    def __init__(
+        self,
+        subscribe: Callable[[Callable[[SubscriptionEvent], None]], Subscription],
+    ):
+        # The queue exists before the subscription so a commit landing
+        # right after registration cannot race construction.
+        self._queue: "queue.Queue" = queue.Queue(maxsize=SUBSCRIPTION_QUEUE_LIMIT)
         self.closed = False
+        self.subscription: Subscription | None = None  # until registration returns
+        self.subscription = subscribe(self._push)
+
+    def _push(self, event: SubscriptionEvent) -> None:
+        try:
+            self._queue.put_nowait(event)
+        except queue.Full:
+            # Slow-consumer policy: drop the subscriber, never the
+            # committing thread.
+            if self.subscription is not None:
+                self.close()
 
     @property
     def seeded_revision(self) -> int:
@@ -130,11 +157,11 @@ class ReasoningService:
 
     ``shards > 1`` builds a partitioned
     :class:`~repro.sharding.cluster.ShardedReasoner` instead of a
-    single engine and installs the partition-aware
-    :class:`~repro.sharding.coalescer.ShardedCoalescer`, so each drain
-    tick's submissions commit as concurrent per-shard sub-deltas (one
-    global revision).  The read/subscription surface is unchanged — the
-    cluster duck-types the engine.  ``router`` picks the partition key
+    single engine; the write pipeline is the same one, and the
+    cluster's ``apply_many`` commits each drain tick's submissions as
+    concurrent per-shard sub-deltas (one global revision).  The
+    read/subscription surface is unchanged — the cluster duck-types
+    the engine.  ``router`` picks the partition key
     (``"subject"`` or ``"predicate"``); it is ignored for ``shards=1``.
     A pre-built :class:`ShardedReasoner` may equally be passed as
     ``reasoner``.
@@ -165,10 +192,6 @@ class ReasoningService:
             raise ValueError(f"role must be 'leader' or 'follower', got {role!r}")
         if reasoner is None:
             if shards > 1:
-                # Deferred import: repro.sharding pulls in this package's
-                # coalescer, so a module-level import would be circular.
-                from ..sharding import ShardedReasoner
-
                 reasoner = ShardedReasoner(
                     shards=shards, router=router, **slider_options
                 )
@@ -203,25 +226,13 @@ class ReasoningService:
             ReadView.from_store(self.reasoner.revision, self.reasoner.store),
             retain=retain_views,
         )
-        if hasattr(self.reasoner, "apply_many"):
-            from ..sharding import ShardedCoalescer
-
-            self.writes: WriteCoalescer = ShardedCoalescer(
-                self._commit_many, tick=coalesce_tick
-            )
-        else:
-            self.writes = WriteCoalescer(self._commit, tick=coalesce_tick)
+        self.writes = WriteCoalescer(self._commit, tick=coalesce_tick)
 
     # --- write path ---------------------------------------------------------
-    def _commit(self, delta: Delta) -> InferenceReport:
-        """Drain-thread hook: engine commit, then view publication."""
-        report = self.reasoner.apply(delta)
-        self.views.advance(report)
-        return report
-
-    def _commit_many(self, deltas: Sequence[Delta]) -> InferenceReport:
-        """Sharded drain-thread hook: the batch commits per-partition
-        in parallel but lands as one global revision/report."""
+    def _commit(self, key: None, deltas: Sequence[Delta]) -> InferenceReport:
+        """Drain-thread hook: one engine revision for the drained batch
+        (the default graph is the pipeline's only key), then view
+        publication — before any waiter resumes."""
         report = self.reasoner.apply_many(deltas)
         self.views.advance(report)
         return report
@@ -326,32 +337,11 @@ class ReasoningService:
     def subscribe_channel(
         self, patterns: Sequence[TriplePattern]
     ) -> SubscriptionChannel:
-        """A queue-backed subscription for one streaming client.
-
-        The queue is bounded: a consumer that falls
-        :data:`SUBSCRIPTION_QUEUE_LIMIT` events behind is disconnected
-        (subscription cancelled, channel closed) rather than allowed to
-        buffer the write stream without limit.
-        """
+        """A queue-backed (bounded) subscription for one streaming client."""
         self._check_open()
-        # The queue and cell exist before the subscription so a commit
-        # landing right after registration cannot race construction.
-        events: "queue.Queue" = queue.Queue(maxsize=SUBSCRIPTION_QUEUE_LIMIT)
-        cell: list[SubscriptionChannel] = []
-
-        def push(event: SubscriptionEvent) -> None:
-            try:
-                events.put_nowait(event)
-            except queue.Full:
-                # Slow-consumer policy: drop the subscriber, never the
-                # committing thread.  (The cell is filled before the
-                # queue can possibly fill.)
-                if cell:
-                    cell[0].close()
-
-        subscription = self.reasoner.subscribe(patterns, push)
-        channel = SubscriptionChannel(subscription, events)
-        cell.append(channel)
+        channel = SubscriptionChannel(
+            lambda push: self.reasoner.subscribe(patterns, push)
+        )
         with self._lock:
             self._channels.append(channel)
             self._channels = [c for c in self._channels if not c.closed]

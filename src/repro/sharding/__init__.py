@@ -14,9 +14,9 @@ enforces exactly that, for N ∈ {2, 4}).
 Entry points:
 
 * :class:`~repro.sharding.cluster.ShardedReasoner` — the cluster facade
-  (a drop-in for ``Slider`` wherever the service/feed/CLI duck-type it);
-* :class:`~repro.sharding.coalescer.ShardedCoalescer` — the
-  partition-aware write coalescer the service installs for ``shards>1``;
+  (a drop-in for ``Slider`` wherever the service/feed/CLI duck-type it;
+  its ``apply_many`` is the engine protocol the server's one write
+  pipeline drains into);
 * :mod:`~repro.sharding.router` — subject-hash (default) and
   predicate-group routing.
 """
@@ -28,7 +28,6 @@ from .cluster import (
     SUPPORTED_FRAGMENTS,
     ShardedReasoner,
 )
-from .coalescer import ShardedCoalescer
 from .router import (
     BROADCAST,
     ROUTERS,
@@ -49,7 +48,6 @@ __all__ = [
     "Router",
     "SCHEMA_PREDICATES",
     "SUPPORTED_FRAGMENTS",
-    "ShardedCoalescer",
     "ShardedReasoner",
     "SubjectHashRouter",
     "create_router",

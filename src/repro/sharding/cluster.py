@@ -69,7 +69,7 @@ from ..dictionary.encoder import EncodedTriple, TermDictionary
 from ..obs import TRACER, instruments as _obs
 from ..persist.snapshot import encode_snapshot
 from ..rdf.terms import Triple
-from ..reasoner.delta import Delta, InferenceReport
+from ..reasoner.delta import Delta, InferenceReport, net_deltas
 from ..reasoner.engine import Slider
 from ..reasoner.subscription import Subscription
 from ..store.backends import DEFAULT_BACKEND, create_store
@@ -379,36 +379,25 @@ class ShardedReasoner:
     def apply_many(self, deltas: Sequence[Delta]) -> InferenceReport:
         """Commit a batch of deltas as **one** global revision.
 
-        The batch semantics are the write coalescer's: last-writer-wins
-        netting in arrival order decides the user-level outcome, while
-        each shard journals its sub-delta stream at full granularity —
-        this is the entry point the partitioned coalescer drains into,
-        and the pipeline whose per-shard WAL appends overlap.
+        The cluster half of the write pipeline's engine protocol (a
+        lone ``Slider`` implements the same method): last-writer-wins
+        netting in arrival order
+        (:func:`~repro.reasoner.delta.net_deltas`) decides the
+        user-level outcome, while each shard journals its sub-delta
+        stream at full granularity, so per-shard WAL appends overlap.
         """
         self._check_open()
-        for delta in deltas:
-            if not isinstance(delta, Delta):
-                raise TypeError(f"apply_many takes Deltas, got {type(delta).__name__}")
         with self._lock:
             started = time.perf_counter()
             if self._staged:
                 deltas = [Delta(assertions=self._staged), *deltas]
-                self._staged = []
-
-            # User-level outcome: last-writer-wins netting in arrival
-            # order (identical to WriteCoalescer._commit_batch).
-            net_assert: dict[Triple, None] = {}
-            net_retract: dict[Triple, None] = {}
-            for delta in deltas:
-                for triple in delta.retractions:
-                    net_assert.pop(triple, None)
-                    net_retract[triple] = None
-                for triple in delta.assertions:
-                    net_retract.pop(triple, None)
-                    net_assert[triple] = None
+            # The user-level outcome of the batch (also the type check:
+            # it raises before any cluster state moves).
+            net = net_deltas(deltas)
+            self._staged = []
             encode = self.dictionary.encode_triple
-            asserted_ids = {encode(t) for t in net_assert}
-            for triple in net_retract:
+            asserted_ids = {encode(t) for t in net.assertions}
+            for triple in net.retractions:
                 self._explicit.discard(encode(triple))
             self._explicit.update(asserted_ids)
 
@@ -470,7 +459,7 @@ class ShardedReasoner:
                 vector = [engine.revision for engine in self.engines]
                 _obs.SHARDING_REVISION_SKEW.set(max(vector) - min(vector))
             self._write_meta()
-            self._fire_commit(tuple(net_assert), tuple(net_retract))
+            self._fire_commit(net.assertions, net.retractions)
             self._notify_subscribers(report)
             return report
 

@@ -22,7 +22,6 @@ from .query import (
     solve_naive,
     unify,
 )
-from .vertical import VerticalTripleStore
 
 __all__ = [
     "Graph",
@@ -30,7 +29,6 @@ __all__ = [
     "TripleStore",
     "HashDictStore",
     "ShardedTripleStore",
-    "VerticalTripleStore",
     "UnknownBackendError",
     "create_store",
     "register_backend",

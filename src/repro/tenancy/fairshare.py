@@ -1,66 +1,48 @@
-"""Fair-share write coalescing: per-tenant queues, weighted DRR drain.
+"""Fair-share write coalescing: the tenancy policy on the write pipeline.
 
-The single-queue :class:`~repro.server.coalescer.WriteCoalescer` is
-exactly wrong for multi-tenant serving: one bulk loader submitting
-thousands of writes fills the shared queue and every other tenant's
-latency rides behind it.  The :class:`FairShareCoalescer` gives each
-tenant its own bounded queue and drains them with **deficit round
-robin**: every service round, each backlogged tenant earns credits
-proportional to its quota weight, and spends them popping submissions —
-so drain bandwidth divides by weight no matter how deep any one queue
-gets, and a one-write interactive tenant commits within a round or two
-of arriving even while a neighbour has thousands queued.
+A single shared queue is exactly wrong for multi-tenant serving: one
+bulk loader submitting thousands of writes fills it and every other
+tenant's latency rides behind.  The :class:`FairShareCoalescer` is the
+one write pipeline (:class:`~repro.server.coalescer.WriteCoalescer`:
+queues, drain loop, commit span, waiter fan-out, pause, close) keyed by
+tenant, with the policy that makes it fair:
 
-Each tenant's drained batch is netted (last-writer-wins in arrival
-order, same semantics as the single-queue coalescer) into one
-:class:`~repro.reasoner.delta.Delta` and handed to
-``apply_fn(tenant, delta)`` — one commit per tenant per round, on the
-tenant's own engine.  Because only the drain thread ever calls
-``apply_fn`` for a given tenant, pre-commit quota checks inside it are
-race-free.
+* **weights and a finite quantum** — the pipeline's deficit round robin
+  then divides drain bandwidth by quota weight no matter how deep any
+  one queue gets, and a one-write interactive tenant commits within a
+  round or two of arriving even while a neighbour has thousands queued;
+* **a bounded queue per tenant** — the backpressure half of admission
+  control: a full queue rejects with
+  :class:`~repro.tenancy.errors.AdmissionRejectedError` (HTTP 429)
+  carrying a drain-time ``retry_after`` estimate, so overload sheds at
+  submit instead of growing memory without bound;
+* **per-tenant visibility** — queue counters, ``saturation()`` for
+  ``/healthz``, the per-tenant depth gauge, ``forget()`` on removal.
 
-The bounded queue is the backpressure half of admission control: a
-full queue rejects with
-:class:`~repro.tenancy.errors.AdmissionRejectedError` (HTTP 429)
-carrying a drain-time ``retry_after`` estimate, so overload sheds at
-submit instead of growing memory without bound.
+Each tenant's drained batch reaches ``commit_fn(tenant, deltas)`` — one
+commit per tenant per round, on the tenant's own engine.  Because only
+the drain thread ever calls ``commit_fn``, pre-commit quota checks
+inside it are race-free.
 """
 
 from __future__ import annotations
 
 import contextlib
-import threading
-from collections import deque
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ..obs import instruments as _obs
 from ..rdf.terms import Triple
 from ..reasoner.delta import Delta, InferenceReport
-from ..server.coalescer import CoalescerClosedError, CommitResult, PendingWrite
+from ..server.coalescer import PendingWrite, WriteCoalescer
 from .errors import AdmissionRejectedError
 
 __all__ = ["FairShareCoalescer"]
 
 
-class _TenantQueue:
-    """One tenant's pending writes plus its DRR bookkeeping."""
-
-    __slots__ = ("pending", "deficit", "submitted", "commits", "rejected")
-
-    def __init__(self):
-        self.pending: deque[PendingWrite] = deque()
-        #: Unspent service credits (carried while backlogged, forfeited
-        #: when the queue empties — classic DRR).
-        self.deficit = 0.0
-        self.submitted = 0
-        self.commits = 0
-        self.rejected = 0
-
-
-class FairShareCoalescer:
+class FairShareCoalescer(WriteCoalescer):
     """Weighted-fair write coalescer over per-tenant engines.
 
-    ``apply_fn(tenant, delta)`` commits one tenant's netted batch and
+    ``commit_fn(tenant, deltas)`` commits one tenant's drained batch and
     returns the report; ``weight_fn(tenant)`` supplies the tenant's
     fair-share weight (default 1.0 for everyone).  ``queue_limit``
     bounds each tenant's queue; ``quantum`` scales how many submissions
@@ -69,38 +51,16 @@ class FairShareCoalescer:
 
     def __init__(
         self,
-        apply_fn: Callable[[str, Delta], InferenceReport],
+        commit_fn: Callable[[str, Sequence[Delta]], InferenceReport],
         weight_fn: Callable[[str], float] | None = None,
         tick: float = 0.002,
         queue_limit: int = 256,
         quantum: int = 8,
     ):
-        if tick < 0:
-            raise ValueError(f"tick must be >= 0, got {tick}")
         if queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {queue_limit}")
-        if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
-        self._apply = apply_fn
-        self._weight = weight_fn or (lambda tenant: 1.0)
-        self._tick = tick
         self._queue_limit = queue_limit
-        self._quantum = quantum
-        self._cond = threading.Condition()
-        self._queues: dict[str, _TenantQueue] = {}
-        #: Tenant service order; rotated one step per round so no tenant
-        #: is permanently first.
-        self._rotation: deque[str] = deque()
-        self._closed = False
-        self._paused = False
-        self.commits = 0
-        self.submitted = 0
-        self.failed = 0
-        self.rounds = 0
-        self._drainer = threading.Thread(
-            target=self._drain_loop, name="slider-fairshare-coalescer", daemon=True
-        )
-        self._drainer.start()
+        super().__init__(commit_fn, tick=tick, weight_fn=weight_fn, quantum=quantum)
 
     # --- submission ---------------------------------------------------------
     def submit(
@@ -117,60 +77,30 @@ class FairShareCoalescer:
         ``retry_after`` estimated from the queue depth, the tenant's
         weight, and the drain tick.
         """
-        delta = Delta(assertions, retractions)
-        pending = PendingWrite(delta, trace_id)
-        with self._cond:
-            if self._closed:
-                raise CoalescerClosedError("write queue is closed")
-            queue = self._queues.get(tenant)
-            if queue is None:
-                queue = self._queues[tenant] = _TenantQueue()
-                self._rotation.append(tenant)
-            if len(queue.pending) >= self._queue_limit:
-                queue.rejected += 1
-                raise AdmissionRejectedError(
-                    tenant,
-                    queued=len(queue.pending),
-                    limit=self._queue_limit,
-                    retry_after=self._retry_after(len(queue.pending), tenant),
-                )
-            queue.pending.append(pending)
-            queue.submitted += 1
-            self.submitted += 1
-            _obs.TENANCY_ADMITTED.inc()
-            _obs.TENANCY_QUEUE_DEPTH.set_labels(tenant, value=len(queue.pending))
-            self._cond.notify_all()
-        return pending
+        return super().submit(assertions, retractions, trace_id, key=tenant)
 
-    def apply(
-        self,
-        tenant: str,
-        assertions: Iterable[Triple] | Triple = (),
-        retractions: Iterable[Triple] | Triple = (),
-        timeout: float | None = 30.0,
-    ) -> CommitResult:
-        """Submit and wait: the blocking convenience most callers want."""
-        return self.submit(tenant, assertions, retractions).wait(timeout)
+    def _admit(self, tenant: str, queue) -> None:
+        depth = len(queue.pending)
+        if depth >= self._queue_limit:
+            queue.rejected += 1
+            # Rounds needed to drain the queue at this tenant's bandwidth,
+            # times the coalescing window (floor one tick).
+            per_round = max(1.0, self._weight(tenant) * self._quantum)
+            raise AdmissionRejectedError(
+                tenant,
+                queued=depth,
+                limit=self._queue_limit,
+                retry_after=max(
+                    self._tick, (depth / per_round) * max(self._tick, 0.001)
+                ),
+            )
+        _obs.TENANCY_ADMITTED.inc()
+        _obs.TENANCY_QUEUE_DEPTH.set_labels(tenant, value=depth + 1)
 
-    def _retry_after(self, queued: int, tenant: str) -> float:
-        # Rounds needed to drain the queue at this tenant's bandwidth,
-        # times the coalescing window (floor one tick).
-        per_round = max(1.0, self._weight(tenant) * self._quantum)
-        return max(self._tick, (queued / per_round) * max(self._tick, 0.001))
+    def _drained(self, tenant: str, queue) -> None:
+        _obs.TENANCY_QUEUE_DEPTH.set_labels(tenant, value=len(queue.pending))
 
-    # --- test/ops hooks -----------------------------------------------------
-    @contextlib.contextmanager
-    def paused(self):
-        """Hold the drain loop so queued writes accumulate deterministically."""
-        with self._cond:
-            self._paused = True
-        try:
-            yield self
-        finally:
-            with self._cond:
-                self._paused = False
-                self._cond.notify_all()
-
+    # --- observability ------------------------------------------------------
     def stats(self) -> dict:
         """Global counters plus a per-tenant slice (queue depth, DRR state)."""
         with self._cond:
@@ -183,13 +113,10 @@ class FairShareCoalescer:
                 "tick_seconds": self._tick,
                 "tenants": {
                     tenant: {
-                        "queued": len(queue.pending),
-                        "submitted": queue.submitted,
-                        "commits": queue.commits,
-                        "rejected_queue": queue.rejected,
+                        **self.tenant_stats(tenant),
                         "weight": self._weight(tenant),
                     }
-                    for tenant, queue in sorted(self._queues.items())
+                    for tenant in sorted(self._queues)
                 },
             }
 
@@ -202,15 +129,13 @@ class FairShareCoalescer:
         """
         with self._cond:
             depths = [len(queue.pending) for queue in self._queues.values()]
-            total = sum(depths)
-            worst = max(depths, default=0)
             return {
-                "queued": total,
+                "queued": self._queued,
                 "queue_limit": self._queue_limit,
                 "tenants_backlogged": sum(1 for depth in depths if depth),
-                "max_saturation": round(worst / self._queue_limit, 4)
-                if self._queue_limit
-                else 0.0,
+                "max_saturation": round(
+                    max(depths, default=0) / self._queue_limit, 4
+                ),
             }
 
     def tenant_stats(self, tenant: str) -> dict:
@@ -234,107 +159,3 @@ class FairShareCoalescer:
                 del self._queues[tenant]
                 with contextlib.suppress(ValueError):
                     self._rotation.remove(tenant)
-
-    # --- lifecycle ----------------------------------------------------------
-    def close(self, timeout: float = 30.0) -> None:
-        """Stop accepting writes, drain every queue, join the drainer."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-            self._paused = False
-            self._cond.notify_all()
-        self._drainer.join(timeout)
-
-    # --- drain loop ---------------------------------------------------------
-    def _backlogged(self) -> bool:
-        return any(queue.pending for queue in self._queues.values())
-
-    def _drain_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and (not self._backlogged() or self._paused):
-                    self._cond.wait()
-                if self._closed and not self._backlogged():
-                    return
-                draining_on_close = self._closed
-            if self._tick and not draining_on_close:
-                threading.Event().wait(self._tick)
-            with self._cond:
-                while not self._closed and self._paused:
-                    self._cond.wait()
-                batches = self._take_round()
-            for tenant, batch in batches:
-                self._commit_batch(tenant, batch)
-
-    def _take_round(self) -> list[tuple[str, list[PendingWrite]]]:
-        """One DRR service round (called under the lock).
-
-        Every backlogged tenant earns ``weight * quantum`` credits and
-        spends them popping submissions; the rotation advances one step
-        so round-start position is itself fair.
-        """
-        batches: list[tuple[str, list[PendingWrite]]] = []
-        for tenant in list(self._rotation):
-            queue = self._queues[tenant]
-            if not queue.pending:
-                queue.deficit = 0.0
-                continue
-            queue.deficit += max(self._weight(tenant), 1e-9) * self._quantum
-            take = min(len(queue.pending), int(queue.deficit))
-            if take < 1:
-                continue
-            queue.deficit -= take
-            batches.append((tenant, [queue.pending.popleft() for _ in range(take)]))
-            _obs.TENANCY_QUEUE_DEPTH.set_labels(tenant, value=len(queue.pending))
-            if not queue.pending:
-                queue.deficit = 0.0
-        if self._rotation:
-            self._rotation.rotate(-1)
-        self.rounds += 1
-        return batches
-
-    def _commit_batch(self, tenant: str, batch: list[PendingWrite]) -> None:
-        # Last-writer-wins netting in arrival order, per tenant (same
-        # semantics as WriteCoalescer._commit_batch).  The commit span
-        # carries every batched writer's trace id, same as the
-        # single-tenant coalescer.
-        assertions: dict[Triple, None] = {}
-        retractions: dict[Triple, None] = {}
-        for pending in batch:
-            for triple in pending.delta.retractions:
-                assertions.pop(triple, None)
-                retractions[triple] = None
-            for triple in pending.delta.assertions:
-                retractions.pop(triple, None)
-                assertions[triple] = None
-        trace_ids = [p.trace_id for p in batch if p.trace_id]
-        with _obs.TRACER.span(
-            "commit", trace_ids=trace_ids, tenant=tenant, coalesced=len(batch)
-        ) as span:
-            try:
-                report = self._apply(
-                    tenant, Delta(tuple(assertions), tuple(retractions))
-                )
-            except BaseException as error:  # noqa: BLE001 - resolve with the cause
-                span.set(error=type(error).__name__)
-                with self._cond:
-                    self.failed += len(batch)
-                for pending in batch:
-                    pending._fail(error)
-                return
-            span.set(revision=report.revision)
-            with self._cond:
-                self.commits += 1
-                queue = self._queues.get(tenant)
-                if queue is not None:
-                    queue.commits += 1
-            result = CommitResult(report.revision, report, len(batch))
-            for pending in batch:
-                pending._resolve(result)
-
-    def __repr__(self):
-        return (
-            f"<FairShareCoalescer tenants={len(self._queues)} "
-            f"commits={self.commits} submitted={self.submitted}>"
-        )

@@ -35,10 +35,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from ..rdf.terms import IRI, Triple
-from ..reasoner.delta import Delta, InferenceReport
+from ..reasoner.delta import Delta, InferenceReport, net_deltas
 from ..reasoner.engine import Slider
 from ..reasoner.subscription import Subscription
 from ..server.coalescer import CommitResult, PendingWrite
+from ..server.service import SubscriptionChannel
 from ..server.views import ReadView, ViewRegistry
 from ..store.graph import Graph
 from .admission import AdmissionController
@@ -46,15 +47,25 @@ from .errors import QuotaExceededError, TenancyError
 from .fairshare import FairShareCoalescer
 from .registry import TenantRegistry, tenant_graph_iri, validate_tenant_name
 
-__all__ = ["TenantManager"]
+__all__ = ["TenantManager", "TenantScope"]
 
 
-class _Tenant:
-    """One tenant's runtime state (engine + views + subscriptions)."""
+class TenantScope:
+    """One tenant's runtime state — engine, views, subscriptions — and
+    its serving surface.
 
-    __slots__ = ("name", "graph_iri", "engine", "views", "subscriptions", "lock")
+    Where a request touches it, the scope is shaped like the shared
+    :class:`~repro.server.service.ReasoningService` — ``graph(at)``,
+    ``apply(...)``, ``subscribe_channel(patterns)`` — so the HTTP layer
+    resolves one scope per request instead of branching per call.
+    """
 
-    def __init__(self, name: str, engine: Slider):
+    __slots__ = (
+        "manager", "name", "graph_iri", "engine", "views", "subscriptions", "lock"
+    )
+
+    def __init__(self, manager: "TenantManager", name: str, engine: Slider):
+        self.manager = manager
         self.name = name
         self.graph_iri = IRI(tenant_graph_iri(name))
         self.engine = engine
@@ -62,6 +73,42 @@ class _Tenant:
         self.views = ViewRegistry(initial, retain=4)
         self.subscriptions: list[Subscription] = []
         self.lock = threading.Lock()
+
+    def view(self, at: int | None = None) -> ReadView:
+        """The current snapshot view, or the retained one pinned ``at``."""
+        return self.views.current() if at is None else self.views.at(at)
+
+    def graph(self, at: int | None = None) -> Graph:
+        """Term-level graph over a snapshot view — the HTTP read path.
+
+        The dictionary is shared with the engine (term ids only grow, so
+        decoding against an older view is safe) while the store is the
+        immutable pinned view.
+        """
+        return Graph(self.engine.dictionary, self.view(at))
+
+    def apply(
+        self,
+        assertions: Iterable[Triple] | Triple = (),
+        retractions: Iterable[Triple] | Triple = (),
+        timeout: float | None = 30.0,
+        trace_id: str | None = None,
+    ) -> CommitResult:
+        """Admit, queue and wait for one write (``TenantManager.apply``)."""
+        return self.manager.apply(
+            self.name, assertions, retractions, timeout=timeout, trace_id=trace_id
+        )
+
+    def subscribe_channel(self, patterns: Sequence) -> SubscriptionChannel:
+        """A queue-backed subscription for one streaming client.
+
+        The same bounded :class:`~repro.server.service.SubscriptionChannel`
+        the shared service hands out; counts against the tenant's
+        ``max_subscriptions`` quota like any standing query.
+        """
+        return SubscriptionChannel(
+            lambda push: self.manager.subscribe(self.name, patterns, push)
+        )
 
 
 class TenantManager:
@@ -105,7 +152,7 @@ class TenantManager:
             quantum=quantum,
         )
         self._lock = threading.Lock()
-        self._tenants: dict[str, _Tenant] = {}
+        self._tenants: dict[str, TenantScope] = {}
         self._closed = False
 
     def _load_or_default(self) -> TenantRegistry:
@@ -151,8 +198,9 @@ class TenantManager:
         return IRI(tenant_graph_iri(validate_tenant_name(name)))
 
     # --- engine management --------------------------------------------------
-    def _tenant(self, name: str) -> _Tenant:
-        """The tenant's runtime state, creating its engine lazily."""
+    def scope(self, name: str) -> TenantScope:
+        """The tenant's runtime state, creating its engine lazily; also
+        what the HTTP layer routes ``?tenant=`` requests to."""
         self.registry.quota(name)  # membership gate (may auto-register)
         with self._lock:
             tenant = self._tenants.get(name)
@@ -167,14 +215,14 @@ class TenantManager:
                     state_dir = self._persist_dir / name
                     state_dir.mkdir(parents=True, exist_ok=True)
                     options["persist_dir"] = state_dir
-                tenant = _Tenant(name, Slider(**options))
+                tenant = TenantScope(self, name, Slider(**options))
                 self._tenants[name] = tenant
         return tenant
 
     def engine(self, name: str) -> Slider:
         """The tenant's engine (tests/benchmarks; serving goes through
         :meth:`apply` / :meth:`view`)."""
-        return self._tenant(name).engine
+        return self.scope(name).engine
 
     # --- write path ---------------------------------------------------------
     def submit(
@@ -193,7 +241,7 @@ class TenantManager:
         :class:`~repro.tenancy.errors.QuotaExceededError`.
         """
         validate_tenant_name(tenant)
-        self._tenant(tenant)  # membership + engine warm-up
+        self.scope(tenant)  # membership + engine warm-up
         self.admission.admit(tenant)
         return self.writes.submit(tenant, assertions, retractions, trace_id=trace_id)
 
@@ -210,14 +258,15 @@ class TenantManager:
             tenant, assertions, retractions, trace_id=trace_id
         ).wait(timeout)
 
-    def _commit_tenant(self, name: str, delta: Delta) -> InferenceReport:
-        """Drain-thread commit hook: quota gate, then the engine apply.
+    def _commit_tenant(self, name: str, deltas: Sequence[Delta]) -> InferenceReport:
+        """Drain-thread commit hook: net, quota gate, then the engine apply.
 
         Only the fair-share drain thread calls this for any tenant, so
         the explicit-count check cannot race another writer — rejection
         here is atomic (no staging, no journal record, no commit).
         """
-        tenant = self._tenant(name)
+        tenant = self.scope(name)
+        delta = net_deltas(deltas, graph=tenant.graph_iri)
         quota = self.registry.quota(name)
         if quota.max_triples is not None and delta.assertions:
             current = tenant.engine.input_count
@@ -226,42 +275,27 @@ class TenantManager:
                 raise QuotaExceededError(
                     name, "max_triples", quota.max_triples, current + fresh
                 )
-        report = tenant.engine.apply(
-            Delta(delta.assertions, delta.retractions, graph=tenant.graph_iri)
-        )
+        report = tenant.engine.apply(delta)
         tenant.views.advance(report)
         return report
 
     # --- read path ----------------------------------------------------------
     def view(self, tenant: str, at: int | None = None) -> ReadView:
         """A snapshot-isolated read view of the tenant's closure."""
-        state = self._tenant(tenant)
-        return state.views.current() if at is None else state.views.at(at)
+        return self.scope(tenant).view(at)
 
     def graph(self, tenant: str) -> Graph:
         """Term-level (live) graph over the tenant's engine store."""
-        return self._tenant(tenant).engine.graph
-
-    def view_graph(self, tenant: str, at: int | None = None) -> Graph:
-        """Term-level graph over a snapshot view — the HTTP read path.
-
-        Mirrors ``ReasoningService.graph``: the dictionary is shared
-        with the tenant's engine (term ids only grow, so decoding
-        against an older view is safe) while the store is the immutable
-        pinned view.
-        """
-        state = self._tenant(tenant)
-        view = state.views.current() if at is None else state.views.at(at)
-        return Graph(state.engine.dictionary, view)
+        return self.scope(tenant).engine.graph
 
     def triples(self, tenant: str) -> list[Triple]:
         """The tenant's *explicit* triples (its named graph's contents)."""
-        state = self._tenant(tenant)
+        state = self.scope(tenant)
         return state.engine.triples_in_graph(state.graph_iri)
 
     def revision(self, tenant: str) -> int:
         """The tenant's committed revision counter."""
-        return self._tenant(tenant).engine.revision
+        return self.scope(tenant).engine.revision
 
     # --- subscriptions ------------------------------------------------------
     def subscribe(self, tenant: str, patterns: Sequence, callback=None) -> Subscription:
@@ -271,7 +305,7 @@ class TenantManager:
         (cancelled subscriptions are reaped first, so the quota tracks
         live standing queries).
         """
-        state = self._tenant(tenant)
+        state = self.scope(tenant)
         quota = self.registry.quota(tenant)
         with state.lock:
             state.subscriptions = [s for s in state.subscriptions if s.active]
@@ -290,33 +324,6 @@ class TenantManager:
             )
             state.subscriptions.append(subscription)
         return subscription
-
-    def subscribe_channel(self, tenant: str, patterns: Sequence):
-        """A queue-backed subscription for one tenant's streaming client.
-
-        Same bounded-queue slow-consumer policy as
-        ``ReasoningService.subscribe_channel`` (drop the subscriber,
-        never the committing thread); counts against the tenant's
-        ``max_subscriptions`` quota like any standing query.
-        """
-        import queue
-
-        from ..server.service import SUBSCRIPTION_QUEUE_LIMIT, SubscriptionChannel
-
-        events: "queue.Queue" = queue.Queue(maxsize=SUBSCRIPTION_QUEUE_LIMIT)
-        cell: list[SubscriptionChannel] = []
-
-        def push(event) -> None:
-            try:
-                events.put_nowait(event)
-            except queue.Full:
-                if cell:
-                    cell[0].close()
-
-        subscription = self.subscribe(tenant, patterns, push)
-        channel = SubscriptionChannel(subscription, events)
-        cell.append(channel)
-        return channel
 
     # --- observability ------------------------------------------------------
     def stats(self) -> dict:
@@ -347,7 +354,7 @@ class TenantManager:
             "writes": writes,
         }
 
-    def tenant_stats(self, name: str, _active: _Tenant | None = None) -> dict:
+    def tenant_stats(self, name: str, _active: TenantScope | None = None) -> dict:
         """One tenant's counters: engine, queue and admission slices."""
         if _active is None:
             with self._lock:

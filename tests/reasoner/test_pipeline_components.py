@@ -15,7 +15,7 @@ from repro.reasoner import (
     Vocabulary,
 )
 from repro.reasoner.trace import Trace
-from repro.store import VerticalTripleStore
+from repro.store import HashDictStore
 
 from ..conftest import EX
 
@@ -32,7 +32,7 @@ def vocab(dictionary):
 
 @pytest.fixture
 def store():
-    return VerticalTripleStore()
+    return HashDictStore()
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from repro.rdf import IRI, Literal
 from repro.reasoner import JoinRule, Pattern, SingleRule, Var
 from repro.reasoner.rules import RuleViolation, derive_all
 from repro.reasoner.vocabulary import Vocabulary
-from repro.store import VerticalTripleStore
+from repro.store import HashDictStore
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def vocab(dictionary):
 
 @pytest.fixture
 def store():
-    return VerticalTripleStore()
+    return HashDictStore()
 
 
 def iri_id(dictionary, name: str) -> int:

@@ -93,20 +93,8 @@ class TestSnapshotIsolation:
 
 
 class TestCoalescing:
-    def test_paused_queue_coalesces_into_one_revision(self):
-        with ReasoningService(fragment="rhodf", workers=0, timeout=None) as service:
-            before = service.revision
-            with service.writes.paused():
-                pending = [
-                    service.submit([Triple(EX[f"s{i}"], EX.p, EX[f"o{i}"])])
-                    for i in range(10)
-                ]
-            results = [p.wait(10) for p in pending]
-            revisions = {r.revision for r in results}
-            assert revisions == {before + 1}, "all writes share one revision"
-            assert results[0].coalesced == 10
-            assert results[0].report.explicit_added_count == 10
-            assert service.writes.stats()["max_coalesced"] >= 10
+    """The pipeline's own contract (netting, paused bursts, close,
+    failure isolation) lives in ``test_write_pipeline.py``."""
 
     @pytest.mark.parametrize("store", STORE_BACKENDS)
     def test_coalesced_script_matches_sequential_closure(self, store):
@@ -134,63 +122,6 @@ class TestCoalescing:
                 for pending in batch:
                     pending.wait(30)
             assert set(service.graph()) == reference
-
-    def test_last_writer_wins_across_submissions(self):
-        """Assert-then-retract from different callers in one coalesced
-        revision nets to the retraction (sequential semantics)."""
-        triple = Triple(EX.s, EX.p, EX.o)
-        with ReasoningService(fragment="rhodf", workers=0, timeout=None) as service:
-            service.apply([triple])  # the triple predates the batch
-            with service.writes.paused():
-                first = service.submit([triple])  # re-assert
-                second = service.submit((), [triple])  # then retract
-            first.wait(10)
-            second.wait(10)
-            assert triple not in service.graph()
-
-            with service.writes.paused():
-                third = service.submit((), [triple])  # retract (still absent)
-                fourth = service.submit([triple])  # then re-assert
-            third.wait(10)
-            fourth.wait(10)
-            assert triple in service.graph()
-
-    def test_pause_overlapping_drain_tick_holds_the_whole_batch(self):
-        """Regression: a pause that begins *during* the drainer's tick
-        sleep must still hold the queue.  The drainer used to grab the
-        queue unconditionally after the tick, splitting the paused
-        caller's batch across two commits (and two revisions)."""
-        import time
-        import types
-
-        from repro.server import WriteCoalescer
-
-        committed: list[Delta] = []
-
-        def apply_fn(delta: Delta):
-            committed.append(delta)
-            return types.SimpleNamespace(revision=len(committed))
-
-        coalescer = WriteCoalescer(apply_fn, tick=1.0)
-        try:
-            # Wake the drainer into its 1 s tick sleep ...
-            first = coalescer.submit([Triple(EX.a, EX.p, EX.o)])
-            time.sleep(0.1)
-            with coalescer.paused():
-                # ... then pause while it sleeps and queue more writes.
-                second = coalescer.submit([Triple(EX.b, EX.p, EX.o)])
-                third = coalescer.submit((), [Triple(EX.a, EX.p, EX.o)])
-                time.sleep(1.2)  # the tick expires while still paused
-                assert committed == [], "drainer committed during a pause"
-            results = {p.wait(10).revision for p in (first, second, third)}
-            assert results == {1}, "pause/resume split the batch"
-            assert len(committed) == 1
-            # Arrival-order netting held across the pause boundary: the
-            # later retraction cancels the first submission's assertion.
-            assert set(committed[0].assertions) == {Triple(EX.b, EX.p, EX.o)}
-            assert set(committed[0].retractions) == {Triple(EX.a, EX.p, EX.o)}
-        finally:
-            coalescer.close()
 
     def test_writes_visible_before_wait_returns(self):
         """The view registry advances before a waiter resumes."""

@@ -11,33 +11,67 @@ import threading
 
 import pytest
 
-from repro import Delta, Slider, Triple, Variable
+from repro import Slider, Triple, Variable
+from repro.obs import TRACER
 from repro.rdf import RDF, RDFS
-from repro.sharding import ShardedCoalescer, ShardedReasoner
+from repro.sharding import ShardedReasoner
 from repro.server import ReasoningService
 
 from ..conftest import EX, small_ontology
-from ..differential.test_differential import generate_script
+
+
+def drained_batch(service, trace_id):
+    """Two instance writes with distinct subjects, forced into one
+    drained batch; returns (revisions seen by the writers, spans)."""
+    with service.writes.paused():
+        batch = [
+            service.submit([Triple(EX[f"s{i}"], EX.knows, EX[f"o{i}"])], trace_id=trace_id)
+            for i in range(2)
+        ]
+    revisions = {pending.wait(30).revision for pending in batch}
+    spans = TRACER.ring.snapshot(trace_id=trace_id)
+    return revisions, [s for s in spans if s["name"] == "shard.commit"]
 
 
 class TestConstruction:
-    def test_shards_builds_a_cluster_and_sharded_coalescer(self):
+    def test_shards_builds_a_cluster_behind_the_one_pipeline(self):
+        """What the old ``ShardedCoalescer`` stood for: a drained batch
+        is one global revision, committed as one ``shard.commit``
+        sub-commit per busy shard."""
         with ReasoningService(shards=2, fragment="rhodf", workers=0) as service:
             assert isinstance(service.reasoner, ShardedReasoner)
-            assert isinstance(service.writes, ShardedCoalescer)
             assert service.sharding["shards"] == 2
+            before = service.revision
+            vector = list(service.sharding["revision_vector"])
+            revisions, shard_spans = drained_batch(service, "sharded-batch")
+            assert revisions == {before + 1}
+            busy = [
+                shard
+                for shard, (old, new) in enumerate(
+                    zip(vector, service.sharding["revision_vector"])
+                )
+                if new > old
+            ]
+            assert busy, "no shard committed"
+            assert sorted(s["attrs"]["shard"] for s in shard_spans) == busy
 
     def test_single_node_stays_single_node(self):
         with ReasoningService(fragment="rhodf", workers=0, timeout=None) as service:
-            assert not isinstance(service.writes, ShardedCoalescer)
             assert service.sharding is None
             assert service.stats()["sharding"] is None
+            before = service.revision
+            revisions, shard_spans = drained_batch(service, "single-batch")
+            assert revisions == {before + 1}
+            assert shard_spans == []
 
     def test_prebuilt_cluster_accepted(self):
         cluster = ShardedReasoner(fragment="rhodf", shards=3)
         with ReasoningService(reasoner=cluster) as service:
-            assert isinstance(service.writes, ShardedCoalescer)
             assert service.sharding["shards"] == 3
+            before = service.revision
+            revisions, shard_spans = drained_batch(service, "prebuilt-batch")
+            assert revisions == {before + 1}
+            assert shard_spans
 
     def test_shards_and_prebuilt_reasoner_conflict(self):
         with Slider(fragment="rhodf", workers=0, timeout=None) as reasoner:
@@ -93,32 +127,6 @@ class TestShardedWrites:
             single.apply([schema] + triples)
             reference = set(single.graph())
         assert {t for t in graph} == reference
-
-    def test_coalesced_batch_matches_sequential(self):
-        script = generate_script(4242, steps=6)
-        with ReasoningService(shards=2, fragment="rhodf", workers=0) as service:
-            for index in range(0, len(script), 2):
-                with service.writes.paused():
-                    batch = [
-                        service.submit(delta.assertions, delta.retractions)
-                        for delta in script[index : index + 2]
-                    ]
-                revisions = {pending.wait(30).revision for pending in batch}
-                assert len(revisions) == 1, "a paused batch split revisions"
-            sharded_closure = set(service.graph())
-
-        with Slider(fragment="rhodf", workers=0, timeout=None) as single:
-            for index in range(0, len(script), 2):
-                assertions, retractions = {}, {}
-                for delta in script[index : index + 2]:
-                    for t in delta.retractions:
-                        assertions.pop(t, None)
-                        retractions[t] = None
-                    for t in delta.assertions:
-                        retractions.pop(t, None)
-                        assertions[t] = None
-                single.apply(Delta(tuple(assertions), tuple(retractions)))
-            assert sharded_closure == set(single.graph)
 
 
 class TestShardedStats:

@@ -10,7 +10,6 @@ from repro.store import (
     ShardedTripleStore,
     TripleStore,
     UnknownBackendError,
-    VerticalTripleStore,
     available_backends,
     create_store,
     register_backend,
@@ -80,10 +79,6 @@ class TestProtocol:
     def test_backends_satisfy_protocol(self):
         assert isinstance(HashDictStore(), TripleStore)
         assert isinstance(ShardedTripleStore(2), TripleStore)
-
-    def test_vertical_alias_is_hashdict(self):
-        # Backward compatibility: the seed class name keeps working.
-        assert VerticalTripleStore is HashDictStore
 
 
 class TestShardedEquivalence:

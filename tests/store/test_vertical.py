@@ -4,12 +4,12 @@ import threading
 
 import pytest
 
-from repro.store import VerticalTripleStore
+from repro.store import HashDictStore
 
 
 @pytest.fixture
 def store():
-    return VerticalTripleStore()
+    return HashDictStore()
 
 
 class TestAdd:

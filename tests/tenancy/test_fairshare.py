@@ -1,11 +1,18 @@
-"""Deficit-round-robin drain: fairness, bounds, netting, isolation."""
+"""The tenancy policy on the write pipeline: stats, saturation, tracing.
 
-import threading
+``FairShareCoalescer`` has no drain loop of its own — netting, paused
+bursts, close, failure isolation, DRR shares and the queue bound are
+the pipeline's contract, checked once for every configuration in
+``tests/server/test_write_pipeline.py``.  What is left here is what
+only the tenant-keyed front end adds.
+"""
+
+import types
 
 import pytest
 
+from repro.obs import TRACER
 from repro.rdf import RDF, Triple
-from repro.server.coalescer import CoalescerClosedError
 from repro.tenancy import AdmissionRejectedError, FairShareCoalescer
 
 from ..conftest import EX
@@ -15,179 +22,75 @@ def triple(tenant: str, i: int) -> Triple:
     return Triple(EX[f"{tenant}-{i}"], RDF.type, EX.Event)
 
 
-class Recorder:
-    """A fake per-tenant apply: records commit order and batch shapes."""
-
-    def __init__(self, fail_for=()):
-        self.lock = threading.Lock()
-        self.commits = []  # (tenant, n_assertions, n_retractions)
-        self.revisions = {}
-        self.fail_for = set(fail_for)
-
-    def __call__(self, tenant, delta):
-        if tenant in self.fail_for:
-            raise RuntimeError(f"engine for {tenant} is broken")
-        with self.lock:
-            self.revisions[tenant] = self.revisions.get(tenant, 0) + 1
-            self.commits.append((tenant, len(delta.assertions), len(delta.retractions)))
-
-            class Report:
-                revision = self.revisions[tenant]
-
-            return Report()
-
-
 @pytest.fixture
-def recorder():
-    return Recorder()
+def coalescer():
+    revisions = {}
+
+    def commit_fn(tenant, deltas):
+        revisions[tenant] = revisions.get(tenant, 0) + 1
+        return types.SimpleNamespace(revision=revisions[tenant])
+
+    coalescer = FairShareCoalescer(commit_fn, tick=0.0, queue_limit=4)
+    yield coalescer
+    coalescer.close()
 
 
-def make(recorder, **kwargs):
-    kwargs.setdefault("tick", 0.0)
-    return FairShareCoalescer(recorder, **kwargs)
+class TestVisibility:
+    def test_stats_expose_per_tenant_queue(self, coalescer):
+        coalescer.apply("acme", assertions=[triple("acme", 1)])
+        stats = coalescer.stats()
+        assert stats["commits"] == 1
+        assert stats["queue_limit"] == 4
+        assert stats["tenants"]["acme"] == {
+            "queued": 0,
+            "submitted": 1,
+            "commits": 1,
+            "rejected_queue": 0,
+            "weight": 1.0,
+        }
+        assert coalescer.tenant_stats("ghost") == {
+            "queued": 0,
+            "submitted": 0,
+            "commits": 0,
+            "rejected_queue": 0,
+        }
 
-
-class TestDrain:
-    def test_single_tenant_commits(self, recorder):
-        coalescer = make(recorder)
-        try:
-            result = coalescer.apply("acme", assertions=[triple("acme", 1)])
-            assert result.revision == 1
-            assert recorder.commits == [("acme", 1, 0)]
-        finally:
-            coalescer.close()
-
-    def test_batch_netting_is_last_writer_wins(self, recorder):
-        coalescer = make(recorder)
-        try:
-            with coalescer.paused():
-                first = coalescer.submit("acme", assertions=[triple("acme", 1)])
-                second = coalescer.submit("acme", retractions=[triple("acme", 1)])
-            first.wait(5)
-            second.wait(5)
-            # One commit: the retraction cancelled the queued assertion
-            # and stands (the triple may predate the batch).
-            assert recorder.commits == [("acme", 0, 1)]
-        finally:
-            coalescer.close()
-
-    def test_close_drains_queued_writes(self, recorder):
-        coalescer = make(recorder)
+    def test_saturation_tracks_the_worst_queue(self, coalescer):
         with coalescer.paused():
-            pending = coalescer.submit("acme", assertions=[triple("acme", 1)])
-            # close() lifts the pause and drains before joining.
-            closer = threading.Thread(target=coalescer.close)
-            closer.start()
-            closer.join(5)
-        assert pending.wait(5).revision == 1
-        with pytest.raises(CoalescerClosedError):
-            coalescer.submit("acme", assertions=[triple("acme", 2)])
-
-
-class TestFairness:
-    def test_interactive_tenant_is_not_starved_by_bulk(self, recorder):
-        coalescer = make(recorder, quantum=4)
-        try:
-            with coalescer.paused():
-                bulk = [
-                    coalescer.submit("bulk", assertions=[triple("bulk", i)])
-                    for i in range(100)
-                ]
-                quick = coalescer.submit("quick", assertions=[triple("quick", 0)])
-            quick.wait(5)
-            for pending in bulk:
-                pending.wait(5)
-            # The interactive write must land in the very first service
-            # round, not behind the 100-deep bulk queue.
-            first_quick = [t for t, _, _ in recorder.commits].index("quick")
-            assert first_quick <= 1
-            bulk_before_quick = sum(
-                n for t, n, _ in recorder.commits[:first_quick] if t == "bulk"
-            )
-            assert bulk_before_quick <= coalescer._quantum
-        finally:
-            coalescer.close()
-
-    def test_drain_bandwidth_follows_weight(self, recorder):
-        weights = {"heavy": 3.0, "light": 1.0}
-        coalescer = make(recorder, weight_fn=weights.get, quantum=1)
-        try:
-            with coalescer.paused():
-                pendings = [
-                    coalescer.submit(t, assertions=[triple(t, i)])
-                    for i in range(12)
-                    for t in ("heavy", "light")
-                ]
-            for pending in pendings:
-                pending.wait(5)
-            # While both tenants stay backlogged, each round drains
-            # ~3 heavy submissions for every light one.
-            sizes = {
-                t: [n for tenant, n, _ in recorder.commits if tenant == t]
-                for t in weights
+            for i in range(4):
+                coalescer.submit("noisy", assertions=[triple("noisy", i)])
+            coalescer.submit("calm", assertions=[triple("calm", 0)])
+            with pytest.raises(AdmissionRejectedError):
+                coalescer.submit("noisy", assertions=[triple("noisy", 4)])
+            assert coalescer.saturation() == {
+                "queued": 5,
+                "queue_limit": 4,
+                "tenants_backlogged": 2,
+                "max_saturation": 1.0,
             }
-            assert sizes["heavy"][0] == 3
-            assert sizes["light"][0] == 1
-        finally:
-            coalescer.close()
 
-    def test_stats_expose_per_tenant_queue(self, recorder):
-        coalescer = make(recorder)
-        try:
-            coalescer.apply("acme", assertions=[triple("acme", 1)])
-            stats = coalescer.stats()
-            assert stats["commits"] == 1
-            assert stats["tenants"]["acme"]["submitted"] == 1
-            assert stats["tenants"]["acme"]["queued"] == 0
-            assert coalescer.tenant_stats("ghost") == {
-                "queued": 0,
-                "submitted": 0,
-                "commits": 0,
-                "rejected_queue": 0,
-            }
-        finally:
-            coalescer.close()
+    def test_forget_drops_only_idle_tenants(self, coalescer):
+        coalescer.apply("gone", assertions=[triple("gone", 0)])
+        with coalescer.paused():
+            busy = coalescer.submit("busy", assertions=[triple("busy", 0)])
+            coalescer.forget("gone")
+            coalescer.forget("busy")  # backlogged: stays until drained
+            assert set(coalescer.stats()["tenants"]) == {"busy"}
+        assert busy.wait(5).revision == 1
 
 
-class TestBounds:
-    def test_full_queue_rejects_with_retry_after(self, recorder):
-        coalescer = make(recorder, queue_limit=2)
-        try:
-            with coalescer.paused():
-                coalescer.submit("acme", assertions=[triple("acme", 1)])
-                coalescer.submit("acme", assertions=[triple("acme", 2)])
-                with pytest.raises(AdmissionRejectedError) as info:
-                    coalescer.submit("acme", assertions=[triple("acme", 3)])
-            assert info.value.tenant == "acme"
-            assert info.value.retry_after > 0
-            assert coalescer.tenant_stats("acme")["rejected_queue"] == 1
-        finally:
-            coalescer.close()
-
-    def test_rejection_does_not_block_other_tenants(self, recorder):
-        coalescer = make(recorder, queue_limit=1)
-        try:
-            with coalescer.paused():
-                coalescer.submit("noisy", assertions=[triple("noisy", 1)])
-                with pytest.raises(AdmissionRejectedError):
-                    coalescer.submit("noisy", assertions=[triple("noisy", 2)])
-                other = coalescer.submit("calm", assertions=[triple("calm", 1)])
-            assert other.wait(5).revision == 1
-        finally:
-            coalescer.close()
-
-
-class TestFailureIsolation:
-    def test_one_tenants_engine_failure_stays_its_own(self):
-        recorder = Recorder(fail_for={"bad"})
-        coalescer = make(recorder)
-        try:
-            with coalescer.paused():
-                doomed = coalescer.submit("bad", assertions=[triple("bad", 1)])
-                fine = coalescer.submit("good", assertions=[triple("good", 1)])
-            assert fine.wait(5).revision == 1
-            with pytest.raises(RuntimeError, match="broken"):
-                doomed.wait(5)
-            assert coalescer.stats()["failed"] == 1
-        finally:
-            coalescer.close()
+class TestTracing:
+    def test_blocking_apply_carries_its_trace_id_to_the_commit_span(self, coalescer):
+        """Regression: ``apply()`` used to drop ``trace_id`` (only
+        ``submit`` took it), so a tenant write made through the blocking
+        convenience never reached the shared commit span."""
+        coalescer.apply(
+            "acme", assertions=[triple("acme", 1)], trace_id="tenant-apply-trace"
+        )
+        (commit,) = [
+            span
+            for span in TRACER.ring.snapshot(trace_id="tenant-apply-trace")
+            if span["name"] == "commit"
+        ]
+        assert commit["attrs"]["tenant"] == "acme"
+        assert commit["attrs"]["coalesced"] == 1

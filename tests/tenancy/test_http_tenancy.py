@@ -236,18 +236,23 @@ class TestAdmissionStatuses:
 class TestRetryAfterClient:
     """The bench's closed-loop client honours the advertised backoff."""
 
-    def test_bench_client_survives_overload_without_losing_writes(self):
-        # Real clock on purpose: the client must sleep actual wall time
-        # for the token bucket to refill, proving the advertised
-        # ``retry_after`` is sufficient — not just present.
+    def test_bench_client_survives_overload_without_losing_writes(self, clock):
+        # One fake clock drives both the token bucket and the client's
+        # sleep: the bucket refills only by what the client was told to
+        # wait, so this proves the advertised ``retry_after`` is
+        # sufficient — not just present — without wall time deciding
+        # anything.  4/s keeps every refill exact in binary floats.
         registry = TenantRegistry(default_quota=TenantQuota())
-        registry.register("hot", TenantQuota(writes_per_second=200.0, burst=2))
-        manager = TenantManager(registry=registry, coalesce_tick=0.0)
+        registry.register("hot", TenantQuota(writes_per_second=4.0, burst=2))
+        manager = TenantManager(registry=registry, coalesce_tick=0.0, clock=clock)
         service = ReasoningService(fragment="rhodf", workers=0, timeout=None)
         server, _thread = serve(service, tenants=manager)
         from repro.bench import RetryAfterClient
 
-        client = RetryAfterClient("127.0.0.1", server.port, "hot")
+        def sleep(seconds: float) -> None:
+            clock.now += seconds
+
+        client = RetryAfterClient("127.0.0.1", server.port, "hot", sleep=sleep)
         try:
             for i in range(12):
                 body = client.apply([statement("hot", i)])
@@ -259,10 +264,10 @@ class TestRetryAfterClient:
             server.server_close()
             manager.close()
             service.close()
-        # Burst is 2 and the loop is much faster than 200/s refill, so
-        # overload genuinely happened and the client slept through it.
-        assert client.rejections > 0
-        assert client.slept_seconds > 0
+        # The burst admits two writes; each of the other ten is refused
+        # once and admitted after sleeping exactly one token's refill.
+        assert client.rejections == 10
+        assert client.slept_seconds == 10 * 0.25
         assert client.committed == 12
         assert status == 200
         assert stats["engine"]["triples"] == 12  # nothing lost, nothing doubled
