@@ -1,11 +1,11 @@
 """Microbenchmarks: snapshot load-to-serving, hydration, join kernels.
 
-The columnar (v2) snapshot's acceptance bar: mapping an image and
-answering the first read must beat the v1 parse-and-hydrate path by at
-least 5x at the default reduced scale — otherwise the zero-copy format
-would be decorative.  The batch join kernels are measured against the
-classic per-triple half-join loop over the same store and rule; both
-gated numbers are ratios, so they hold across runner speeds.
+Load-to-first-read off the mapped columnar image and the hydration it
+defers are reported in absolute seconds (the columnar image is the only
+written format, so there is no second format to take a ratio against).
+The batch join kernels are measured against the classic per-triple
+half-join loop over the same store and rule; that gated number is a
+ratio, so it holds across runner speeds.
 
 Set ``SLIDER_BENCH_MICRO_JSON`` to a path to dump the results as a JSON
 artifact (``kind: "micro"``, consumed by ``python -m repro.bench.compare``).
@@ -29,9 +29,6 @@ from _config import (
 
 MICRO_DATASETS = ("BSBM_100k", "wordnet")
 
-#: Acceptance floor for v2 load-to-serving vs v1 parse-and-hydrate.
-MIN_V2_LOAD_SPEEDUP = float(os.environ.get("SLIDER_BENCH_MIN_V2_LOAD", "5"))
-
 _results: list = []
 
 
@@ -49,16 +46,14 @@ def test_micro_pair(benchmark, dataset):
     benchmark.extra_info.update(
         {
             "dataset": dataset,
-            "v2_load_speedup": result.v2_load_speedup,
+            "load_seconds": result.load_seconds,
+            "hydrate_seconds": result.hydrate_seconds,
             "kernel_join_speedup": result.kernel_join_speedup,
         }
     )
-    # run_micro already asserted v1/v2 serve the same store contents and
-    # classic/kernel emit the same join; here we hold the perf line.
-    assert result.v2_load_speedup >= MIN_V2_LOAD_SPEEDUP, (
-        f"v2 load-to-serving only {result.v2_load_speedup:.1f}x faster than "
-        f"v1 (need >= {MIN_V2_LOAD_SPEEDUP:g}x): {result!r}"
-    )
+    # run_micro already asserted the mapped image and the hydrated store
+    # hold the engine's triples and classic/kernel emit the same join;
+    # the kernel ratio is gated by ``repro.bench.compare``.
 
 
 @register_summary
@@ -67,7 +62,6 @@ def _micro_summary() -> str | None:
         return None
     artifact = os.environ.get("SLIDER_BENCH_MICRO_JSON")
     if artifact:
-        worst = min(_results, key=lambda r: r.v2_load_speedup)
         worst_join = min(_results, key=lambda r: r.kernel_join_speedup)
         with open(artifact, "w", encoding="utf-8") as handle:
             json.dump(
@@ -75,7 +69,6 @@ def _micro_summary() -> str | None:
                     "kind": "micro",
                     "scale": BENCH_SCALE,
                     "store": SLIDER_STORE,
-                    "v2_load_speedup": worst.v2_load_speedup,
                     "kernel_join_speedup": worst_join.kernel_join_speedup,
                     "runs": [r.as_dict() for r in _results],
                 },
@@ -84,13 +77,12 @@ def _micro_summary() -> str | None:
     lines = [
         "",
         f"=== Snapshot/kernel micro (scale={BENCH_SCALE:g}, store={SLIDER_STORE}) ===",
-        f"{'dataset':<16} {'v1 load s':>10} {'v2 load s':>10} {'v2 x':>8} "
+        f"{'dataset':<16} {'image B':>10} {'load s':>10} "
         f"{'hydrate s':>10} {'join x':>7} {'gallop e/s':>12}",
     ]
     for r in _results:
         lines.append(
-            f"{r.dataset:<16} {r.v1_load_seconds:>10.4f} "
-            f"{r.v2_load_seconds:>10.5f} {r.v2_load_speedup:>7.1f}x "
+            f"{r.dataset:<16} {r.image_bytes:>10,} {r.load_seconds:>10.5f} "
             f"{r.hydrate_seconds:>10.4f} {r.kernel_join_speedup:>6.1f}x "
             f"{r.gallop_elements_per_second:>12,.0f}"
         )

@@ -71,7 +71,6 @@ def extract_metrics(artifact) -> dict[str, float]:
         }
     if kind == "micro":
         return {
-            "micro.v2_load_speedup": float(artifact["v2_load_speedup"]),
             "micro.kernel_join_speedup": float(artifact["kernel_join_speedup"]),
         }
     if kind == "replication":

@@ -1,15 +1,15 @@
 """Microbenchmarks for the zero-copy substrate: loads, hydration, kernels.
 
-Three families of numbers, all runner-robust ratios where they gate CI:
+Three families of numbers; the one that gates CI is a runner-robust ratio:
 
 * **snapshot load-to-serving** — the wall time from a snapshot file on
-  disk to the first answered read.  For a v1 image that is parse +
-  full hydration into a mutable store (nothing can be answered
-  earlier); for a v2 image it is map + bisect — the whole point of the
-  columnar format.  ``v2_load_speedup`` is the gated ratio.
-* **hydration** — what the v2 lazy path defers: restoring the mapped
+  disk to the first answered read: map + bisect over the columnar
+  image.  Reported in absolute seconds (there is no second written
+  format left to be a ratio against).
+* **hydration** — what the lazy path defers: restoring the mapped
   image into a fresh dictionary + mutable store (the background work a
-  bootstrapping follower performs behind its image service).
+  bootstrapping follower performs behind its image service, and what a
+  durable engine pays at recovery).
 * **join kernels** — one firing batch pushed through the classic
   per-triple half-join loop vs the compiled batch kernel
   (:mod:`repro.reasoner.kernels`) over the same store and rule;
@@ -45,8 +45,8 @@ class MicroResult:
     __slots__ = (
         "dataset", "fragment", "scale", "store",
         "triples", "terms",
-        "v1_bytes", "v2_bytes",
-        "v1_load_seconds", "v2_load_seconds",
+        "image_bytes",
+        "load_seconds",
         "hydrate_seconds",
         "classic_join_seconds", "kernel_join_seconds",
         "gallop_elements_per_second",
@@ -57,13 +57,6 @@ class MicroResult:
             setattr(self, name, fields[name])
 
     @property
-    def v2_load_speedup(self) -> float:
-        """Load-to-first-read: how many times v2 beats v1."""
-        if self.v2_load_seconds <= 0:
-            return float("inf")
-        return self.v1_load_seconds / self.v2_load_seconds
-
-    @property
     def kernel_join_speedup(self) -> float:
         """One firing batch: classic half-join vs the batch kernel."""
         if self.kernel_join_seconds <= 0:
@@ -72,14 +65,13 @@ class MicroResult:
 
     def as_dict(self) -> dict:
         data = {name: getattr(self, name) for name in self.__slots__}
-        data["v2_load_speedup"] = self.v2_load_speedup
         data["kernel_join_speedup"] = self.kernel_join_speedup
         return data
 
     def __repr__(self):
         return (
             f"<MicroResult {self.dataset}/{self.fragment} "
-            f"v2_load={self.v2_load_speedup:.1f}x "
+            f"load={self.load_seconds * 1e3:.2f}ms "
             f"kernel_join={self.kernel_join_speedup:.1f}x>"
         )
 
@@ -181,47 +173,34 @@ def run_micro(
 
     Each timed phase runs ``rounds`` times and keeps the best (the
     phases are milliseconds-fast; a scheduler hiccup would otherwise
-    swamp them).  Every load path answers one probe read and the v1/v2
-    stores are asserted to agree, so the ratios compare equal work.
+    swamp them).  Both the mapped image and the hydrated store answer
+    one probe read, asserted against the engine's own triple count.
     """
     path = dataset_file(name, scale)
     with Slider(fragment=fragment, store=store, workers=0, timeout=None) as engine:
         engine.load(path)
         engine.flush()
-        v1_blob = engine.snapshot_bytes(format="v1")
-        v2_blob = engine.snapshot_bytes(format="v2")
+        blob = engine.snapshot_bytes()
         triple_total = len(engine.store)
         term_total = len(engine.dictionary)
 
     with tempfile.TemporaryDirectory(prefix="slider-micro-") as work:
-        v1_path = Path(work) / "snapshot-v1.slider"
-        v2_path = Path(work) / "snapshot-v2.slider"
-        v1_path.write_bytes(v1_blob)
-        v2_path.write_bytes(v2_blob)
+        image_path = Path(work) / "snapshot.slider"
+        image_path.write_bytes(blob)
 
-        def load_v1() -> float:
+        def load() -> float:
             start = clock()
-            snapshot = load_snapshot(v1_path)
-            dictionary = TermDictionary()
-            target = create_store(store)
-            snapshot.restore(dictionary, target)
-            assert len(target) == triple_total  # the probe read
-            return clock() - start
-
-        def load_v2() -> float:
-            start = clock()
-            snapshot = load_snapshot(v2_path)
+            snapshot = load_snapshot(image_path)
             serving = ColumnarReadStore(snapshot)
             assert len(serving) == triple_total  # the probe read
             elapsed = clock() - start
             serving.close()
             return elapsed
 
-        v1_load_seconds = _best(rounds, load_v1)
-        v2_load_seconds = _best(rounds, load_v2)
+        load_seconds = _best(rounds, load)
 
         def hydrate() -> float:
-            snapshot = load_snapshot(v2_path)
+            snapshot = load_snapshot(image_path)
             start = clock()
             dictionary = TermDictionary()
             target = create_store(store)
@@ -239,9 +218,8 @@ def run_micro(
     return MicroResult(
         dataset=name, fragment=fragment, scale=scale, store=store,
         triples=triple_total, terms=term_total,
-        v1_bytes=len(v1_blob), v2_bytes=len(v2_blob),
-        v1_load_seconds=v1_load_seconds,
-        v2_load_seconds=v2_load_seconds,
+        image_bytes=len(blob),
+        load_seconds=load_seconds,
         hydrate_seconds=hydrate_seconds,
         classic_join_seconds=classic_seconds,
         kernel_join_seconds=kernel_seconds,

@@ -189,10 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snapshot.add_argument("--persist", required=True, metavar="DIR",
                           help="the durable state directory to compact")
-    snapshot.add_argument("--format", choices=("v1", "v2"), default="v2",
-                          help="snapshot format to write: v1 (varint stream) or "
-                               "v2 (columnar, mmap-able; default %(default)s). "
-                               "Either format is always readable.")
     _add_persist_tuning(snapshot)
 
     recover = subparsers.add_parser(
@@ -276,7 +272,6 @@ def _open_recovered(args) -> Slider:
         store=args.store,
         persist_dir=args.persist,
         persist_fsync=not args.no_fsync,
-        snapshot_format=getattr(args, "format", None) or "v1",
     )
 
 

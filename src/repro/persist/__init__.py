@@ -3,21 +3,31 @@
 The incremental closure only pays off at service scale if it survives
 restarts; this package makes the engine a *restartable* system:
 
-* :mod:`~repro.persist.snapshot` — an atomic, CRC-checked binary image
-  of the term dictionary, the explicit/inferred store partitions and
-  the revision id;
+* :mod:`~repro.persist.columnar` — the snapshot image: an atomic,
+  CRC-checked, mmap-able columnar file of the term dictionary, the
+  explicit/inferred store partitions and the revision id — the only
+  format written;
+* :mod:`~repro.persist.snapshot` — the reading side:
+  ``load_snapshot`` / ``parse_snapshot`` accept every format ever
+  written (dispatch on the magic), including the legacy v1 varint
+  stream no code writes any more;
 * :mod:`~repro.persist.journal` — an append-only write-ahead changelog
   of committed deltas, fsynced before ``apply()`` returns, with a
   torn-tail-tolerant reader;
 * :mod:`~repro.persist.manager` — the :class:`PersistenceManager`
   wiring both into the recovery / compaction lifecycle;
-* :mod:`~repro.persist.format` — the shared byte-level encoding.
+* :mod:`~repro.persist.format` — the shared byte-level encoding and
+  the one atomic file writer (``atomic_write``).
+
+Which bytes make an image is decided here and nowhere else: callers
+hand :func:`encode_columnar_snapshot` their state and get bytes back.
 
 Enable it with ``Slider(persist_dir="state/")``; see the README's
 *Durability* section for the lifecycle and recovery semantics.
 """
 
-from .format import FormatError
+from .columnar import ColumnarSnapshot, encode_columnar_snapshot
+from .format import FormatError, atomic_write
 from .journal import (
     JOURNAL_MAGIC,
     JournalError,
@@ -37,21 +47,22 @@ from .snapshot import (
     SNAPSHOT_MAGIC,
     Snapshot,
     SnapshotError,
-    encode_snapshot,
+    image_revision,
     load_snapshot,
     parse_snapshot,
-    write_snapshot,
 )
 
 __all__ = [
     "PersistenceManager",
     "PersistenceLockError",
     "Snapshot",
+    "ColumnarSnapshot",
     "SnapshotError",
-    "encode_snapshot",
+    "encode_columnar_snapshot",
     "parse_snapshot",
-    "write_snapshot",
     "load_snapshot",
+    "image_revision",
+    "atomic_write",
     "JournalRecord",
     "JournalWriter",
     "JournalError",

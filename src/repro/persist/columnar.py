@@ -1,10 +1,13 @@
-"""Snapshot format v2: columnar, mmap-able, zero-copy.
+"""The snapshot image: columnar, mmap-able, zero-copy.
 
-The v1 snapshot (:mod:`repro.persist.snapshot`) is a varint stream —
-compact, but loading it constructs every term and triple as Python
-objects before the first read can be served.  Format v2 restructures
-the image into fixed-width sorted id columns so a reader can *map* the
-file and serve lookups straight off the mapped bytes:
+This is the one format the system writes — :func:`encode_columnar_snapshot`
+is the only encoder in the tree, behind the durable seal
+(:meth:`PersistenceManager.write_snapshot
+<repro.persist.manager.PersistenceManager.write_snapshot>`) and the
+replica bootstrap image (``GET /snapshot``) alike.  The image is
+fixed-width sorted id columns, so a reader *maps* the file and serves
+lookups straight off the mapped bytes; the sort is paid once at write
+time and every later load is O(header):
 
 ::
 
@@ -13,7 +16,7 @@ file and serve lookups straight off the mapped bytes:
                term_count, explicit_count, inferred_count, id_width
     ----8-byte aligned sections follow----
     term index (term_count + 1) u64 cumulative offsets into the blob
-    term blob  concatenated v1 term encodings (term i occupies
+    term blob  concatenated term encodings (term i occupies
                bytes index[i]:index[i+1])
     SPO cols   3 arrays of triple_count ids (s, p, o columns),
                rows sorted by (s, p, o)
@@ -27,31 +30,29 @@ Ids are little-endian ``id_width``-byte integers (4 unless the term
 table overflows u32); columns are exposed as ``memoryview.cast``
 windows, so a lookup is a pair of bisects over the mapped file — no
 per-triple object construction, no heap-resident copy of the store.
-Term payloads reuse the v1 ``write_term`` encoding, decoded lazily
-per id through the offset index.
+Term payloads use :func:`~repro.persist.format.write_term`, decoded
+lazily per id through the offset index.  An image that carries a
+named-graph column is ``SLSNAP03`` (see :data:`COLUMNAR_MAGIC_V3`).
 
-:class:`ColumnarSnapshot` is duck-compatible with
+:class:`ColumnarSnapshot` is duck-compatible with the legacy
 :class:`~repro.persist.snapshot.Snapshot` (same metadata attributes,
-same ``restore`` contract), so every v1 consumer — engine recovery,
-follower bootstrap, the CLI inspector — accepts either format.
-Integrity is the trailing whole-image CRC, exactly as in v1.
+same ``restore`` contract), so engine recovery, follower bootstrap and
+the CLI inspector accept whatever :func:`~repro.persist.snapshot.load_snapshot`
+finds on disk.  Integrity is the trailing whole-image CRC.
 """
 
 from __future__ import annotations
 
 import mmap
-import os
 import struct
 import zlib
 from array import array
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..dictionary.encoder import EncodedTriple, TermDictionary
 from ..rdf.terms import Term
 from .format import (
     FormatError,
-    fsync_dir,
     read_string,
     read_term,
     read_varint,
@@ -59,7 +60,7 @@ from .format import (
     write_term,
     write_varint,
 )
-from .snapshot import SnapshotError
+from .snapshot import SnapshotError, restore_image
 
 __all__ = [
     "COLUMNAR_MAGIC",
@@ -68,7 +69,6 @@ __all__ = [
     "ColumnarSnapshot",
     "encode_columnar_snapshot",
     "parse_columnar_snapshot",
-    "write_columnar_snapshot",
     "load_columnar_snapshot",
 ]
 
@@ -109,7 +109,7 @@ def encode_columnar_snapshot(
     inferred: Iterable[EncodedTriple],
     graphs: Iterable[tuple[int, int, int, int]] = (),
 ) -> bytes:
-    """The complete v2/v3 image as bytes (same keyword surface as v1).
+    """The complete image as bytes: the one encode entry point.
 
     ``graphs`` is the sparse named-graph column as ``(s, p, o, graph)``
     id rows; a non-empty column switches the image to format v3 (the v2
@@ -137,8 +137,8 @@ def encode_columnar_snapshot(
     if graphs:
         write_varint(out, len(graphs))
 
-    # Term blob + cumulative offset index (encoded in id order, exactly
-    # as v1, so restore reproduces dictionary ids bit for bit).
+    # Term blob + cumulative offset index (encoded in id order, so
+    # restore reproduces dictionary ids bit for bit).
     blob = bytearray()
     offsets = array("Q", [0])
     for term in terms:
@@ -182,25 +182,9 @@ def encode_columnar_snapshot(
     return bytes(out)
 
 
-def write_columnar_snapshot(path, *, fsync: bool = True, **state) -> int:
-    """Write a v2 snapshot atomically; returns the file size in bytes."""
-    path = Path(path)
-    blob = encode_columnar_snapshot(**state)
-    temp_path = path.with_name(path.name + ".tmp")
-    with open(temp_path, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(temp_path, path)
-    if fsync:
-        fsync_dir(path.parent)
-    return len(blob)
-
-
 # --- reader ------------------------------------------------------------------
 class ColumnarSnapshot:
-    """A mapped v2 snapshot: metadata eagerly, everything else lazily.
+    """A mapped columnar snapshot: metadata eagerly, everything else lazily.
 
     Duck-compatible with :class:`~repro.persist.snapshot.Snapshot`:
     ``revision`` / ``fragment`` / ``store_spec`` / ``axiom_count`` /
@@ -286,27 +270,12 @@ class ColumnarSnapshot:
         return term
 
     def restore(self, dictionary: TermDictionary, store) -> set[EncodedTriple]:
-        """Load the image into ``dictionary`` + ``store`` (v1 contract).
-
-        Explicit rows land before inferred rows, both in (s, p, o)
-        order — the same order the engine's snapshot writer uses — so a
-        fresh dictionary + empty store end up bit-identical to a v1
-        restore of the same closure.
-        """
-        mapping = [dictionary.encode(term) for term in self.terms]
-        identity = all(new == old for old, new in enumerate(mapping))
-        if identity:
-            explicit = self.explicit
-            inferred = self.inferred
-        else:
-            explicit = [(mapping[s], mapping[p], mapping[o]) for s, p, o in self.explicit]
-            inferred = [(mapping[s], mapping[p], mapping[o]) for s, p, o in self.inferred]
-        store.add_all(explicit)
-        store.add_all(inferred)
-        from .snapshot import _restore_graphs
-
-        _restore_graphs(self.graphs, mapping, store)
-        return set(explicit)
+        """Load the image into ``dictionary`` + ``store``; returns the
+        restored explicit set (see
+        :func:`~repro.persist.snapshot.restore_image`).  Rows are in
+        (s, p, o) order, so a fresh dictionary + empty store end up
+        bit-identical to a legacy v1 restore of the same closure."""
+        return restore_image(self, dictionary, store)
 
     def close(self) -> None:
         """Release the underlying map (a no-op for in-memory images)."""
@@ -327,7 +296,7 @@ class ColumnarSnapshot:
 
 
 def parse_columnar_snapshot(data, source: str = "<bytes>") -> ColumnarSnapshot:
-    """Verify and parse a v2 image over any buffer (bytes or mmap).
+    """Verify and parse a columnar image over any buffer (bytes or mmap).
 
     The columns returned are zero-copy windows into ``data``; the
     snapshot keeps ``data`` alive for as long as it is open.
@@ -350,7 +319,7 @@ def _parse_columnar(view, held, data, source) -> ColumnarSnapshot:
     magic = len(COLUMNAR_MAGIC)
     file_magic = bytes(view[:magic])
     if file_magic not in COLUMNAR_MAGICS:
-        raise SnapshotError(f"{source} is not a v2 Slider snapshot (bad magic)")
+        raise SnapshotError(f"{source} is not a columnar Slider snapshot (bad magic)")
     has_graphs = file_magic == COLUMNAR_MAGIC_V3
     if len(view) < magic + _CRC.size:
         raise SnapshotError(f"snapshot {source} is truncated")
@@ -429,7 +398,7 @@ def _parse_columnar(view, held, data, source) -> ColumnarSnapshot:
 
 
 def load_columnar_snapshot(path) -> ColumnarSnapshot:
-    """Map a v2 snapshot file read-only and parse it in place.
+    """Map a columnar snapshot file read-only and parse it in place.
 
     The file is ``mmap``-ed, so "loading" is O(header) — column bytes
     fault in on first access.  Falls back to a plain read for empty

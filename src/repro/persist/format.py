@@ -13,6 +13,10 @@ Both durable artifacts are built from the same three layers:
   length runs past the file or whose checksum disagrees, and everything
   before that point is known-good.
 
+Beside them sits :func:`atomic_write`, the one tmp → fsync → rename →
+directory-fsync file replacement every durable whole-file artifact
+(snapshot image, ``cluster.json``, ``tenants.json``) goes through.
+
 Everything here is pure byte manipulation — no engine types beyond the
 term classes — so the on-disk format is testable in isolation and the
 higher layers (:mod:`repro.persist.snapshot`,
@@ -24,6 +28,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from pathlib import Path
 
 from ..rdf.terms import BNode, IRI, Literal, Term, Triple
 
@@ -40,6 +45,7 @@ __all__ = [
     "frame_record",
     "read_frames",
     "fsync_dir",
+    "atomic_write",
     "FRAME_HEADER",
 ]
 
@@ -248,3 +254,25 @@ def fsync_dir(directory) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def atomic_write(path, data: bytes, fsync: bool = True) -> None:
+    """Replace ``path`` with ``data`` all-or-nothing.
+
+    The bytes land in ``path + ".tmp"`` first, then :func:`os.replace`
+    swaps them in, so a reader (or a crash) sees the old file or the new
+    one, never a prefix.  With ``fsync`` the temporary file is flushed
+    before the rename and the directory entry after it: the rename must
+    itself survive power loss before a caller acts on it (the snapshot
+    writer truncates the changelog next).
+    """
+    path = Path(path)
+    temp_path = path.with_name(path.name + ".tmp")
+    with open(temp_path, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+    os.replace(temp_path, path)
+    if fsync:
+        fsync_dir(path.parent)

@@ -32,8 +32,10 @@ except ImportError:  # non-POSIX: no advisory locking primitive
 
 from ..obs import instruments as _obs
 from ..rdf.terms import Term, Triple
+from .columnar import encode_columnar_snapshot
+from .format import atomic_write
 from .journal import JournalRecord, JournalWriter, read_journal
-from .snapshot import Snapshot, load_snapshot, write_snapshot
+from .snapshot import Snapshot, load_snapshot
 
 __all__ = [
     "PersistenceManager",
@@ -65,18 +67,12 @@ class PersistenceManager:
         fsync: bool = True,
         compact_bytes: int | None = DEFAULT_COMPACT_BYTES,
         fragment: str = "",
-        snapshot_format: str = "v1",
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.compact_bytes = compact_bytes
         self.fragment = fragment
-        if snapshot_format not in ("v1", "v2"):
-            raise ValueError(f"unknown snapshot format {snapshot_format!r}")
-        #: The format new snapshots are *written* in; either format is
-        #: always readable (load dispatches on the file magic).
-        self.snapshot_format = snapshot_format
         self.snapshot_path = self.directory / SNAPSHOT_FILENAME
         self.journal_path = self.directory / JOURNAL_FILENAME
         self._writer: JournalWriter | None = None
@@ -180,34 +176,30 @@ class PersistenceManager:
     def write_snapshot(self, **state) -> int:
         """Seal ``state`` into the snapshot and truncate the changelog.
 
-        ``state`` is forwarded to :func:`repro.persist.snapshot.write_snapshot`
+        ``state`` is the keyword surface of
+        :func:`~repro.persist.columnar.encode_columnar_snapshot`
         (revision, fragment, store_spec, axiom_count, terms, explicit,
-        inferred).  Ordering matters for crash safety: the snapshot is
-        atomically replaced *first*; only then is the journal reset.  A
-        crash between the two steps leaves a snapshot plus a journal of
-        already-applied records — harmless, because recovery skips
-        records at or below the snapshot revision.
+        inferred, graphs); whatever format the directory held before,
+        it holds a columnar image afterwards.  Ordering matters for
+        crash safety: the snapshot is atomically replaced *first*; only
+        then is the journal reset.  A crash between the two steps leaves
+        a snapshot plus a journal of already-applied records — harmless,
+        because recovery skips records at or below the snapshot revision.
         """
         # Raise the feed floor *before* touching the files: a concurrent
         # feed reader that re-checks the floor after scanning the WAL
         # then can never miss records the truncation just dropped.
         self.last_snapshot_revision = state.get("revision", 0)
         started = time.perf_counter()
-        if self.snapshot_format == "v2":
-            from .columnar import write_columnar_snapshot
-
-            written = write_columnar_snapshot(
-                self.snapshot_path, fsync=self.fsync, **state
-            )
-        else:
-            written = write_snapshot(self.snapshot_path, fsync=self.fsync, **state)
+        blob = encode_columnar_snapshot(**state)
+        atomic_write(self.snapshot_path, blob, fsync=self.fsync)
         self._journal().reset()
         self.compactions += 1
         if _obs.REGISTRY.enabled:
             _obs.PERSIST_SNAPSHOT_SECONDS.observe(time.perf_counter() - started)
-            _obs.PERSIST_SNAPSHOT_BYTES.inc(written)
+            _obs.PERSIST_SNAPSHOT_BYTES.inc(len(blob))
             _obs.PERSIST_COMPACTIONS.inc()
-        return written
+        return len(blob)
 
     def close(self) -> None:
         if self._writer is not None:

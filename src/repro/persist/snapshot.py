@@ -1,53 +1,40 @@
-"""The binary snapshot: one durable image of a materialized closure.
+"""Reading a snapshot: one durable image of a materialized closure.
 
 A snapshot freezes everything the engine needs to resume without
-re-materializing:
+re-materializing: the **term dictionary** in id order (a fresh
+dictionary that re-encodes the terms in sequence reproduces every id
+bit for bit), the **explicit** and **inferred** partitions as encoded
+``(s, p, o)`` id tuples against that term table (backend-independent:
+an image taken over the hashdict store restores into a sharded one and
+vice versa), the optional named-graph column, and the **revision id**,
+fragment name, store spec and axiom count.
 
-* the **term dictionary**, written in id order so a fresh dictionary
-  that re-encodes the terms in sequence reproduces every id bit for bit;
-* the **explicit partition** (asserted triples, including fragment
-  axioms) and the **inferred partition** (everything else in the store),
-  both as encoded ``(s, p, o)`` id tuples against the snapshot's own
-  term table — backend-independent, so a snapshot taken over the
-  hashdict store restores into a sharded one and vice versa;
-* the **revision id** the closure corresponds to, the fragment name,
-  the store spec it ran under (informational), and the axiom count
-  (so ``input_count`` stays correct after recovery).
-
-Layout: ``magic | payload | u32 crc32(payload)``, written to a
-temporary file and atomically renamed into place — a crash mid-snapshot
-leaves the previous snapshot untouched, and a torn write is caught by
-the trailing checksum at load time.
+Exactly one format is *written*: the columnar image of
+:mod:`repro.persist.columnar` (``SLSNAP02``; ``SLSNAP03`` when it
+carries a graph column).  This module is the reading side for every
+format ever written — :func:`load_snapshot` / :func:`parse_snapshot`
+dispatch on the magic — and holds the parser of the original varint
+stream, ``SLSNAP01``: ``magic | payload | u32 crc32(payload)``.  No
+code writes that format any more; a durable directory still holding one
+recovers from it and is resealed columnar at its next compaction.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from ..dictionary.encoder import EncodedTriple, TermDictionary
 from ..rdf.terms import Term
-from .format import (
-    FormatError,
-    fsync_dir,
-    read_string,
-    read_term,
-    read_varint,
-    write_string,
-    write_term,
-    write_varint,
-)
+from .format import FormatError, read_string, read_term, read_varint
 
 __all__ = [
     "Snapshot",
     "SnapshotError",
-    "encode_snapshot",
     "parse_snapshot",
-    "write_snapshot",
     "load_snapshot",
+    "image_revision",
     "SNAPSHOT_MAGIC",
 ]
 
@@ -106,26 +93,9 @@ class Snapshot:
         return len(self.explicit) + len(self.inferred)
 
     def restore(self, dictionary: TermDictionary, store) -> set[EncodedTriple]:
-        """Load the snapshot into ``dictionary`` + ``store``.
-
-        Returns the restored *explicit* set in the live dictionary's id
-        space.  Terms are encoded in snapshot-id order, so a fresh
-        dictionary ends up with identical ids and the stored tuples can
-        be inserted as-is; a shared (non-empty) dictionary gets an
-        old-id → new-id translation instead.
-        """
-        mapping = [dictionary.encode(term) for term in self.terms]
-        identity = all(new == old for old, new in enumerate(mapping))
-        if identity:
-            explicit = self.explicit
-            inferred = self.inferred
-        else:
-            explicit = [(mapping[s], mapping[p], mapping[o]) for s, p, o in self.explicit]
-            inferred = [(mapping[s], mapping[p], mapping[o]) for s, p, o in self.inferred]
-        store.add_all(explicit)
-        store.add_all(inferred)
-        _restore_graphs(self.graphs, mapping, store)
-        return set(explicit)
+        """Load the snapshot into ``dictionary`` + ``store``; returns
+        the restored explicit set (see :func:`restore_image`)."""
+        return restore_image(self, dictionary, store)
 
     def __repr__(self):
         return (
@@ -135,124 +105,45 @@ class Snapshot:
         )
 
 
-def _restore_graphs(graphs, mapping, store) -> None:
-    """Re-tag a restored store's named-graph column (shared by v1/v2).
+def restore_image(image, dictionary: TermDictionary, store) -> set[EncodedTriple]:
+    """Load a parsed image of either class into ``dictionary`` + ``store``.
 
-    ``graphs`` is the snapshot's ``(s, p, o, graph)`` id rows; ids pass
-    through the same old-id → new-id ``mapping`` as the partitions.  A
-    backend without the quad protocol (no ``set_graphs``) simply keeps
-    everything in the default graph — the documented degradation.
+    Returns the restored *explicit* set in the live dictionary's id
+    space.  Terms are encoded in snapshot-id order, so a fresh
+    dictionary ends up with identical ids and the stored tuples can be
+    inserted as-is; a shared (non-empty) dictionary gets an old-id →
+    new-id translation instead.  Explicit rows land before inferred
+    rows.  The named-graph column is re-tagged through the same
+    translation; a backend without the quad protocol (no
+    ``set_graphs``) keeps everything in the default graph — the
+    documented degradation.
     """
-    if not graphs:
-        return
+    mapping = [dictionary.encode(term) for term in image.terms]
+    explicit, inferred = image.explicit, image.inferred
+    if any(new != old for old, new in enumerate(mapping)):
+        explicit = [(mapping[s], mapping[p], mapping[o]) for s, p, o in explicit]
+        inferred = [(mapping[s], mapping[p], mapping[o]) for s, p, o in inferred]
+    store.add_all(explicit)
+    store.add_all(inferred)
     set_graphs = getattr(store, "set_graphs", None)
-    if set_graphs is None:
-        return
-    by_graph: dict[int, list[EncodedTriple]] = {}
-    for s, p, o, g in graphs:
-        by_graph.setdefault(mapping[g], []).append((mapping[s], mapping[p], mapping[o]))
-    for graph_id, triples in by_graph.items():
-        set_graphs(triples, graph_id)
-
-
-def _encode_payload(
-    revision: int,
-    fragment: str,
-    store_spec: str,
-    axiom_count: int,
-    terms: Sequence[Term],
-    explicit: Iterable[EncodedTriple],
-    inferred: Iterable[EncodedTriple],
-    graphs: Iterable[tuple[int, int, int, int]] = (),
-) -> bytes:
-    out = bytearray()
-    write_varint(out, revision)
-    write_varint(out, axiom_count)
-    write_string(out, fragment)
-    write_string(out, store_spec)
-    write_varint(out, len(terms))
-    for term in terms:
-        write_term(out, term)
-    for partition in (explicit, inferred):
-        partition = list(partition)
-        write_varint(out, len(partition))
-        for s, p, o in partition:
-            write_varint(out, s)
-            write_varint(out, p)
-            write_varint(out, o)
-    graphs = sorted(graphs)
-    if graphs:
-        # Optional trailing section: a default-graph-only image ends
-        # after its partitions, byte-identical to the original format.
-        write_varint(out, len(graphs))
-        for s, p, o, g in graphs:
-            write_varint(out, s)
-            write_varint(out, p)
-            write_varint(out, o)
-            write_varint(out, g)
-    return bytes(out)
-
-
-def encode_snapshot(
-    *,
-    revision: int,
-    fragment: str,
-    store_spec: str,
-    axiom_count: int,
-    terms: Sequence[Term],
-    explicit: Iterable[EncodedTriple],
-    inferred: Iterable[EncodedTriple],
-    graphs: Iterable[tuple[int, int, int, int]] = (),
-) -> bytes:
-    """The complete snapshot image as bytes (magic + payload + CRC).
-
-    The same blob :func:`write_snapshot` puts on disk, usable anywhere a
-    self-verifying state image is needed — notably the replication
-    leader's ``GET /snapshot`` bootstrap endpoint, whose clients parse
-    it back with :func:`parse_snapshot`.
-    """
-    payload = _encode_payload(
-        revision, fragment, store_spec, axiom_count, terms, explicit, inferred, graphs
-    )
-    return SNAPSHOT_MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
-
-
-def write_snapshot(
-    path,
-    *,
-    fsync: bool = True,
-    **state,
-) -> int:
-    """Write a snapshot atomically; returns the file size in bytes.
-
-    The image lands in ``path + ".tmp"`` first (fsynced when ``fsync``),
-    then replaces ``path`` with :func:`os.replace` — the all-or-nothing
-    step — so a reader never observes a half-written snapshot.
-    """
-    path = Path(path)
-    blob = encode_snapshot(**state)
-    temp_path = path.with_name(path.name + ".tmp")
-    with open(temp_path, "wb") as handle:
-        handle.write(blob)
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(temp_path, path)
-    if fsync:
-        # The rename itself must survive power loss *before* the caller
-        # truncates the changelog, or recovery would see the old
-        # snapshot with an already-emptied journal.
-        fsync_dir(path.parent)
-    return len(blob)
+    if image.graphs and set_graphs is not None:
+        by_graph: dict[int, list[EncodedTriple]] = {}
+        for s, p, o, g in image.graphs:
+            by_graph.setdefault(mapping[g], []).append(
+                (mapping[s], mapping[p], mapping[o])
+            )
+        for graph_id, triples in by_graph.items():
+            set_graphs(triples, graph_id)
+    return set(explicit)
 
 
 def load_snapshot(path):
-    """Read and verify a snapshot file of either format.
+    """Read and verify a snapshot file of any format ever written.
 
-    Returns a :class:`Snapshot` for v1 images and a duck-compatible
-    :class:`~repro.persist.columnar.ColumnarSnapshot` for v2 images —
-    the latter is mmap-ed, so its load cost is O(header) and the column
-    bytes fault in on demand.  Raises :class:`SnapshotError` either way.
+    Returns a :class:`~repro.persist.columnar.ColumnarSnapshot` for the
+    columnar images (mmap-ed: load cost is O(header), column bytes
+    fault in on demand) and a duck-compatible :class:`Snapshot` for a
+    legacy v1 file.  Raises :class:`SnapshotError` either way.
     """
     from .columnar import COLUMNAR_MAGIC, COLUMNAR_MAGICS, load_columnar_snapshot
 
@@ -270,12 +161,30 @@ def load_snapshot(path):
     return parse_snapshot(data, source=str(path))
 
 
+def image_revision(data) -> int:
+    """The revision an image seals, read from its header alone.
+
+    Every format opens ``magic | varint revision``, so labelling an
+    image (the ``ETag`` of ``GET /snapshot``) costs O(1) where
+    :func:`parse_snapshot` makes a whole-image checksum pass.
+    """
+    from .columnar import COLUMNAR_MAGICS
+
+    if bytes(data[:len(SNAPSHOT_MAGIC)]) not in (SNAPSHOT_MAGIC, *COLUMNAR_MAGICS):
+        raise SnapshotError("not a Slider snapshot (bad magic)")
+    try:
+        revision, _ = read_varint(data, len(SNAPSHOT_MAGIC))
+    except FormatError as error:
+        raise SnapshotError(f"snapshot header is malformed: {error}") from None
+    return revision
+
+
 def parse_snapshot(data: bytes, source: str = "<bytes>"):
     """Verify and parse one snapshot image (file bytes or wire bytes).
 
-    Dispatches on the magic: v1 images parse into :class:`Snapshot`,
-    v2 images into a :class:`~repro.persist.columnar.ColumnarSnapshot`
-    over the same buffer (zero-copy columns).
+    Dispatches on the magic: columnar images parse into a
+    :class:`~repro.persist.columnar.ColumnarSnapshot` over the same
+    buffer (zero-copy columns), a legacy v1 image into :class:`Snapshot`.
     """
     path = source
     from .columnar import COLUMNAR_MAGIC, COLUMNAR_MAGICS, parse_columnar_snapshot

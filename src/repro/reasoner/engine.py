@@ -74,8 +74,9 @@ from typing import Callable, Iterable, Sequence
 
 from ..dictionary.encoder import EncodedTriple, TermDictionary, encode_batch
 from ..obs import TRACER, instruments as _obs
+from ..persist.columnar import encode_columnar_snapshot
 from ..persist.manager import DEFAULT_COMPACT_BYTES, PersistenceManager
-from ..persist.snapshot import Snapshot, encode_snapshot
+from ..persist.snapshot import Snapshot
 from ..rdf.terms import BNode, IRI, Term, Triple
 from ..store.backends import TripleStore, create_store
 from ..store.graph import Graph
@@ -258,15 +259,9 @@ class Slider:
         persist_dir: "str | Path | None" = None,
         persist_fsync: bool = True,
         compact_journal_bytes: int | None = DEFAULT_COMPACT_BYTES,
-        snapshot_format: str = "v1",
     ):
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if snapshot_format not in ("v1", "v2"):
-            raise ValueError(f"unknown snapshot format {snapshot_format!r}")
-        #: Format used when *writing* snapshots (durable seals and
-        #: ``snapshot_bytes``); both formats are always readable.
-        self.snapshot_format = snapshot_format
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive or None, got {timeout}")
         if routing not in ("predicate", "broadcast"):
@@ -298,7 +293,6 @@ class Slider:
                 fsync=persist_fsync,
                 compact_bytes=compact_journal_bytes,
                 fragment=self.fragment.name,
-                snapshot_format=snapshot_format,
             )
             try:
                 loaded_snapshot, replay_records = self._persist.load()
@@ -444,7 +438,7 @@ class Slider:
                 raise
             finally:
                 close_image = getattr(loaded_snapshot, "close", None)
-                if close_image is not None:  # v2 images hold an mmap
+                if close_image is not None:  # columnar images hold an mmap
                     close_image()
 
     # --- delta pipeline (the transactional entry point) ---------------------
@@ -721,7 +715,7 @@ class Slider:
             if self._persist is not None:
                 self._write_snapshot_locked()
 
-    def snapshot_bytes(self, format: str | None = None) -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """The committed state as one self-verifying snapshot blob.
 
         Serves replica bootstrap (the leader's ``GET /snapshot``)
@@ -731,33 +725,11 @@ class Slider:
         legacy ``add`` shim are settled into the image without a commit
         — on the coalesced service path every write commits, so the
         image and revision always agree.)
-
-        ``format`` overrides the engine's ``snapshot_format`` for this
-        one image — the leader uses it to honour a bootstrap client's
-        requested wire format.
         """
-        format = format or self.snapshot_format
-        if format not in ("v1", "v2"):
-            raise ValueError(f"unknown snapshot format {format!r}")
         self._check_open()
         with self._commit_lock, self._tx_lock:
             self._quiesce()
-            explicit = set(self.input_manager.explicit)
-            inferred = [t for t in self.store if t not in explicit]
-            if format == "v2":
-                from ..persist.columnar import encode_columnar_snapshot as encode
-            else:
-                encode = encode_snapshot
-            return encode(
-                revision=self._revision,
-                fragment=self.fragment.name,
-                store_spec=self._store_spec,
-                axiom_count=self._axiom_count,
-                terms=self.dictionary.snapshot_terms(),
-                explicit=sorted(explicit),
-                inferred=sorted(inferred),
-                graphs=self._graph_column(),
-            )
+            return encode_columnar_snapshot(**self._image_state())
 
     # --- durability ---------------------------------------------------------
     @property
@@ -807,29 +779,30 @@ class Slider:
                         self._write_snapshot_locked()
                         return self._persist.snapshot_path
 
-    def _graph_column(self) -> list[tuple[int, int, int, int]]:
-        """The store's sparse named-graph column as sorted (s, p, o, g)
-        rows — the snapshot writers' input (empty without the quad
-        protocol or when everything lives in the default graph)."""
-        assignments = getattr(self.store, "graph_assignments", None)
-        if assignments is None:
-            return []
-        return sorted((s, p, o, g) for (s, p, o), g in assignments().items())
-
-    def _write_snapshot_locked(self) -> None:
-        """Serialize the quiesced state (callers hold both locks)."""
+    def _image_state(self) -> dict:
+        """The quiesced state as the snapshot encoder's keyword
+        arguments (callers hold both locks)."""
         explicit = set(self.input_manager.explicit)
-        inferred = [t for t in self.store if t not in explicit]
-        self._persist.write_snapshot(
+        # The store's sparse named-graph column: empty without the quad
+        # protocol or when everything lives in the default graph.
+        assignments = getattr(self.store, "graph_assignments", None)
+        graphs = [] if assignments is None else [
+            (s, p, o, g) for (s, p, o), g in assignments().items()
+        ]
+        return dict(
             revision=self._revision,
             fragment=self.fragment.name,
             store_spec=self._store_spec,
             axiom_count=self._axiom_count,
             terms=self.dictionary.snapshot_terms(),
-            explicit=sorted(explicit),
-            inferred=sorted(inferred),
-            graphs=self._graph_column(),
+            explicit=explicit,
+            inferred=(t for t in self.store if t not in explicit),
+            graphs=graphs,
         )
+
+    def _write_snapshot_locked(self) -> None:
+        """Seal the quiesced state (callers hold both locks)."""
+        self._persist.write_snapshot(**self._image_state())
 
     def _recover(self, snapshot, records) -> None:
         """Replay the changelog tail through the normal pipeline.

@@ -1,9 +1,9 @@
 """Pre-hydration serving: answer reads straight off a bootstrap image.
 
-A classic follower bootstrap is serially expensive: download the
-snapshot, decode every term, rebuild the mutable store, *then* start
-serving.  With a columnar (v2) image none of that work is needed to
-answer a query — the image's sorted id columns already support every
+A follower bootstrap would be serially expensive if it had to
+download the snapshot, decode every term, rebuild the mutable store and
+only *then* start serving.  The columnar image needs none of that work
+to answer a query — its sorted id columns already support every
 read pattern (:class:`~repro.store.backends.columnar.ColumnarReadStore`)
 and its term blob decodes lazily per id.
 
@@ -168,15 +168,16 @@ class ColumnarBootstrapService:
             return self.replication.lag
         return 0
 
-    def snapshot_bytes(self, format: str | None = None) -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """The image exactly as downloaded (chained bootstraps)."""
         self._check_open()
         return self._blob
 
     @property
     def reasoner(self):
-        # The HTTP snapshot endpoint reads ``service.reasoner.revision``;
-        # pre-hydration the image *is* the engine state.
+        # The HTTP snapshot endpoint's ``If-None-Match`` check reads
+        # ``service.reasoner.revision``; pre-hydration the image *is*
+        # the engine state.
         return _RevisionOnly(self.snapshot.revision)
 
     def stats(self) -> dict:

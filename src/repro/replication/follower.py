@@ -33,6 +33,7 @@ replicated revision.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import weakref
@@ -41,9 +42,11 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 from ..obs import instruments as _obs
+from ..persist.columnar import parse_columnar_snapshot
 from ..persist.manager import JOURNAL_FILENAME, SNAPSHOT_FILENAME
-from ..persist.snapshot import SnapshotError, parse_snapshot
+from ..persist.snapshot import SnapshotError
 from ..reasoner.engine import Slider, SliderError
+from .bootstrap import ColumnarBootstrapService
 from .feed import FeedRecord, FeedWireError
 
 __all__ = ["Follower", "ReplicationStatus", "ReplicationError"]
@@ -242,7 +245,7 @@ class Follower:
         self._stop = threading.Event()
         self._progress = threading.Condition()
         self._thread: threading.Thread | None = None
-        self._feed_conn: HTTPConnection | None = None
+        self._feed_sock: socket.socket | None = None
         self.closed = False
 
     # --- public surface -----------------------------------------------------
@@ -301,8 +304,6 @@ class Follower:
 
     def _mid_hydration(self) -> bool:
         """True while a bootstrap image serves ahead of the real engine."""
-        from .bootstrap import ColumnarBootstrapService
-
         return isinstance(self._service, ColumnarBootstrapService)
 
     def wait_ready(self, timeout: float | None = None) -> bool:
@@ -348,12 +349,16 @@ class Follower:
             return
         self.closed = True
         self._stop.set()
-        conn = self._feed_conn
-        if conn is not None:
+        sock = self._feed_sock
+        if sock is not None:
+            # Closing the connection would not wake the tailing thread:
+            # the HTTPResponse holds its own handle on the socket, so
+            # the blocked readline only returns once the socket itself
+            # is shut down (it then reads EOF and the thread exits).
             try:
-                conn.close()  # unblocks the tailing thread's readline
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
-                pass
+                pass  # the leader hung up first
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         with self._service_lock:
@@ -437,78 +442,71 @@ class Follower:
             old.close()
 
     def _fetch_image(self) -> tuple:
-        """``GET /snapshot?format=v2``, reusing the cached image on 304.
+        """``GET /snapshot``, reusing the cached image on 304.
 
         The conditional request carries the cached image's revision as
         ``If-None-Match``: when the leader's snapshot revision has not
         moved (a re-bootstrap forced by WAL compaction, not by new
         data), the answer is a body-less 304 and the previously
         downloaded image is restored from instead of re-downloaded.
-        Pre-v2 leaders ignore the ``format`` parameter and serve v1 —
-        ``parse_snapshot`` dispatches on the magic either way.
+        Anything but a columnar image — a pre-columnar leader serving
+        v1 — is a :class:`ReplicationError`, not a second code path.
         """
         headers: dict[str, str] = {}
         cached = self._image
         if cached is not None:
             headers["If-None-Match"] = f'"{cached.revision}"'
-        status, blob = self._leader_request("/snapshot?format=v2", headers=headers)
+        status, blob = self._leader_request("/snapshot", headers=headers)
         if status == 304 and cached is not None:
             self.status.snapshot_reuses += 1
             return cached, self._image_blob
         if status != 200:
             raise ReplicationError(f"leader /snapshot returned {status}")
         try:
-            snapshot = parse_snapshot(blob, source=f"{self.leader_url}/snapshot")
+            snapshot = parse_columnar_snapshot(
+                blob, source=f"{self.leader_url}/snapshot"
+            )
         except SnapshotError as error:
             raise ReplicationError(f"leader snapshot is invalid: {error}") from None
-        from ..persist.columnar import ColumnarSnapshot
-
-        if isinstance(snapshot, ColumnarSnapshot):
-            self._image, self._image_blob = snapshot, blob
+        self._image, self._image_blob = snapshot, blob
         return snapshot, blob
 
     def _bootstrap(self) -> None:
         """Fetch the leader's snapshot and rebuild the local engine.
 
-        With a columnar (v2) image the replica starts serving *before*
-        hydration: a :class:`ColumnarBootstrapService` over the mapped
-        columns is swapped in as soon as the image parses — ``/readyz``
-        flips immediately, because the image is a complete committed
-        leader revision — and the expensive rebuild of the mutable
-        engine proceeds behind it on this (the tailing) thread.  With a
-        v1 image the old service keeps answering reads until the new
-        engine is ready (non-durable) or until the state directory must
-        be handed over (durable — the brief window surfaces as 503s,
-        and ``/readyz`` already reports not-ready).
+        The replica starts serving *before* hydration: a
+        :class:`ColumnarBootstrapService` over the image's columns is
+        swapped in as soon as the image parses — ``/readyz`` flips
+        immediately, because the image is a complete committed leader
+        revision — and the expensive rebuild of the mutable engine
+        proceeds behind it on this (the tailing) thread.
         """
-        from ..persist.columnar import ColumnarSnapshot
-        from .bootstrap import ColumnarBootstrapService
-
         self.status.ready = False
         snapshot, blob = self._fetch_image()
         self._fragment = snapshot.fragment or self._fragment
-        columnar = isinstance(snapshot, ColumnarSnapshot)
-        if columnar:
-            image_service = ColumnarBootstrapService(
+        self._swap_service(
+            ColumnarBootstrapService(
                 snapshot, blob, replication=self.status, leader_url=self.leader_url
             )
-            self._swap_service(image_service)
-            # The bootstrap *is* serving now — counter and readiness
-            # flip here, not after hydration.
-            self.status.note_bootstrap()
-            with self._progress:
-                self.status.applied_revision = snapshot.revision
-                self.status.synced_revision = snapshot.revision
-                self.status.leader_revision = snapshot.revision
-                self.status.ready = True  # the mapped image is serving
-                self._progress.notify_all()
+        )
+        # The bootstrap *is* serving now — counter and readiness flip
+        # here, not after hydration.  It is also a lineage reset: the
+        # watermark from the old stream is void (a wiped-and-replaced
+        # leader may legitimately stand *below* it — carrying the old
+        # maximum forward would re-trigger the stale-leader check
+        # forever).
+        self.status.note_bootstrap()
+        with self._progress:
+            self.status.applied_revision = snapshot.revision
+            self.status.synced_revision = snapshot.revision
+            self.status.leader_revision = snapshot.revision
+            self.status.ready = True  # the mapped image is serving
+            self._progress.notify_all()
         if self._persist_dir is not None:
             # The durable replica's history is superseded wholesale: the
             # old files must go before a fresh engine can own the
-            # directory (the directory lock is released when the swap
+            # directory (the directory lock was released when the swap
             # closed the old service; the image service holds no files).
-            if not columnar:
-                self._swap_service(None)
             for name in (SNAPSHOT_FILENAME, JOURNAL_FILENAME):
                 stale = self._persist_dir / name
                 if stale.exists():
@@ -528,17 +526,8 @@ class Follower:
             reasoner.close()
             raise
         self._swap_service(self._build_service(reasoner))
-        if not columnar:
-            self.status.note_bootstrap()
-        # A bootstrap is a lineage reset: the watermark from the old
-        # stream is void (a wiped-and-replaced leader may legitimately
-        # stand *below* it — carrying the old maximum forward would
-        # re-trigger the stale-leader check forever).
         with self._progress:
-            self.status.applied_revision = snapshot.revision
-            self.status.synced_revision = snapshot.revision
-            self.status.leader_revision = snapshot.revision
-            self._progress.notify_all()
+            self._progress.notify_all()  # hydration over: wake wait_ready()
 
     # --- the tailing loop ---------------------------------------------------
     def _run(self) -> None:
@@ -562,17 +551,11 @@ class Follower:
             self.status.reconnects += 1
 
     def _tail_feed(self) -> None:
-        from .bootstrap import ColumnarBootstrapService
-
-        if self._service is None or isinstance(
-            self._service, ColumnarBootstrapService
-        ):
-            # A bootstrap that failed mid-way: either the durable
-            # directory handover left no service at all, or hydration
-            # died behind a still-serving image service (which cannot
-            # apply feed records).  Only a fresh bootstrap moves things
-            # forward — and with a cached image it is a 304, not a
-            # re-download.
+        if self._mid_hydration():
+            # A bootstrap that failed mid-way: hydration died behind a
+            # still-serving image service (which cannot apply feed
+            # records).  Only a fresh bootstrap moves things forward —
+            # and with a cached image it is a 304, not a re-download.
             raise _NeedBootstrap()
         # Resume from the synced watermark (maximal: past any trailing
         # empty leader revisions), never below the engine's revision.
@@ -580,8 +563,13 @@ class Follower:
         conn = HTTPConnection(
             self._leader_host, self._leader_port, timeout=FEED_SOCKET_TIMEOUT
         )
-        self._feed_conn = conn
         try:
+            conn.connect()
+            # Kept apart from ``conn``: a ``Connection: close`` response
+            # takes the socket over and leaves ``conn.sock`` empty.
+            self._feed_sock = conn.sock
+            if self._stop.is_set():
+                return  # close() ran before there was a socket to shut down
             conn.request(
                 "GET", f"/feed?from={cursor}", headers={"Last-Event-ID": str(cursor)}
             )
@@ -619,7 +607,7 @@ class Follower:
                 if target is not None and self.status.synced_revision >= target:
                     self._mark_ready()
         finally:
-            self._feed_conn = None
+            self._feed_sock = None
             conn.close()
 
     def _apply_record(self, record: FeedRecord) -> None:

@@ -70,6 +70,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import SlowQueryLog, TRACER, instruments as _obs, new_trace_id
+from ..persist.snapshot import image_revision
 from ..rdf.terms import Variable
 from ..store.query import ask, construct, explain, solve
 from ..tenancy.errors import (
@@ -663,17 +664,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _ep_snapshot(self) -> None:
         """Replica bootstrap: the committed state as one binary image.
 
-        ``?format=v1|v2`` picks the snapshot encoding (default: the
-        engine's own); the response carries an ``ETag`` of the engine
-        revision, and an ``If-None-Match`` hit answers 304 with no body
-        — a follower re-bootstrapping after WAL compaction reuses its
-        cached image instead of downloading an identical one.
+        The response carries an ``ETag`` of the revision the image
+        seals, and an ``If-None-Match`` hit answers 304 with no body — a
+        follower re-bootstrapping after WAL compaction reuses its cached
+        image instead of downloading an identical one.
         """
         service = self.service
-        params = self._params()
-        fmt = self._one(params, "format")
-        if fmt is not None and fmt not in ("v1", "v2"):
-            raise _BadRequest(f"parameter 'format' must be 'v1' or 'v2', got {fmt!r}")
         # The engine revision, not the view registry's: replication
         # coordinates are engine revision ids (an explicit compaction
         # commits a flush revision the views never see).
@@ -685,8 +681,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        blob = service.snapshot_bytes(format=fmt)
-        revision = service.reasoner.revision
+        blob = service.snapshot_bytes()
+        # Label the bytes actually sent: a commit may have landed since
+        # the image was built (the engine lock is released by now).
+        revision = image_revision(blob)
         self.send_response(200)
         self.send_header("Content-Type", "application/octet-stream")
         self.send_header("ETag", f'"{revision}"')

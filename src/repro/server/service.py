@@ -358,14 +358,10 @@ class ReasoningService:
         """The engine's durable state directory (``None`` when in-memory)."""
         return self.reasoner.persist_dir
 
-    def snapshot_bytes(self, format: str | None = None) -> bytes:
-        """The committed state as one snapshot blob (replica bootstrap).
-
-        ``format`` picks the encoding (``"v1"`` / ``"v2"``); ``None``
-        uses the engine's configured snapshot format.
-        """
+    def snapshot_bytes(self) -> bytes:
+        """The committed state as one snapshot blob (replica bootstrap)."""
         self._check_open()
-        return self.reasoner.snapshot_bytes(format=format)
+        return self.reasoner.snapshot_bytes()
 
     @property
     def sharding(self) -> dict | None:

@@ -58,7 +58,6 @@ construction.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -67,7 +66,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..dictionary.encoder import EncodedTriple, TermDictionary
 from ..obs import TRACER, instruments as _obs
-from ..persist.snapshot import encode_snapshot
+from ..persist.columnar import encode_columnar_snapshot
+from ..persist.format import atomic_write
 from ..rdf.terms import Triple
 from ..reasoner.delta import Delta, InferenceReport, net_deltas
 from ..reasoner.engine import Slider
@@ -180,7 +180,6 @@ class ShardedReasoner:
         timeout: float | None = None,
         persist_dir=None,
         persist_fsync: bool = True,
-        snapshot_format: str = "v1",
     ):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -205,7 +204,6 @@ class ShardedReasoner:
         self.router = create_router(router, shards)
         self._spec = spec
         self._workers = workers
-        self._snapshot_format = snapshot_format
         self._persist_fsync = persist_fsync
         self._root: Path | None = Path(persist_dir) if persist_dir is not None else None
 
@@ -251,7 +249,6 @@ class ShardedReasoner:
                     options.update(
                         persist_dir=self._root / f"shard-{index:02d}",
                         persist_fsync=persist_fsync,
-                        snapshot_format=snapshot_format,
                     )
                 self.engines.append(Slider(**options))
         except BaseException:
@@ -362,14 +359,11 @@ class ShardedReasoner:
             "revision_vector": [engine.revision for engine in self.engines],
             "explicit": [decode(t).n3() for t in sorted(self._explicit)],
         }
-        path = self._root / CLUSTER_META_FILENAME
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
-            if self._persist_fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        atomic_write(
+            self._root / CLUSTER_META_FILENAME,
+            json.dumps(payload).encode("utf-8"),
+            fsync=self._persist_fsync,
+        )
 
     # --- the commit pipeline ------------------------------------------------
     def apply(self, delta: Delta) -> InferenceReport:
@@ -748,11 +742,6 @@ class ShardedReasoner:
         """No single WAL spans the cluster — the feed stays ring-only."""
         return None
 
-    @property
-    def snapshot_format(self) -> str:
-        """The snapshot format shard engines seal (``v1`` or ``v2``)."""
-        return self._snapshot_format
-
     def cluster_stats(self) -> dict:
         """Topology + per-shard counters for /stats and /healthz."""
         return {
@@ -773,31 +762,22 @@ class ShardedReasoner:
             ],
         }
 
-    def snapshot_bytes(self, format: str | None = None) -> bytes:
+    def snapshot_bytes(self) -> bytes:
         """The global closure as one self-verifying snapshot blob.
 
         Identical wire format to the single-node image, so follower
         bootstrap from a sharded leader is unchanged.
         """
-        format = format or self._snapshot_format
-        if format not in ("v1", "v2"):
-            raise ValueError(f"unknown snapshot format {format!r}")
         self._check_open()
         with self._lock:
-            explicit = sorted(self._explicit)
-            inferred = sorted(t for t in self.store if t not in self._explicit)
-            if format == "v2":
-                from ..persist.columnar import encode_columnar_snapshot as encoder
-            else:
-                encoder = encode_snapshot
-            return encoder(
+            return encode_columnar_snapshot(
                 revision=self._revision,
                 fragment=self.fragment.name,
                 store_spec=self._spec,
                 axiom_count=0,
                 terms=self.dictionary.snapshot_terms(),
-                explicit=explicit,
-                inferred=inferred,
+                explicit=self._explicit,
+                inferred=(t for t in self.store if t not in self._explicit),
             )
 
     # --- lifecycle -----------------------------------------------------------

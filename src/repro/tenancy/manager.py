@@ -164,7 +164,10 @@ class TenantManager:
 
     def _save_registry(self) -> None:
         if self._persist_dir is not None:
-            self.registry.save(self._persist_dir / "tenants.json")
+            self.registry.save(
+                self._persist_dir / "tenants.json",
+                fsync=self._options.get("persist_fsync", True),
+            )
 
     # --- membership ---------------------------------------------------------
     def register(self, name: str, quota=None):

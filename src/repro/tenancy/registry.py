@@ -7,7 +7,8 @@ count, standing-query count, queue depth — is taken against the
 tenant's :class:`TenantQuota`.
 
 The registry mirrors the sharding layer's ``cluster.json`` precedent:
-a single JSON document, written atomically (tmp + rename), re-loadable
+a single JSON document, written through the same atomic writer
+(:func:`~repro.persist.format.atomic_write`), re-loadable
 by the CLI and the server so that a restart serves the same tenant set
 with the same limits.
 """
@@ -20,6 +21,7 @@ import threading
 from pathlib import Path
 from typing import Iterator
 
+from ..persist.format import atomic_write
 from .errors import TenancyError, UnknownTenantError
 
 __all__ = ["TenantQuota", "TenantRegistry", "TENANTS_FILENAME", "tenant_graph_iri"]
@@ -170,16 +172,14 @@ class TenantRegistry:
             }
 
     # --- persistence -------------------------------------------------------
-    def save(self, path) -> Path:
-        """Atomically write ``tenants.json`` (tmp + rename, like
-        ``cluster.json``); ``path`` may be the file or its directory."""
+    def save(self, path, fsync: bool = True) -> Path:
+        """Atomically and (with ``fsync``) durably write ``tenants.json``
+        — a registration answered 200 must survive a power cut; ``path``
+        may be the file or its directory."""
         path = _registry_path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        tmp.replace(path)
+        document = json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        atomic_write(path, document.encode("utf-8"), fsync=fsync)
         return path
 
     @classmethod

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -21,6 +22,21 @@ STORE_BACKENDS = ("hashdict", "sharded:4")
 def ex():
     """The shared example namespace."""
     return EX
+
+
+@pytest.fixture
+def fsynced(monkeypatch):
+    """Predicate over the files and directories fsynced so far:
+    ``fsynced(path)`` is true once an ``os.fsync`` hit that inode."""
+    log: list[os.stat_result] = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        log.append(os.fstat(fd))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return lambda path: any(os.path.samestat(os.stat(path), seen) for seen in log)
 
 
 def make_chain(n: int) -> list[Triple]:

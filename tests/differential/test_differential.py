@@ -156,27 +156,27 @@ class TestCrashReplayMatchesUninterrupted:
                 )
 
 class TestColumnarFormatDifferential:
-    """The v2 image is the v1 image, revision for revision."""
+    """The image is the engine state, revision for revision."""
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     @pytest.mark.parametrize("fragment", FRAGMENTS)
-    def test_v2_image_matches_v1_at_every_revision(self, fragment, seed):
+    def test_image_matches_the_engine_at_every_revision(self, fragment, seed):
         from repro.persist import parse_snapshot
 
         script = generate_script(seed)
         with Slider(fragment=fragment, workers=0, timeout=None) as r:
             for delta in script:
                 r.apply(delta)
-                v1 = parse_snapshot(r.snapshot_bytes(format="v1"))
-                v2 = parse_snapshot(r.snapshot_bytes(format="v2"))
-                assert v1.revision == v2.revision == r.revision
-                assert list(v1.terms) == list(v2.terms)  # ids positional
-                assert set(v1.explicit) == set(v2.explicit)
-                assert set(v1.inferred) == set(v2.inferred)
-                v2.close()
+                image = parse_snapshot(r.snapshot_bytes())
+                assert image.revision == r.revision
+                # ids are positional
+                assert list(image.terms) == r.dictionary.snapshot_terms()
+                assert set(image.explicit) == set(r.input_manager.explicit)
+                assert set(image.explicit) | set(image.inferred) == set(r.store)
+                image.close()
 
     @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_v2_crash_replay_matches_uninterrupted(self, tmp_path, store):
+    def test_sealed_crash_replay_matches_uninterrupted(self, tmp_path, store):
         """Kill + recover through a columnar seal == never having crashed."""
         seed = SEEDS[0]
         script = generate_script(seed)
@@ -189,7 +189,7 @@ class TestColumnarFormatDifferential:
         state = tmp_path / "v2-state"
         victim = Slider(
             fragment="rhodf", workers=0, timeout=None, store=store,
-            persist_dir=state, snapshot_format="v2",
+            persist_dir=state,
         )
         for delta in script:
             victim.apply(delta)
@@ -198,7 +198,7 @@ class TestColumnarFormatDifferential:
         kill(victim)
         with Slider(
             fragment="rhodf", workers=0, timeout=None, store=store,
-            persist_dir=state, snapshot_format="v2",
+            persist_dir=state,
         ) as revived:
             assert revived.revision == revision + extra
             assert set(revived.graph) == reference

@@ -1,10 +1,11 @@
-"""Columnar (v2) snapshot format: cross-format identity, bit-for-bit.
+"""The columnar snapshot image: state identity, bit for bit.
 
-The acceptance line: a v2 image and a v1 image of the same engine state
-parse to the same revision, terms, and partitions, restore into
-identical substrates over every backend, and ``load_snapshot`` keeps
-reading both formats forever — pinned by a golden v1 fixture committed
-to the repo.
+The acceptance line: an image of an engine parses to the engine's
+revision, terms and partitions, restores into an identical substrate
+over every backend, and ``load_snapshot`` keeps reading the legacy v1
+stream forever — pinned by a golden v1 fixture committed to the repo
+(the v1 *writer* is gone; ``test_v1_compat`` covers what it left on
+disk).
 """
 
 import hashlib
@@ -16,14 +17,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Delta, Slider
 from repro.dictionary import TermDictionary
-from repro.persist import SnapshotError, load_snapshot, parse_snapshot
+from repro.persist import (
+    Snapshot,
+    SnapshotError,
+    image_revision,
+    load_snapshot,
+    parse_snapshot,
+)
 from repro.persist.columnar import (
     ColumnarSnapshot,
     encode_columnar_snapshot,
     parse_columnar_snapshot,
-    write_columnar_snapshot,
 )
-from repro.persist.snapshot import encode_snapshot
 from repro.rdf import BNode, IRI, Literal
 from repro.store.backends import create_store
 
@@ -51,8 +56,8 @@ GOLDEN_STATE = dict(
 )
 
 
-def snapshot_pair(store, extra_deltas=()):
-    """(v1 blob, v2 blob, expected state) for one engine run."""
+def engine_image(store, extra_deltas=()):
+    """(image blob, expected state) for one engine run."""
     with Slider(fragment="rhodf", store=store, workers=0, timeout=None) as r:
         r.apply(Delta(assertions=small_ontology() + make_chain(6)))
         r.apply(Delta(retractions=[small_ontology()[0]]))
@@ -64,63 +69,54 @@ def snapshot_pair(store, extra_deltas=()):
             explicit=set(r.input_manager.explicit),
             store=set(r.store),
         )
-        return r.snapshot_bytes(format="v1"), r.snapshot_bytes(format="v2"), expected
+        return r.snapshot_bytes(), expected
 
 
-class TestCrossFormatIdentity:
+class TestImageIdentity:
     @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_both_formats_parse_to_the_same_state(self, store):
-        v1_blob, v2_blob, expected = snapshot_pair(store)
-        v1 = parse_snapshot(v1_blob)
-        v2 = parse_snapshot(v2_blob)
-        assert isinstance(v2, ColumnarSnapshot)
-        assert (v1.revision, v1.fragment, v1.store_spec, v1.axiom_count) == (
-            v2.revision, v2.fragment, v2.store_spec, v2.axiom_count
+    def test_image_parses_to_the_engine_state(self, store):
+        blob, expected = engine_image(store)
+        image = parse_snapshot(blob)
+        assert isinstance(image, ColumnarSnapshot)
+        assert (image.revision, image.fragment, image.store_spec) == (
+            expected["revision"], "rhodf", store
         )
-        assert v2.revision == expected["revision"]
+        assert image_revision(blob) == expected["revision"]
         # Term ids are positional: the lists must agree element-wise.
-        assert list(v1.terms) == list(v2.terms) == expected["terms"]
-        assert set(v1.explicit) == set(v2.explicit) == expected["explicit"]
-        assert set(v1.inferred) == set(v2.inferred)
-        assert set(v2.explicit) | set(v2.inferred) == expected["store"]
-        v2.close()
+        assert list(image.terms) == expected["terms"]
+        assert set(image.explicit) == expected["explicit"]
+        assert set(image.explicit).isdisjoint(image.inferred)
+        assert set(image.explicit) | set(image.inferred) == expected["store"]
+        image.close()
 
     @pytest.mark.parametrize("target_spec", STORE_BACKENDS)
     @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_restore_is_identical_across_formats_and_backends(
-        self, store, target_spec
-    ):
-        v1_blob, v2_blob, expected = snapshot_pair(store)
-        substrates = []
-        for blob in (v1_blob, v2_blob):
-            dictionary, target = TermDictionary(), create_store(target_spec)
-            explicit = parse_snapshot(blob).restore(dictionary, target)
-            substrates.append((dictionary.snapshot_terms(), set(target), explicit))
-        assert substrates[0] == substrates[1]
-        assert substrates[0][0] == expected["terms"]  # ids bit-for-bit
-        assert substrates[0][1] == expected["store"]
-        assert substrates[0][2] == expected["explicit"]
+    def test_restore_is_identical_across_backends(self, store, target_spec):
+        blob, expected = engine_image(store)
+        dictionary, target = TermDictionary(), create_store(target_spec)
+        explicit = parse_snapshot(blob).restore(dictionary, target)
+        assert dictionary.snapshot_terms() == expected["terms"]  # ids bit-for-bit
+        assert set(target) == expected["store"]
+        assert explicit == expected["explicit"]
 
     def test_term_accessor_matches_term_list(self):
-        _, v2_blob, expected = snapshot_pair("hashdict")
-        v2 = parse_columnar_snapshot(v2_blob)
+        blob, expected = engine_image("hashdict")
+        image = parse_columnar_snapshot(blob)
         for term_id, term in enumerate(expected["terms"]):
-            assert v2.term(term_id) == term
-        v2.close()
+            assert image.term(term_id) == term
+        image.close()
 
 
 class TestColumnarDurabilitySafety:
     def write_v2(self, tmp_path):
         path = tmp_path / "snapshot.slider"
-        write_columnar_snapshot(path, **GOLDEN_STATE)
+        path.write_bytes(encode_columnar_snapshot(**GOLDEN_STATE))
         return path
 
     def test_load_dispatches_on_magic(self, tmp_path):
         path = self.write_v2(tmp_path)
         assert isinstance(load_snapshot(path), ColumnarSnapshot)
-        assert isinstance(load_snapshot(GOLDEN_V1), type(parse_snapshot(
-            encode_snapshot(**GOLDEN_STATE)
-        )))
+        assert isinstance(load_snapshot(GOLDEN_V1), Snapshot)
 
     def test_corrupt_byte_is_detected(self, tmp_path):
         path = self.write_v2(tmp_path)
@@ -138,23 +134,20 @@ class TestColumnarDurabilitySafety:
             load_snapshot(path)
 
 
-class TestDurableV2Engine:
-    def test_seal_recover_and_downgrade(self, tmp_path):
+class TestDurableEngine:
+    def test_seal_is_columnar_and_recovers(self, tmp_path):
         state = tmp_path / "state"
         with Slider(
-            fragment="rhodf", workers=0, timeout=None,
-            persist_dir=state, snapshot_format="v2",
+            fragment="rhodf", workers=0, timeout=None, persist_dir=state
         ) as r:
             r.apply(Delta(assertions=small_ontology()))
             path = r.snapshot()
             expected = set(r.graph)
             revision = r.revision
         assert path.read_bytes()[:8] == b"SLSNAP02"
-        # A v1-configured engine recovers from the v2 seal (and vice
-        # versa): the reader side is format-agnostic.
+        assert not list(state.glob("*.tmp"))
         with Slider(
-            fragment="rhodf", workers=0, timeout=None,
-            persist_dir=state, snapshot_format="v1",
+            fragment="rhodf", workers=0, timeout=None, persist_dir=state
         ) as revived:
             assert revived.revision == revision
             assert set(revived.graph) == expected
@@ -204,10 +197,10 @@ class TestGoldenV1Fixture:
         assert snapshot.explicit == GOLDEN_STATE["explicit"]
         assert snapshot.inferred == GOLDEN_STATE["inferred"]
 
-    def test_v1_writer_is_frozen(self):
-        """The v1 encoder is a frozen format: it must keep producing the
-        committed fixture's exact bytes (new formats get new magic)."""
-        assert encode_snapshot(**GOLDEN_STATE) == GOLDEN_V1.read_bytes()
+    def test_header_read_agrees_with_the_full_parse(self):
+        assert image_revision(GOLDEN_V1.read_bytes()) == GOLDEN_STATE["revision"]
+        with pytest.raises(SnapshotError, match="magic"):
+            image_revision(b"NOTASNAP\x07")
 
     def test_cross_format_migration_preserves_state(self, tmp_path):
         """v1 fixture -> restore -> re-seal as v2 -> restore: identical."""

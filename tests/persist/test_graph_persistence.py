@@ -1,12 +1,12 @@
-"""Durability of the named-graph column: WAL v2 + snapshot v1/v3.
+"""Durability of the named-graph column: WAL v2 + snapshot v3.
 
-Pins the acceptance line "snapshot v2 + WAL round-trip the graph
-column": graph-scoped commits journal their graph label (``SLWAL002``
-records), compaction writes the sparse column into both snapshot
-formats (the columnar writer bumps to ``SLSNAP03`` only when graph
-data is present, so default-graph images stay byte-identical), and
-recovery — from the journal tail, from a snapshot, or across formats —
-reproduces the column exactly.
+Pins the acceptance line "snapshot + WAL round-trip the graph column":
+graph-scoped commits journal their graph label (``SLWAL002`` records),
+compaction writes the sparse column into the image (the writer bumps to
+``SLSNAP03`` only when graph data is present, so default-graph images
+stay byte-identical ``SLSNAP02``), and recovery — from the journal tail
+or from a snapshot — reproduces the column exactly.  Reading the graph
+section of a legacy v1 image is pinned by ``test_v1_compat``.
 """
 
 import pytest
@@ -83,33 +83,24 @@ class TestRecoveryRoundTrip:
             assert recovered.graph_counts() == expected == {G1: 1, G2: 1}
             assert recovered.triples_in_graph(G1) == [typed(1)]
 
-    @pytest.mark.parametrize("snapshot_format", ("v1", "v2"))
-    def test_snapshot_restores_graph_column(self, tmp_path, snapshot_format):
-        with make_engine(tmp_path, snapshot_format=snapshot_format) as engine:
+    def test_snapshot_restores_graph_column(self, tmp_path):
+        with make_engine(tmp_path) as engine:
             engine.apply(Delta(assertions=[typed(1), typed(2)], graph=G1))
             engine.snapshot()
         # The journal was truncated: the column must come from the image.
         records, _, _ = read_journal(tmp_path / "changelog.wal")
         assert records == []
-        with make_engine(tmp_path, snapshot_format=snapshot_format) as recovered:
+        with make_engine(tmp_path) as recovered:
             assert recovered.graph_counts() == {G1: 2}
-
-    def test_cross_format_recovery(self, tmp_path):
-        # Seal under v2 (columnar), recover into a v1-writing engine.
-        with make_engine(tmp_path, snapshot_format="v2") as engine:
-            engine.apply(Delta(assertions=[typed(1)], graph=G1))
-            engine.snapshot()
-        with make_engine(tmp_path, snapshot_format="v1") as recovered:
-            assert recovered.graph_counts() == {G1: 1}
-            recovered.apply(Delta(assertions=[typed(2)], graph=G2))
+            recovered.apply(Delta(assertions=[typed(3)], graph=G2))
             recovered.snapshot()
-        with make_engine(tmp_path, snapshot_format="v2") as again:
-            assert again.graph_counts() == {G1: 1, G2: 1}
+        with make_engine(tmp_path) as again:
+            assert again.graph_counts() == {G1: 2, G2: 1}
 
 
 class TestSnapshotFormats:
     def test_columnar_magic_bumps_only_with_graph_data(self, tmp_path):
-        with make_engine(tmp_path, snapshot_format="v2") as engine:
+        with make_engine(tmp_path) as engine:
             engine.apply(Delta(assertions=[typed(1)]))
             engine.snapshot()
             magic_plain = (tmp_path / "snapshot.slider").read_bytes()[:8]
@@ -120,7 +111,7 @@ class TestSnapshotFormats:
         assert magic_graphs == COLUMNAR_MAGIC_V3
 
     def test_v3_image_parses_and_exposes_graphs(self, tmp_path):
-        with make_engine(tmp_path, snapshot_format="v2") as engine:
+        with make_engine(tmp_path) as engine:
             engine.apply(Delta(assertions=[typed(1), typed(2)], graph=G1))
             engine.snapshot()
         image = load_snapshot(tmp_path / "snapshot.slider")
@@ -131,21 +122,9 @@ class TestSnapshotFormats:
         finally:
             image.close()
 
-    def test_v1_image_round_trips_graph_section(self, tmp_path):
-        with make_engine(tmp_path, snapshot_format="v1") as engine:
-            engine.apply(Delta(assertions=[typed(1)], graph=G1))
-            engine.snapshot()
-        image = load_snapshot(tmp_path / "snapshot.slider")
-        assert len(image.graphs) == 1
-        s, p, o, g = image.graphs[0]
-        assert image.terms[g] == G1
-
-    def test_snapshot_bytes_carries_graphs_in_both_formats(self, tmp_path):
+    def test_snapshot_bytes_carries_graphs(self, tmp_path):
         with make_engine(tmp_path) as engine:
             engine.apply(Delta(assertions=[typed(1)], graph=G1))
-            for fmt in ("v1", "v2"):
-                image = parse_snapshot(engine.snapshot_bytes(format=fmt))
-                assert len(image.graphs) == 1
-                close = getattr(image, "close", None)
-                if close is not None:
-                    close()
+            image = parse_snapshot(engine.snapshot_bytes())
+            assert len(image.graphs) == 1
+            image.close()

@@ -5,15 +5,25 @@ backends preserves the explicit/inferred partitions, every dictionary
 id, and the revision id *bit for bit*.
 """
 
+import struct
+import zlib
+
 import pytest
 
 from repro import Delta, Slider
-from repro.persist import Snapshot, SnapshotError, load_snapshot, write_snapshot
+from repro.persist import (
+    Snapshot,
+    SnapshotError,
+    atomic_write,
+    encode_columnar_snapshot,
+    load_snapshot,
+)
 from repro.dictionary import TermDictionary
 from repro.rdf import BNode, IRI, Literal, RDF, Triple
 from repro.store.backends import create_store
 
 from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from .test_columnar import GOLDEN_V1
 
 
 def durable_engine(tmp_path, store, **options):
@@ -136,10 +146,11 @@ class TestDurabilitySafety:
         with pytest.raises(SnapshotError, match="magic"):
             load_snapshot(path)
 
-    def test_atomic_write_leaves_no_temp_file(self, tmp_path):
+    @pytest.mark.parametrize("fsync", (True, False))
+    def test_atomic_write_leaves_no_temp_file(self, tmp_path, fsync, fsynced):
         path = tmp_path / "snapshot.slider"
-        write_snapshot(
-            path,
+        path.write_bytes(b"the previous image")
+        blob = encode_columnar_snapshot(
             revision=7,
             fragment="rhodf",
             store_spec="hashdict",
@@ -148,23 +159,25 @@ class TestDurabilitySafety:
             explicit=[(0, 1, 2)],
             inferred=[],
         )
-        assert path.exists()
+        atomic_write(path, blob, fsync=fsync)
+        assert path.read_bytes() == blob
         assert not list(tmp_path.glob("*.tmp"))
+        # Durable means the bytes *and* the rename: file, then directory.
+        assert fsynced(path) == fsynced(tmp_path) == fsync
         snapshot = load_snapshot(path)
         assert snapshot.revision == 7
         assert snapshot.explicit == [(0, 1, 2)]
+        snapshot.close()
 
     def test_out_of_range_term_id_is_rejected(self, tmp_path):
+        # A legacy v1 stream whose checksum holds but whose last id does
+        # not exist: the golden image's final payload byte is the object
+        # id of its last inferred triple.
+        payload = bytearray(GOLDEN_V1.read_bytes()[8:-4])
+        payload[-1] = 0x7F
         path = tmp_path / "snapshot.slider"
-        write_snapshot(
-            path,
-            revision=1,
-            fragment="rhodf",
-            store_spec="hashdict",
-            axiom_count=0,
-            terms=[EX.a],
-            explicit=[(0, 0, 5)],  # id 5 does not exist
-            inferred=[],
+        path.write_bytes(
+            b"SLSNAP01" + payload + struct.pack("<I", zlib.crc32(payload))
         )
         with pytest.raises(SnapshotError, match="term id"):
             load_snapshot(path)

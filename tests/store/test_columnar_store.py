@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from repro.persist.columnar import (
     encode_columnar_snapshot,
     parse_columnar_snapshot,
-    write_columnar_snapshot,
 )
 from repro.rdf import IRI
 from repro.store.backends import create_store
@@ -113,12 +112,11 @@ class TestImmutabilityAndLifecycle:
 
     def test_close_releases_the_map(self, tmp_path):
         path = tmp_path / "image.slider"
-        write_columnar_snapshot(
-            path,
+        path.write_bytes(encode_columnar_snapshot(
             revision=2, fragment="rhodf", store_spec="hashdict", axiom_count=0,
             terms=[IRI("http://store.example/t0")], explicit=[(0, 0, 0)],
             inferred=[],
-        )
+        ))
         store = ColumnarReadStore.open(path)
         assert set(store) == {(0, 0, 0)}
         store.close()  # must not raise BufferError: views released first
@@ -126,12 +124,11 @@ class TestImmutabilityAndLifecycle:
 
     def test_registry_spec_opens_a_file(self, tmp_path):
         path = tmp_path / "image.slider"
-        write_columnar_snapshot(
-            path,
+        path.write_bytes(encode_columnar_snapshot(
             revision=3, fragment="rhodf", store_spec="hashdict", axiom_count=0,
             terms=[IRI("http://store.example/t0"), IRI("http://store.example/t1")],
             explicit=[(0, 1, 0)], inferred=[(1, 1, 1)],
-        )
+        ))
         store = create_store(f"columnar:{path}")
         assert isinstance(store, ColumnarReadStore)
         assert set(store) == {(0, 1, 0), (1, 1, 1)}

@@ -258,6 +258,15 @@ class TestPersistence:
         finally:
             reborn.close()
 
+    @pytest.mark.parametrize("persist_fsync", (True, False))
+    def test_registry_file_follows_persist_fsync(self, tmp_path, fsynced, persist_fsync):
+        manager = make_manager(persist_dir=tmp_path, persist_fsync=persist_fsync)
+        try:
+            manager.register("acme")
+        finally:
+            manager.close()
+        assert fsynced(tmp_path / "tenants.json") == persist_fsync
+
     def test_remove_keeps_data_but_forgets_tenant(self, tmp_path):
         manager = make_manager(persist_dir=tmp_path)
         try:

@@ -95,6 +95,19 @@ class TestRegistry:
         assert loaded.quota("acme") == TenantQuota(max_triples=50, weight=2.0)
         assert loaded.default_quota == TenantQuota(writes_per_second=2.0)
 
+    def test_save_is_durable_unless_told_otherwise(self, tmp_path, fsynced):
+        """A registration answered 200 must survive a power cut: the
+        file is fsynced before the rename and the directory after."""
+        registry = TenantRegistry()
+        registry.register("acme")
+        registry.save(tmp_path / "lax", fsync=False)
+        assert not fsynced(tmp_path / "lax") and not fsynced(
+            tmp_path / "lax" / "tenants.json"
+        )
+        path = registry.save(tmp_path / "strict")
+        assert fsynced(path) and fsynced(tmp_path / "strict")
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_load_rejects_unknown_version(self, tmp_path):
         (tmp_path / "tenants.json").write_text('{"version": 99, "tenants": {}}')
         with pytest.raises(TenancyError):

@@ -32,6 +32,10 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snapshot"])
 
+    def test_snapshot_format_is_not_an_option(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["snapshot", "--persist", "d", "--format", "v1"])
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
@@ -163,7 +167,7 @@ class TestDurabilityCommands:
 
         out = run_cli(capsys, "snapshot", "--persist", str(state))
         assert "changelog truncated" in out
-        assert (state / "snapshot.slider").exists()
+        assert (state / "snapshot.slider").read_bytes()[:8] == b"SLSNAP02"
 
         target = tmp_path / "recovered.nt"
         out = run_cli(
