@@ -134,6 +134,10 @@ ENGINE_DRED_REDERIVED = REGISTRY.counter(
     "slider_engine_dred_rederived_total",
     "Derived triples re-derived during DRed rederivation.",
 )
+ENGINE_DRED_PROBES = REGISTRY.counter(
+    "slider_engine_dred_probes_total",
+    "Head-bound support checks run by DRed rederivation.",
+)
 
 # -- persist ------------------------------------------------------------
 PERSIST_WAL_APPEND_SECONDS = REGISTRY.histogram(

@@ -314,6 +314,7 @@ class InferenceReport:
         "timings",
         "dred_deleted",
         "dred_rederived",
+        "dred_probes",
         "graph",
         "_dictionary",
         "_explicit_encoded",
@@ -335,12 +336,17 @@ class InferenceReport:
         dred_deleted: int = 0,
         dred_rederived: int = 0,
         graph: "IRI | BNode | None" = None,
+        dred_probes: int = 0,
     ):
         self.revision = revision
         self.seconds = seconds
         self.timings = timings
         self.dred_deleted = dred_deleted
         self.dred_rederived = dred_rederived
+        #: Head-bound support checks DRed ran this revision (0 when the
+        #: revision retracted nothing): retraction work in units that do
+        #: not depend on the size of the store.
+        self.dred_probes = dred_probes
         #: The graph the committed delta targeted (None = default graph).
         #: Inferred triples always land in the default graph — rule
         #: conclusions are dataset-wide — so this scopes the *explicit*
@@ -510,6 +516,7 @@ class InferenceReport:
             "net_change": self.net_change,
             "dred_deleted": self.dred_deleted,
             "dred_rederived": self.dred_rederived,
+            "dred_probes": self.dred_probes,
             "timings": dict(sorted(self.timings.items())),
         }
 
@@ -584,6 +591,7 @@ class ChangeLog:
         "_removed",
         "_dred_deleted",
         "_dred_rederived",
+        "_dred_probes",
         "_timings",
         "_started",
     )
@@ -598,6 +606,7 @@ class ChangeLog:
         self._removed: dict[EncodedTriple, None] = {}
         self._dred_deleted = 0
         self._dred_rederived = 0
+        self._dred_probes = 0
         self._timings: dict[str, float] = {}
         self._started = time.perf_counter()
 
@@ -629,11 +638,13 @@ class ChangeLog:
                     removed[triple] = None
             self._dred_deleted += count
 
-    def record_rederived(self, triples: Iterable[EncodedTriple]) -> None:
-        """DRed phase-3 re-adds: cancel the over-deletion, count them."""
+    def record_rederived(self, triples: Iterable[EncodedTriple], probes: int) -> None:
+        """DRed phase-3 re-adds: cancel the over-deletion, count them
+        and the support checks that found them."""
         triples = list(triples)
         with self._lock:
             self._dred_rederived += len(triples)
+            self._dred_probes += probes
         self.record_added(triples, explicit=False)
 
     def record_timing(self, rule: str, seconds: float) -> None:
@@ -665,6 +676,7 @@ class ChangeLog:
                 removed_encoded=tuple(self._removed),
                 dred_deleted=self._dred_deleted,
                 dred_rederived=self._dred_rederived,
+                dred_probes=self._dred_probes,
                 graph=graph,
             )
             self._reset()

@@ -424,12 +424,6 @@ class Slider:
             # Recovered axioms are already stored (the add above was a
             # no-op); the baseline comes from the snapshot header.
             self._axiom_count = loaded_snapshot.axiom_count
-            # Stateful rules (the OWL-Horst transitivity registry) never
-            # saw the restored triples — re-prime them from the store.
-            for rule in self.rules:
-                prime = getattr(rule, "prime", None)
-                if prime is not None:
-                    prime(self.store, self.vocab)
         if self._persist is not None:
             try:
                 self._recover(loaded_snapshot, replay_records)
@@ -684,7 +678,7 @@ class Slider:
         part of the image, so the union is the snapshot closure
         bit-for-bit.  On a durable engine the restored image is sealed
         to disk immediately, so a restart recovers locally instead of
-        re-bootstrapping.  Stateful rules are re-primed from the store.
+        re-bootstrapping.
         """
         self._check_open()
         if snapshot.fragment and snapshot.fragment != self.fragment.name:
@@ -708,10 +702,6 @@ class Slider:
             self._changes = ChangeLog()
             self._staged_assertions = []
             self._staged_retractions = []
-            for rule in self.rules:
-                prime = getattr(rule, "prime", None)
-                if prime is not None:
-                    prime(self.store, self.vocab)
             if self._persist is not None:
                 self._write_snapshot_locked()
 
@@ -1005,11 +995,6 @@ class Slider:
             :class:`~repro.reasoner.delta.Delta`; prefer
             :meth:`transaction` / :meth:`apply` to get the revision's
             full :class:`~repro.reasoner.delta.InferenceReport`.
-
-        Limitation: fragments with *stateful* rules (the OWL-Horst
-        transitivity registry) do not support retraction of the triples
-        feeding that state — the built-in ``rhodf``/``rdfs`` fragments
-        are fully supported.
         """
         if isinstance(triples, Triple):
             triples = (triples,)
@@ -1019,7 +1004,7 @@ class Slider:
     def _retract_encoded(self, encoded: list[EncodedTriple]) -> None:
         """DRed one batch of retractions (under the transaction lock,
         against an already-quiesced closure), recording the changes."""
-        deleted, rederived = dred_retract(
+        deleted, rederived, probes = dred_retract(
             self.store,
             self.rules,
             self.vocab,
@@ -1028,7 +1013,7 @@ class Slider:
             redispatch=self._dispatch,
         )
         self._changes.record_removed(deleted)
-        self._changes.record_rederived(rederived)
+        self._changes.record_rederived(rederived, probes)
         if self.trace.enabled:
             self.trace.record(
                 "retract",
@@ -1232,6 +1217,8 @@ class Slider:
                 _obs.ENGINE_DRED_DELETED.inc(report.dred_deleted)
             if report.dred_rederived:
                 _obs.ENGINE_DRED_REDERIVED.inc(report.dred_rederived)
+            if report.dred_probes:
+                _obs.ENGINE_DRED_PROBES.inc(report.dred_probes)
             # The rule-module set is fixed per engine, so the label
             # children are resolved once and cached — this loop runs on
             # every commit.

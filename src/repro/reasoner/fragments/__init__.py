@@ -48,8 +48,7 @@ class Fragment:
 
     ``build_rules`` receives a :class:`~repro.reasoner.vocabulary.Vocabulary`
     and returns fresh :class:`~repro.reasoner.rules.Rule` instances (fresh,
-    because some rules — e.g. the OWL-Horst transitivity rule — carry
-    per-run state).  ``axioms`` are term-level triples injected into the
+    because a custom rule may carry per-run state).  ``axioms`` are term-level triples injected into the
     store before any input.
     """
 

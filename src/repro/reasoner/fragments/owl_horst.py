@@ -4,15 +4,14 @@ The paper's conclusion plans "more complex inference rules, in order to
 implement reasoning over a more complex fragment".  This module provides
 that extension: the pD* (ter Horst) property-reasoning core layered on
 top of RDFS — transitivity, symmetry, inverses, owl:sameAs equality and
-equivalence of classes/properties.  All rules fit the same one- or
-two-pattern shape the pipeline executes, which demonstrates the
-fragment-agnostic claim: nothing in the engine changes.
+equivalence of classes/properties.  All rules are the same
+head-and-body pattern data the pipeline executes, which demonstrates
+the fragment-agnostic claim: nothing in the engine changes.
 
 Rules (names follow the OWL 2 RL profile tables where they exist):
 
 =========  =========================================================
-prp-trp    <p type TransitiveProperty> routes p-triples through a
-           dedicated transitivity join: <x p y> ∧ <y p z> → <x p z>
+prp-trp    <p type TransitiveProperty> ∧ <x p y> ∧ <y p z> → <x p z>
 prp-symp   <p type SymmetricProperty> ∧ <x p y> → <y p x>
 prp-inv1   <p inverseOf q> ∧ <x p y> → <y q x>
 prp-inv2   <p inverseOf q> ∧ <x q y> → <y p x>
@@ -26,11 +25,15 @@ scm-eqp1   <p1 equivalentProperty p2> → <p1 subPropertyOf p2>
 scm-eqp1i  <p1 equivalentProperty p2> → <p2 subPropertyOf p1>
 =========  =========================================================
 
-``prp-trp`` needs a *three*-pattern body in its textbook form; here it is
-decomposed into the standard two-pattern encoding used by streaming
-reasoners: a :class:`TransitivityRule` holds the set of known transitive
-properties (maintained from ``<p type TransitiveProperty>`` triples) and
-performs the two-sided join only for those predicates.
+``prp-trp`` is the one rule with a *three*-pattern body.
+:class:`TransitivityRule` declares it as such (so the generic head-bound
+support check of DRed covers it) and evaluates it with the standard
+streaming decomposition: the declared properties are read from the
+store on every firing, a data triple of a declared property runs the
+two-sided ``<x p y> ∧ <y p z>`` join, and a declaration triple runs the
+whole self-join for its property.  The rule keeps no state of its own,
+so retracting a declaration retracts its closure and a restored store
+needs no re-priming.
 """
 
 from __future__ import annotations
@@ -58,73 +61,46 @@ RULE_NAMES = (
 
 
 class TransitivityRule(Rule):
-    """prp-trp: transitive closure restricted to declared transitive props.
+    """prp-trp: ``<p type TransitiveProperty> ∧ <x p y> ∧ <y p z> → <x p z>``.
 
-    The body would be ``<p type TransitiveProperty> ∧ <x p y> ∧ <y p z>``;
-    since the pipeline executes two-pattern joins, this rule keeps its own
-    registry of transitive property ids (updated whenever it sees a
-    declaration triple) and runs the ``<x p y> ∧ <y p z>`` join per
-    registered property.  It has universal input: a data triple for a
-    property declared transitive *later* is still handled, because the
-    declaration's arrival triggers a full re-join for that property from
-    the store.
+    Stateless: which properties are transitive is whatever the store
+    says when the rule fires.  Each of the three body positions has its
+    delta evaluation — a data triple joins both ways against the store,
+    a declaration triple joins its property with itself (its triples may
+    predate the declaration; on DRed's over-delete pass this is what
+    enumerates the consequences of a retracted declaration) — so
+    whichever body triple arrives last finds the other two stored.
     """
 
     def __init__(self, vocab: Vocabulary):
         x, y, z = Var("x"), Var("y"), Var("z")
         p = Var("p")
-        # Declarative metadata only; apply() is hand-written.
         super().__init__(
             "prp-trp",
             head=Pattern(x, p, z),
-            body=(Pattern(x, p, y), Pattern(y, p, z)),
-        )
-        self._declaration = Pattern(p, vocab.type, vocab.transitive_property)
-        self._vocab = vocab
-        self._transitive: set[int] = set()
-
-    @property
-    def transitive_properties(self) -> frozenset[int]:
-        """Snapshot of the property ids currently known to be transitive."""
-        return frozenset(self._transitive)
-
-    def prime(self, store, vocab) -> None:
-        """Rebuild the registry from an externally-restored store.
-
-        Snapshot recovery loads a complete closure without routing any
-        triple through the rules, so declaration triples never pass
-        :meth:`apply_into`; the engine calls this hook (duck-typed —
-        any rule may define it) after a restore.  No re-join is needed:
-        the restored closure is already complete, the registry only has
-        to cover *future* increments.
-        """
-        self._transitive.update(
-            store.subjects(self._vocab.type, self._vocab.transitive_property)
+            body=(
+                Pattern(p, vocab.type, vocab.transitive_property),
+                Pattern(x, p, y),
+                Pattern(y, p, z),
+            ),
         )
 
     def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        # First absorb new declarations; each newly-declared property gets
-        # a full self-join over the store (its triples may predate the
-        # declaration).
+        type_id, marker = vocab.type, vocab.transitive_property
+        declared = set(store.subjects(type_id, marker))
+        if not declared:
+            return
         for subject, predicate, obj in new_triples:
-            if (
-                predicate == self._vocab.type
-                and obj == self._vocab.transitive_property
-                and subject not in self._transitive
-            ):
-                self._transitive.add(subject)
-                self._full_join(store, subject, out)
-        # Then the incremental two-sided join for known transitive props.
-        for triple in new_triples:
-            subject, predicate, obj = triple
-            if predicate not in self._transitive:
-                continue
-            for farther in store.objects(predicate, obj):
-                out.emit((subject, predicate, farther))
-            for nearer in store.subjects(predicate, subject):
-                out.emit((nearer, predicate, obj))
+            if predicate == type_id and obj == marker:
+                self._self_join(store, subject, out)
+            if predicate in declared:
+                for farther in store.objects(predicate, obj):
+                    out.emit((subject, predicate, farther))
+                for nearer in store.subjects(predicate, subject):
+                    out.emit((nearer, predicate, obj))
 
-    def _full_join(self, store, predicate: int, out: OutputBuffer) -> None:
+    @staticmethod
+    def _self_join(store, predicate: int, out: OutputBuffer) -> None:
         pairs = store.pairs_for_predicate(predicate)
         by_subject: dict[int, list[int]] = {}
         for subject, obj in pairs:

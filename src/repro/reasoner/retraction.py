@@ -13,11 +13,21 @@ Subrahmanian, SIGMOD'93), adapted to the engine's rule framework:
    immune — an assertion never depends on a derivation.
 2. **Delete** the whole over-estimate from the store.
 3. **Re-derive.**  Some candidates are still supported by the surviving
-   triples through other derivations.  Evaluate each rule that could
-   produce a candidate against the post-deletion store and re-add the
-   intersection; re-added triples then propagate through the normal
-   incremental machinery (the engine's dispatch), which restores any
-   transitive support.
+   triples through other derivations.  Each candidate is *probed*, not
+   recomputed: it is unified with the head of every rule that could
+   produce its predicate and :meth:`~repro.reasoner.rules.Rule.supports`
+   looks for one body instantiation of that very triple in the
+   post-deletion store (most-bound pattern first, first witness wins —
+   for cax-sco on ``<x type c2>`` that is ``match(?, subClassOf, c2)``
+   plus a membership probe of ``<x type c1>``).  Supported candidates
+   are re-added and seed the ordinary delta joins, which restore any
+   support that runs through another re-derived triple; what they put
+   back then propagates through the engine's dispatch.
+
+The cost of a retraction is therefore O(|over-deleted| × fan-in of the
+probed patterns), independent of the size of the store.  The
+over-estimate itself (phase 1) is unchanged and still decides how many
+candidates there are to probe.
 
 Correctness (pinned by property tests): for any ontology A and any
 subset B ⊆ A, ``materialize(A); retract(B)`` leaves exactly
@@ -53,12 +63,14 @@ def dred_retract(
     explicit: set[EncodedTriple],
     retracted: Iterable[EncodedTriple],
     redispatch: Callable[[list[EncodedTriple]], None] | None = None,
-) -> tuple[list[EncodedTriple], list[EncodedTriple]]:
-    """Run DRed over ``store``.  Returns the (deleted, re-derived) lists.
+) -> tuple[list[EncodedTriple], list[EncodedTriple], int]:
+    """Run DRed over ``store``.  Returns ``(deleted, re-derived, probes)``.
 
     The first list holds every triple phase 2 actually removed from the
     store, the second every triple phase 3 put back — the engine's
     change log nets the two into the revision's exact removal set.
+    ``probes`` counts the head-bound support checks phase 3 ran: the
+    retraction's cost in units that do not depend on the store's size.
 
     ``explicit`` is the live set of asserted triples; the retracted ones
     are removed from it.  ``redispatch`` (the engine's dispatcher) is
@@ -66,18 +78,20 @@ def dred_retract(
     incrementally; pass ``None`` for store-only use (the caller must
     then reach the fixpoint itself — the batch tests do).
     """
-    frontier = [t for t in set(retracted) if t in store]
+    frontier = [t for t in dict.fromkeys(retracted) if t in store]
     if not frontier:
-        return ([], [])
+        return ([], [], 0)
     for triple in frontier:
         explicit.discard(triple)
 
     # Phase 1: over-delete (against the still-intact store).  One reusable
     # output buffer serves every round; it also dedups across rules, so a
     # candidate derived by two rules is filtered once here rather than
-    # twice downstream.
+    # twice downstream.  The over-estimate is kept in discovery order,
+    # which makes phase 3's seed order (and so the whole retraction)
+    # deterministic.
     scratch = OutputBuffer()
-    overdeleted: set[EncodedTriple] = set(frontier)
+    overdeleted: dict[EncodedTriple, None] = dict.fromkeys(frontier)
     while frontier:
         for rule in rules:
             apply_rule_into(rule, store, frontier, vocab, scratch)
@@ -87,24 +101,41 @@ def dred_retract(
             for t in candidates
             if t in store and t not in overdeleted and t not in explicit
         ]
-        overdeleted.update(frontier)
+        overdeleted.update(dict.fromkeys(frontier))
 
     # Phase 2: delete the over-estimate.
     deleted = store.remove_all(overdeleted)
 
-    # Phase 3: re-derive survivors.  A candidate still derivable from the
-    # remaining store is put back; its consequences then flow through the
-    # normal incremental path.
-    candidate_predicates = {t[1] for t in overdeleted}
-    producers = _rules_producing(rules, candidate_predicates)
-    pending = set(overdeleted)
+    # Phase 3: re-derive survivors.  A candidate with one surviving body
+    # instantiation under some producing rule is put back; its
+    # consequences then flow through the normal incremental path.
+    producers = _rules_producing(rules, {t[1] for t in overdeleted})
+    outputs = [rule.output_predicates for rule in producers]
+    evaluated: dict[int, set[EncodedTriple]] = {}
+
+    def supported(rule: Rule, triple: EncodedTriple) -> bool:
+        check = getattr(rule, "supports", None)
+        if check is not None:
+            return check(store, triple, vocab)
+        # A duck-typed rule exposing only apply() has no head to unify
+        # the candidate with: evaluate it once over the surviving store.
+        derived = evaluated.get(id(rule))
+        if derived is None:
+            derived = evaluated[id(rule)] = set(derive_all(rule, store, vocab))
+        return triple in derived
+
+    probes = 0
     seeds: list[EncodedTriple] = []
-    for rule in producers:
-        for triple in derive_all(rule, store, vocab):
-            if triple in pending:
+    for triple in overdeleted:
+        for rule, produced in zip(producers, outputs):
+            if produced is not None and triple[1] not in produced:
+                continue
+            probes += 1
+            if supported(rule, triple):
                 seeds.append(triple)
+                break
     rederived = store.add_all(seeds)
-    pending.difference_update(rederived)
+    pending = set(overdeleted).difference(rederived)
     # Re-added triples may support further pending candidates; propagate
     # incrementally (delta joins) until the re-derivation frontier dries.
     frontier = list(rederived)
@@ -118,4 +149,4 @@ def dred_retract(
 
     if redispatch is not None and rederived:
         redispatch(rederived)
-    return (deleted, rederived)
+    return (deleted, rederived, probes)

@@ -1,7 +1,8 @@
 """The rule framework: declarative patterns and Algorithm 1's rule body.
 
-A rule body is one or two triple *patterns*; the head is a triple
-*template*.  Pattern terms are either an ``int`` (a constant term id,
+A rule body is a short conjunction of triple *patterns* (one or two for
+every built-in rule but prp-trp, which declares three); the head is a
+triple *template*.  Pattern terms are either an ``int`` (a constant term id,
 normally a vocabulary predicate) or a :class:`Var`.  For example the
 paper's running example CAX-SCO (``<c1 subClassOf c2> ∧ <x type c1> →
 <x type c2>``) is declared as::
@@ -27,6 +28,12 @@ which emits one firing's derivations into a caller-owned (and reusable)
 sets.  :meth:`Rule.apply` remains as the list-returning convenience
 wrapper, and custom rules may override either method — each has a
 default implemented in terms of the other.
+
+Because head and body are data, a rule can also be asked the
+goal-directed question DRed re-derivation needs —
+:meth:`Rule.supports`: "is there one body instantiation of *this* triple
+in the store?" — answered with index probes bound by the head, never by
+evaluating the body over the whole store.
 
 Rules advertise their *input predicates* (the constant predicate ids of
 their body patterns; ``None`` means universal — the rule must see every
@@ -312,6 +319,28 @@ class Rule:
         for triple in self.apply(store, new_triples, vocab):
             out.emit(triple)
 
+    # --- goal-directed evaluation ------------------------------------------
+    def supports(
+        self, store: TripleStore, triple: EncodedTriple, vocab: Vocabulary
+    ) -> bool:
+        """Is ``triple`` one-step derivable by this rule from ``store``?
+
+        The head-bound counterpart of :func:`derive_all`, and equivalent
+        to ``triple in derive_all(rule, store, vocab)``: unify ``triple``
+        with the head, then look for *one* instantiation of the body
+        under that binding.  Cost is bounded by the fan-in of the bound
+        body patterns (two index probes for a typical join rule),
+        independent of the store's size.  Subclasses whose ``head`` and
+        ``body`` are their true semantics need no override.
+        """
+        binding = self.head.matches(triple, {})
+        if binding is None:
+            return False
+        is_literal = vocab.dictionary.is_literal
+        if is_literal(triple[0]) or is_literal(triple[1]):
+            return False  # same well-formedness guards as _emit
+        return _has_witness(store, self.body, binding)
+
     # --- head guards -----------------------------------------------------
     def _emit(
         self,
@@ -337,6 +366,32 @@ class Rule:
     def __repr__(self):
         body = " ∧ ".join(repr(p) for p in self.body)
         return f"<Rule {self.name}: {body} → {self.head!r}>"
+
+
+def _has_witness(
+    store: TripleStore, patterns: Sequence[Pattern], binding: dict[str, int]
+) -> bool:
+    """Does some extension of ``binding`` instantiate every pattern?
+
+    Backtracking search, most-bound pattern first (ties in body order),
+    returning on the first witness.  A fully bound pattern is a
+    membership probe; a partially bound one is an index lookup whose
+    matches each extend the binding for the remaining patterns.
+    """
+    if not patterns:
+        return True
+    keys = [pattern.lookup_key(binding) for pattern in patterns]
+    best = min(range(len(keys)), key=lambda index: keys[index].count(None))
+    rest = [pattern for index, pattern in enumerate(patterns) if index != best]
+    key = keys[best]
+    if None not in key:
+        return key in store and _has_witness(store, rest, binding)
+    pattern = patterns[best]
+    for partner in store.match(*key):
+        extended = pattern.matches(partner, binding)
+        if extended is not None and _has_witness(store, rest, extended):
+            return True
+    return False
 
 
 class SingleRule(Rule):
@@ -495,8 +550,11 @@ def apply_rule_into(
 def derive_all(rule: Rule, store: TripleStore, vocab: Vocabulary) -> list[EncodedTriple]:
     """Full evaluation of any rule against the whole store.
 
-    ``JoinRule`` has a specialized implementation; single-pattern rules
-    reuse :meth:`Rule.apply` with the store contents as the "new" side.
+    The naive baseline's primitive and the oracle for
+    :meth:`Rule.supports`.  ``JoinRule`` has a specialized
+    implementation; every other rule (single-pattern, prp-trp,
+    duck-typed) reuses ``apply`` with the store contents as the "new"
+    side.
     """
     if isinstance(rule, JoinRule):
         return rule.derive_all(store, vocab)

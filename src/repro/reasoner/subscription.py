@@ -17,7 +17,10 @@ each committed revision's :class:`~repro.reasoner.delta.InferenceReport`
 * **removals** — a maintained solution dies iff one of its (fully
   instantiated, hence unique) supporting triples is in the revision's
   net-removed set; no re-join is needed because a net-removed triple is
-  by definition absent from the new graph.
+  by definition absent from the new graph.  A *support index*
+  (instantiated pattern triple → the solutions resting on it) turns
+  that into one dictionary probe per removed triple, so a removal costs
+  what it kills, not a pass over every maintained solution.
 
 Events carry binding-level diffs (added / removed solutions); a
 subscription whose patterns cannot match any delta triple is never
@@ -109,7 +112,13 @@ class Subscription:
         self.error: BaseException | None = None
         self.events: list[SubscriptionEvent] = []
         self._lock = threading.Lock()
-        self._solutions: dict[frozenset, Binding] = {}
+        #: Solution key → (admission rank, binding).  Ranks order a
+        #: revision's dead solutions oldest-first without a scan.
+        self._solutions: dict[frozenset, tuple[int, Binding]] = {}
+        self._admitted = 0
+        #: The support index: every instantiated pattern triple of every
+        #: live solution → the keys of the solutions resting on it.
+        self._support: dict[tuple[Term, Term, Term], dict[frozenset, None]] = {}
         #: Compiled incremental join plans (full + one rest-plan per
         #: pattern), built against the graph's statistics at seed time.
         self._plan = IncrementalBGPPlan(self.patterns)
@@ -149,7 +158,7 @@ class Subscription:
     def solutions(self) -> list[Binding]:
         """A copy of the currently maintained solution set."""
         with self._lock:
-            return [dict(s) for s in self._solutions.values()]
+            return [dict(s) for _rank, s in self._solutions.values()]
 
     # --- engine side -------------------------------------------------------
     def _seed(self, graph: Graph) -> None:
@@ -161,7 +170,10 @@ class Subscription:
         """
         with self._lock:
             self._plan.compile(graph)
-            self._solutions = {_key(s): s for s in self._plan.solutions(graph)}
+            self._solutions.clear()
+            self._support.clear()
+            for solution in self._plan.solutions(graph):
+                self._admit(solution)
 
     def _deliver(self, report: InferenceReport, graph: Graph) -> SubscriptionEvent | None:
         """Fold one revision's delta in; return the binding diff (or None)."""
@@ -181,39 +193,49 @@ class Subscription:
         self._emit(event)
         return event
 
+    def _admit(self, solution: Binding) -> bool:
+        """Index one solution; False when it is already maintained."""
+        key = _key(solution)
+        if key in self._solutions:
+            return False
+        self._admitted += 1
+        self._solutions[key] = (self._admitted, solution)
+        support = self._support
+        for triple in self._supporting(solution):
+            support.setdefault(triple, {})[key] = None
+        return True
+
+    def _supporting(self, solution: Binding) -> list[tuple[Term, Term, Term]]:
+        """The pattern triples ``solution`` instantiates (its support)."""
+        bound = solution.get  # variables substitute, constants stand
+        return [(bound(s, s), bound(p, p), bound(o, o)) for s, p, o in self.patterns]
+
     def _fold_removals(self, removed_triples: Iterable[Triple]) -> list[Binding]:
-        removed_set = set(removed_triples)
-        if not removed_set:
-            return []
-        dead: list[Binding] = []
-        for key, solution in list(self._solutions.items()):
-            if any(
-                self._instantiate(pattern, solution) in removed_set
-                for pattern in self.patterns
-            ):
-                dead.append(solution)
-                del self._solutions[key]
-        return dead
+        support = self._support
+        dead: list[tuple[int, Binding]] = []
+        for removed in removed_triples:
+            for key in support.pop(tuple(removed), ()):
+                entry = self._solutions.pop(key)
+                dead.append(entry)
+                for triple in self._supporting(entry[1]):
+                    resting = support.get(triple)
+                    if resting is not None:
+                        resting.pop(key, None)
+                        if not resting:
+                            del support[triple]
+        dead.sort(key=lambda entry: entry[0])
+        return [solution for _rank, solution in dead]
 
     def _fold_additions(
         self, added_encoded: Sequence[tuple[int, int, int]], graph: Graph
     ) -> list[Binding]:
         if not added_encoded:
             return []
-        fresh: list[Binding] = []
-        for solution in self._plan.additions(graph, added_encoded):
-            key = _key(solution)
-            if key not in self._solutions:
-                self._solutions[key] = solution
-                fresh.append(solution)
-        return fresh
-
-    @staticmethod
-    def _instantiate(pattern: TriplePattern, solution: Binding) -> Triple:
-        subject, predicate, obj = (
-            solution[term] if isinstance(term, Variable) else term for term in pattern
-        )
-        return Triple(subject, predicate, obj)
+        return [
+            solution
+            for solution in self._plan.additions(graph, added_encoded)
+            if self._admit(solution)
+        ]
 
     def _emit(self, event: SubscriptionEvent) -> None:
         if self.callback is None:

@@ -416,7 +416,7 @@ class ShardedReasoner:
             g_added: dict[EncodedTriple, None] = {}
             g_removed: dict[EncodedTriple, None] = {}
             timings: dict[str, float] = {}
-            totals = {"dred_deleted": 0, "dred_rederived": 0}
+            totals = {"dred_deleted": 0, "dred_rederived": 0, "dred_probes": 0}
 
             reports = self._run_streams(streams)
             rounds = 0
@@ -446,6 +446,7 @@ class ShardedReasoner:
                 removed_encoded=tuple(g_removed),
                 dred_deleted=totals["dred_deleted"],
                 dred_rederived=totals["dred_rederived"],
+                dred_probes=totals["dred_probes"],
             )
             if _obs.REGISTRY.enabled:
                 _obs.SHARDING_COMMITS.inc()
@@ -522,6 +523,7 @@ class ShardedReasoner:
                     timings[rule] = timings.get(rule, 0.0) + seconds
                 totals["dred_deleted"] += report.dred_deleted
                 totals["dred_rederived"] += report.dred_rederived
+                totals["dred_probes"] += report.dred_probes
 
                 for local in report.added_encoded:
                     triple = decode(local)

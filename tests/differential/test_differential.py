@@ -10,8 +10,10 @@ are executed three ways and must agree at *every* revision:
    (no ``close``), recover from snapshot + changelog, compare.
 
 The harness sweeps both store backends and all three rule fragments
-(ρdf, RDFS, OWL-Horst).  Scripts avoid OWL-transitivity feeds, the one
-documented retraction limitation of the stateful OWL-Horst registry.
+(ρdf, RDFS, OWL-Horst).  The OWL-Horst cells run scripts that also
+assert — and retract — ``owl:TransitiveProperty`` /
+``owl:SymmetricProperty`` declarations, ``owl:inverseOf`` and
+``owl:sameAs``.
 
 CI pins an extra seed via ``SLIDER_DIFF_SEED`` so every push replays a
 known script on top of the built-in ones.
@@ -24,7 +26,7 @@ import pytest
 
 from repro import Delta, Slider
 from repro.baselines import BatchReasoner
-from repro.rdf import Literal, RDF, RDFS, Triple
+from repro.rdf import Literal, OWL, RDF, RDFS, Triple
 
 from ..conftest import EX, STORE_BACKENDS
 from ..persist.test_recovery import kill
@@ -35,14 +37,29 @@ _extra_seed = os.environ.get("SLIDER_DIFF_SEED")
 SEEDS = (1101, 2202) + ((int(_extra_seed),) if _extra_seed else ())
 
 
-def random_triples(rng: random.Random, count: int, universe: int = 14) -> list[Triple]:
-    """Random schema + instance triples (RDFS vocabulary only)."""
+_PROPERTIES = (EX.knows, EX.likes, EX.near)
+
+
+def random_triples(
+    rng: random.Random, count: int, universe: int = 14, owl: bool = False
+) -> list[Triple]:
+    """Random schema + instance triples.
+
+    RDFS vocabulary only by default; ``owl`` mixes in the OWL-Horst
+    property vocabulary over the same instance predicates, so a script
+    declares (and later retracts) what makes ``knows`` transitive.
+    """
     predicates = [
         RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range,
         RDF.type, EX.knows, EX.likes, EX.near,
     ]
     triples = []
+    if owl:
+        universe = 6  # dense enough for property chains to form
     for _ in range(count):
+        if owl and rng.random() < 0.3:
+            triples.append(_owl_triple(rng, universe))
+            continue
         predicate = rng.choice(predicates)
         subject = EX[f"n{rng.randint(0, universe)}"]
         if rng.random() < 0.08:
@@ -53,12 +70,25 @@ def random_triples(rng: random.Random, count: int, universe: int = 14) -> list[T
     return triples
 
 
-def generate_script(seed: int, steps: int = 7) -> list[Delta]:
+def _owl_triple(rng: random.Random, universe: int) -> Triple:
+    kind = rng.random()
+    if kind < 0.4:
+        marker = rng.choice([OWL.TransitiveProperty, OWL.SymmetricProperty])
+        return Triple(rng.choice(_PROPERTIES), RDF.type, marker)
+    if kind < 0.6:
+        return Triple(rng.choice(_PROPERTIES), OWL.inverseOf, rng.choice(_PROPERTIES))
+    return Triple(
+        EX[f"n{rng.randint(0, universe)}"], OWL.sameAs, EX[f"n{rng.randint(0, universe)}"]
+    )
+
+
+def generate_script(seed: int, steps: int = 7, owl: bool = False) -> list[Delta]:
     """A deterministic delta script: adds, retracts, mixed revisions.
 
     Retractions draw from the triples asserted so far *plus* the odd
     never-asserted ghost, so the script also exercises retraction of
-    never-committed triples mid-sequence.
+    never-committed triples mid-sequence.  ``owl`` scripts carry the
+    OWL-Horst vocabulary of :func:`random_triples`.
     """
     rng = random.Random(seed)
     live: list[Triple] = []
@@ -68,14 +98,21 @@ def generate_script(seed: int, steps: int = 7) -> list[Delta]:
         assertions: list[Triple] = []
         retractions: list[Triple] = []
         if kind < 0.45 or not live:  # grow
-            assertions = random_triples(rng, rng.randint(4, 10))
+            assertions = random_triples(rng, rng.randint(4, 10), owl=owl)
         elif kind < 0.7:  # shrink
             retractions = rng.sample(live, k=min(len(live), rng.randint(1, 4)))
         else:  # mixed, occasionally including a ghost retraction
-            assertions = random_triples(rng, rng.randint(2, 6))
+            assertions = random_triples(rng, rng.randint(2, 6), owl=owl)
             retractions = rng.sample(live, k=min(len(live), rng.randint(1, 3)))
             if rng.random() < 0.5:
                 retractions.append(Triple(EX[f"ghost{step}"], RDF.type, EX.Never))
+        if owl and step == 0:
+            assertions.append(Triple(EX.knows, RDF.type, OWL.TransitiveProperty))
+        if owl and retractions:
+            # Pull the rug from under a transitive closure.
+            declared = [t for t in live if t.object == OWL.TransitiveProperty]
+            if declared:
+                retractions.append(rng.choice(declared))
         delta = Delta(assertions=assertions, retractions=retractions)
         removed = set(delta.retractions)
         live = [t for t in live if t not in removed]
@@ -94,6 +131,11 @@ def explicit_after(script, upto: int) -> list[Triple]:
     return live
 
 
+def script_for(fragment: str, seed: int, **kwargs) -> list[Delta]:
+    """The fragment's script: OWL vocabulary where the rules read it."""
+    return generate_script(seed, owl=fragment == "owl-horst", **kwargs)
+
+
 def batch_closure(fragment: str, explicit) -> set[Triple]:
     reasoner = BatchReasoner(fragment=fragment)
     reasoner.add(explicit)
@@ -108,7 +150,7 @@ class TestIncrementalMatchesBatch:
     @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
     def test_every_revision(self, fragment, store, seed):
-        script = generate_script(seed)
+        script = script_for(fragment, seed)
         with Slider(fragment=fragment, workers=0, timeout=None, store=store) as r:
             for step, delta in enumerate(script, start=1):
                 r.apply(delta)
@@ -120,6 +162,23 @@ class TestIncrementalMatchesBatch:
                     f"{len(incremental - baseline)} extra, "
                     f"{len(baseline - incremental)} missing"
                 )
+
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    def test_owl_scripts_retract_a_declaration_with_consequences(self, seed):
+        """The OWL-Horst cells above mean something: each built-in script
+        retracts a transitivity declaration whose closure then leaves."""
+        lost = 0
+        with Slider(fragment="owl-horst", workers=0, timeout=None) as r:
+            for delta in script_for("owl-horst", seed):
+                report = r.apply(delta)
+                declared = {
+                    t.subject
+                    for t in delta.retractions
+                    if t.object == OWL.TransitiveProperty
+                }
+                lost += sum(1 for t in report.removed if t.predicate in declared)
+        assert lost > 0
 
 
 class TestCrashReplayMatchesUninterrupted:
@@ -163,7 +222,7 @@ class TestColumnarFormatDifferential:
     def test_image_matches_the_engine_at_every_revision(self, fragment, seed):
         from repro.persist import parse_snapshot
 
-        script = generate_script(seed)
+        script = script_for(fragment, seed)
         with Slider(fragment=fragment, workers=0, timeout=None) as r:
             for delta in script:
                 r.apply(delta)
@@ -208,7 +267,7 @@ class TestCrashReplayFinalState:
     @pytest.mark.parametrize("fragment", FRAGMENTS)
     def test_recover_final_state_all_fragments(self, tmp_path, fragment):
         seed = SEEDS[0]
-        script = generate_script(seed)
+        script = script_for(fragment, seed)
         with Slider(fragment=fragment, workers=0, timeout=None) as r:
             for delta in script:
                 r.apply(delta)

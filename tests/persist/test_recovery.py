@@ -261,9 +261,10 @@ class TestCompaction:
 
 class TestStatefulRulesAfterRecovery:
     def test_owl_horst_transitivity_survives_snapshot_restore(self, tmp_path):
-        """Snapshot restore bypasses the rule pipeline, so the OWL-Horst
-        transitivity registry must be re-primed from the store — new
-        edges of an already-declared property still chain afterwards."""
+        """Snapshot restore bypasses the rule pipeline.  prp-trp reads
+        its declarations from the store on every firing, so new edges
+        of an already-declared property still chain afterwards — with
+        no re-priming hook on any rule."""
         from repro.rdf import OWL
 
         state = tmp_path / "state"
@@ -279,12 +280,29 @@ class TestStatefulRulesAfterRecovery:
         with Slider(fragment="owl-horst", workers=0, timeout=None,
                     persist_dir=state) as revived:
             assert revived.recovery.replayed_records == 0  # pure restore
+            assert not any(hasattr(rule, "prime") for rule in revived.rules)
             revived.apply(Delta(assertions=[Triple(EX.b, ancestor, EX.c)]))
             assert Triple(EX.a, ancestor, EX.c) in revived.graph
 
+    def test_owl_horst_transitivity_survives_replica_bootstrap(self):
+        """Same for ``restore_snapshot`` (a follower's bootstrap path)."""
+        from repro.persist import parse_snapshot
+        from repro.rdf import OWL
+
+        ancestor = EX.ancestor
+        with Slider(fragment="owl-horst", workers=0, timeout=None) as leader, \
+                Slider(fragment="owl-horst", workers=0, timeout=None) as replica:
+            leader.apply(Delta(assertions=[
+                Triple(ancestor, RDF.type, OWL.TransitiveProperty),
+                Triple(EX.a, ancestor, EX.b),
+            ]))
+            replica.restore_snapshot(parse_snapshot(leader.snapshot_bytes()))
+            replica.apply(Delta(assertions=[Triple(EX.b, ancestor, EX.c)]))
+            assert Triple(EX.a, ancestor, EX.c) in replica.graph
+
     def test_owl_horst_replay_only_path_already_worked(self, tmp_path):
-        """Journal replay routes through apply(), which feeds the
-        registry naturally — pin that too."""
+        """Journal replay routes through apply() like any commit — pin
+        that too."""
         from repro.rdf import OWL
 
         state = tmp_path / "state"

@@ -164,7 +164,7 @@ class TestFragmentShape:
         assert len(rules) == 24  # 12 RDFS + 12 Horst rules
 
     def test_fresh_rule_state_per_build(self):
-        """TransitivityRule carries state; rules() must return fresh ones."""
+        """rules() returns fresh instances (custom rules may carry state)."""
         from repro.dictionary import TermDictionary
         from repro.reasoner import Vocabulary
 

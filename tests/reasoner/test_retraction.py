@@ -1,12 +1,15 @@
 """Tests for DRed retraction: delete-and-rederive correctness."""
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import os
 
-from repro.rdf import RDF, RDFS, Triple
+import pytest
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
+
+from repro import Delta
+from repro.rdf import OWL, RDF, RDFS, Triple
 from repro.reasoner import Slider
 
-from ..conftest import EX, closure_with_slider, make_chain
+from ..conftest import EX, STORE_BACKENDS, closure_with_slider, make_chain
 
 
 def fresh(**kwargs) -> Slider:
@@ -125,24 +128,108 @@ class TestAgainstRecomputation:
             assert len(r) == 0
 
 
-# --- property test -------------------------------------------------------------
+class TestTransitivityDeclarations:
+    """prp-trp keeps no registry: the declaration is ordinary body data."""
+
+    DECLARATION = Triple(EX.anc, RDF.type, OWL.TransitiveProperty)
+
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    def test_retracting_the_declaration_retracts_its_closure(self, store):
+        with fresh(fragment="owl-horst", store=store) as r:
+            r.apply(Delta([
+                self.DECLARATION,
+                Triple(EX.a, EX.anc, EX.b),
+                Triple(EX.b, EX.anc, EX.c),
+            ]))
+            assert Triple(EX.a, EX.anc, EX.c) in r.graph
+            r.apply(Delta(retractions=[self.DECLARATION]))
+            assert Triple(EX.a, EX.anc, EX.c) not in r.graph
+            # ... and the rule stops deriving: nothing declares anc now.
+            r.apply(Delta([Triple(EX.c, EX.anc, EX.d)]))
+            assert Triple(EX.a, EX.anc, EX.d) not in r.graph
+            assert Triple(EX.b, EX.anc, EX.d) not in r.graph
+            assert set(r.graph) == closure_with_slider(
+                [
+                    Triple(EX.a, EX.anc, EX.b),
+                    Triple(EX.b, EX.anc, EX.c),
+                    Triple(EX.c, EX.anc, EX.d),
+                ],
+                "owl-horst",
+            )
+
+    def test_inferred_edge_with_a_second_path_survives(self):
+        """a anc c is derivable through b and through d; cutting one
+        path leaves it supported — the probe must require the other."""
+        with fresh(fragment="owl-horst") as r:
+            r.apply(Delta([
+                self.DECLARATION,
+                Triple(EX.a, EX.anc, EX.b), Triple(EX.b, EX.anc, EX.c),
+                Triple(EX.a, EX.anc, EX.d), Triple(EX.d, EX.anc, EX.c),
+            ]))
+            r.apply(Delta(retractions=[Triple(EX.a, EX.anc, EX.b)]))
+            assert Triple(EX.a, EX.anc, EX.c) in r.graph
+            r.apply(Delta(retractions=[Triple(EX.d, EX.anc, EX.c)]))
+            assert Triple(EX.a, EX.anc, EX.c) not in r.graph
+
+    def test_redeclaring_closes_the_property_again(self):
+        with fresh(fragment="owl-horst") as r:
+            edges = [Triple(EX.a, EX.anc, EX.b), Triple(EX.b, EX.anc, EX.c)]
+            r.apply(Delta([self.DECLARATION] + edges))
+            r.apply(Delta(retractions=[self.DECLARATION]))
+            r.apply(Delta([self.DECLARATION]))
+            assert Triple(EX.a, EX.anc, EX.c) in r.graph
+
+
+# --- property tests ------------------------------------------------------------
+# materialize(A); retract(B) ≡ closure(A \ B), on every fragment and backend.
+# The OWL-Horst cell draws transitivity/symmetry declarations, inverseOf and
+# sameAs — and retracts them like any other triple.
 
 _nodes = st.integers(min_value=0, max_value=8).map(lambda i: EX[f"n{i}"])
-_predicates = st.sampled_from(
-    [RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range, RDF.type, EX.knows]
+_rdfs_triples = st.builds(
+    Triple,
+    _nodes,
+    st.sampled_from(
+        [RDFS.subClassOf, RDFS.subPropertyOf, RDFS.domain, RDFS.range, RDF.type, EX.knows]
+    ),
+    _nodes,
 )
-_ontologies = st.lists(
-    st.builds(Triple, _nodes, _predicates, _nodes), min_size=1, max_size=30
+_properties = st.sampled_from([EX.knows, EX.near, EX.n1, EX.n2])
+_owl_triples = st.one_of(
+    st.builds(
+        Triple,
+        _properties,
+        st.just(RDF.type),
+        st.sampled_from([OWL.TransitiveProperty, OWL.SymmetricProperty]),
+    ),
+    st.builds(Triple, _properties, st.just(OWL.inverseOf), _properties),
+    st.builds(Triple, _nodes, st.just(OWL.sameAs), _nodes),
+    st.builds(Triple, _nodes, _properties, _nodes),
 )
+_ONTOLOGIES = {
+    "rhodf": st.lists(_rdfs_triples, min_size=1, max_size=30),
+    "rdfs": st.lists(_rdfs_triples, min_size=1, max_size=30),
+    "owl-horst": st.lists(st.one_of(_rdfs_triples, _owl_triples), min_size=1, max_size=24),
+}
 
 
-@given(_ontologies, st.data())
+# CI replays one pinned Hypothesis run on every push (same variable as the
+# differential harness), on top of the free-running one.
+_pinned = os.environ.get("SLIDER_DIFF_SEED")
+_replay = seed(int(_pinned)) if _pinned else (lambda test: test)
+
+
+@pytest.mark.parametrize("store", STORE_BACKENDS)
+@pytest.mark.parametrize("fragment", sorted(_ONTOLOGIES))
+@_replay
+@given(st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_dred_equals_recomputation(triples, data):
+def test_dred_equals_recomputation(fragment, store, data):
+    triples = data.draw(_ONTOLOGIES[fragment])
     removed = data.draw(st.lists(st.sampled_from(triples), max_size=6))
-    with fresh(fragment="rdfs") as r:
+    with fresh(fragment=fragment, store=store) as r:
         r.materialize(triples)
         r.retract(removed)
         incremental = set(r.graph)
     remaining = [t for t in triples if t not in set(removed)]
-    assert incremental == closure_with_slider(remaining, "rdfs")
+    assert incremental == closure_with_slider(remaining, fragment)

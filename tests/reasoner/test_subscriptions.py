@@ -188,3 +188,199 @@ class TestLifecycle:
             window.extend([typed(3)])  # item1 expires
             assert {b[X] for b in events[-1].removed} == {EX.item1}
             assert {b[X] for b in events[-1].added} == {EX.item3}
+
+
+# --- the support index ---------------------------------------------------------
+# Removal is driven by an index (supporting triple → solutions resting on
+# it) instead of a pass over every maintained solution.  The reference
+# below is the maintenance it replaced, kept as the oracle: its events
+# must be reproduced binding for binding, in order.
+
+
+class ScanningReference:
+    """Pre-index maintenance: every removal scans every solution."""
+
+    def __init__(self, patterns, graph):
+        from repro.store.planner import IncrementalBGPPlan
+
+        self.patterns = [tuple(p) for p in patterns]
+        self.plan = IncrementalBGPPlan(self.patterns)
+        self.plan.compile(graph)
+        self.solutions = {
+            frozenset(s.items()): s for s in self.plan.solutions(graph)
+        }
+
+    def _instantiate(self, pattern, solution):
+        return Triple(*(solution.get(term, term) for term in pattern))
+
+    def fold(self, report, graph):
+        """(added, removed) binding tuples for one revision."""
+        gone = set(report.removed)
+        removed = []
+        for key, solution in list(self.solutions.items()):
+            if any(self._instantiate(p, solution) in gone for p in self.patterns):
+                removed.append(solution)
+                del self.solutions[key]
+        added = []
+        for solution in self.plan.additions(graph, list(report.added_encoded)):
+            key = frozenset(solution.items())
+            if key not in self.solutions:
+                self.solutions[key] = solution
+                added.append(solution)
+        return tuple(added), tuple(removed)
+
+
+def assert_index_is_exact(subscription):
+    """The support index holds exactly the live solutions' triples."""
+    expected: dict = {}
+    for solution in subscription.solutions:
+        key = frozenset(solution.items())
+        for pattern in subscription.patterns:
+            triple = tuple(solution.get(term, term) for term in pattern)
+            expected.setdefault(triple, set()).add(key)
+    actual = {t: set(keys) for t, keys in subscription._support.items()}
+    assert actual == expected
+
+
+def run_against_reference(reasoner, patterns, deltas):
+    """Commit ``deltas``; the live subscription must emit the reference's
+    events exactly.  Returns the events for further assertions."""
+    subscription = reasoner.subscribe(patterns)
+    reference = ScanningReference(patterns, reasoner.graph)
+    events = []
+    for delta in deltas:
+        report = reasoner.apply(delta)
+        added, removed = reference.fold(report, reasoner.graph)
+        emitted = subscription.drain()
+        if not added and not removed:
+            assert emitted == []
+        else:
+            assert len(emitted) == 1
+            assert emitted[0].revision == report.revision
+            assert emitted[0].added == added
+            assert emitted[0].removed == removed
+            events.append(emitted[0])
+        assert_index_is_exact(subscription)
+    return events
+
+
+OWNS_ANIMAL = [(Y, EX.hasPet, X), (X, RDF.type, EX.Animal)]
+
+
+class TestSupportIndex:
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    def test_solution_losing_two_supports_dies_once(self, store):
+        pet = Triple(EX.alice, EX.hasPet, EX.tom)
+        cat = Triple(EX.tom, RDF.type, EX.Cat)
+        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+            r.materialize(SCHEMA + [pet, cat])
+            events = run_against_reference(
+                r, OWNS_ANIMAL, [Delta(retractions=[pet, cat])]
+            )
+            assert [dict(b) for b in events[0].removed] == [{X: EX.tom, Y: EX.alice}]
+
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    def test_solutions_sharing_a_support_die_together(self, store):
+        cat = Triple(EX.tom, RDF.type, EX.Cat)
+        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+            r.materialize(SCHEMA + [
+                cat,
+                Triple(EX.alice, EX.hasPet, EX.tom),
+                Triple(EX.bob, EX.hasPet, EX.tom),
+                Triple(EX.bob, EX.hasPet, EX.rex),
+                Triple(EX.rex, RDF.type, EX.Dog),
+            ])
+            events = run_against_reference(r, OWNS_ANIMAL, [Delta(retractions=[cat])])
+            assert {b[Y] for b in events[0].removed} == {EX.alice, EX.bob}
+            assert all(b[X] == EX.tom for b in events[0].removed)
+
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    def test_remove_then_readd_across_revisions(self, store):
+        cat = Triple(EX.tom, RDF.type, EX.Cat)
+        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+            r.materialize(SCHEMA + [cat, Triple(EX.alice, EX.hasPet, EX.tom)])
+            events = run_against_reference(
+                r,
+                OWNS_ANIMAL,
+                [
+                    Delta(retractions=[cat]),
+                    Delta(assertions=[cat]),
+                    Delta(retractions=[cat]),
+                    Delta(assertions=[cat], retractions=[cat]),  # nets to nothing
+                ],
+            )
+            assert [(len(e.added), len(e.removed)) for e in events] == [
+                (0, 1), (1, 0), (0, 1),
+            ]
+
+    def test_repeated_pattern_triple_is_indexed_once(self):
+        """Both patterns instantiate to the same triple when x = y."""
+        patterns = [(X, EX.knows, Y), (Y, EX.knows, X)]
+        loop = Triple(EX.a, EX.knows, EX.a)
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+            r.materialize([loop, Triple(EX.a, EX.knows, EX.b), Triple(EX.b, EX.knows, EX.a)])
+            run_against_reference(
+                r, patterns, [Delta(retractions=[loop]), Delta(assertions=[loop])]
+            )
+
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    @pytest.mark.parametrize("seed", (11, 12, 13))
+    def test_seeded_scripts_match_the_reference(self, store, seed):
+        import random
+
+        rng = random.Random(seed)
+        people = [EX[f"p{i}"] for i in range(5)]
+        pets = [EX[f"a{i}"] for i in range(5)]
+        pool = (
+            [Triple(p, EX.hasPet, a) for p in people for a in pets]
+            + [Triple(a, RDF.type, c) for a in pets for c in (EX.Cat, EX.Dog)]
+        )
+        live: set = set()
+        deltas = []
+        for _ in range(25):
+            adds = [t for t in rng.sample(pool, 4) if t not in live]
+            drops = rng.sample(sorted(live), min(len(live), rng.randint(0, 3)))
+            delta = Delta(assertions=adds, retractions=drops)
+            live.difference_update(delta.retractions)
+            live.update(delta.assertions)
+            deltas.append(delta)
+        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+            r.materialize(SCHEMA)
+            events = run_against_reference(r, OWNS_ANIMAL, deltas)
+            assert any(e.removed for e in events) and any(e.added for e in events)
+
+    def test_removal_touches_one_entry_not_every_solution(self):
+        """10k maintained solutions, one removed triple: the fold probes
+        that triple's index entry and never walks the solution set."""
+
+        class NoScan(dict):
+            def _refuse(self, *args, **kwargs):
+                raise AssertionError("removal iterated the maintained solutions")
+
+            __iter__ = items = values = keys = _refuse
+
+        class Touched(dict):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.touched = set()
+
+            def pop(self, key, *default):
+                self.touched.add(key)
+                return super().pop(key, *default)
+
+            def get(self, key, default=None):
+                self.touched.add(key)
+                return super().get(key, default)
+
+        members = [Triple(EX[f"m{i}"], RDF.type, EX.Event) for i in range(10_000)]
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+            r.materialize(members)
+            sub = r.subscribe([(X, RDF.type, EX.Event)])
+            assert len(sub._solutions) == 10_000
+            sub._solutions = NoScan(sub._solutions)
+            sub._support = Touched(sub._support)
+            r.apply(Delta(retractions=[members[1234]]))
+            (event,) = sub.drain()
+            assert [dict(b) for b in event.removed] == [{X: EX.m1234}]
+            assert sub._support.touched == {(EX.m1234, RDF.type, EX.Event)}
+            assert len(dict.keys(sub._solutions)) == 9_999
