@@ -1,6 +1,6 @@
 """The process-global registry, tracer, and every metric family.
 
-Eight instrumented layers, one prefix each — the conformance test and
+Nine instrumented layers, one prefix each — the conformance test and
 the CI ``/metrics`` scrape key off :data:`LAYER_PREFIXES`:
 
 ==============  =====================================================
@@ -10,6 +10,7 @@ prefix          what it covers
                 queries
 ``coalescer``   write-queue depth, drain batch size, waiters
 ``engine``      apply latency, per-rule-module time, DRed counters
+``views``       read-image advance latency, overlay size, re-bases
 ``persist``     WAL append + fsync latency, snapshot/compaction
 ``replication`` follower lag, bootstraps, feed truncations
 ``sharding``    cross-shard forwards, fixpoint rounds, revision skew
@@ -18,7 +19,7 @@ prefix          what it covers
 ==============  =====================================================
 
 Importing this module is what registers everything, so a fresh
-process scrapes all eight layers (unlabeled families expose an eager
+process scrapes all nine layers (unlabeled families expose an eager
 zero sample; labeled ones expose their HELP/TYPE header).
 """
 
@@ -44,6 +45,7 @@ LAYER_PREFIXES = (
     "http",
     "coalescer",
     "engine",
+    "views",
     "persist",
     "replication",
     "sharding",
@@ -137,6 +139,20 @@ ENGINE_DRED_REDERIVED = REGISTRY.counter(
 ENGINE_DRED_PROBES = REGISTRY.counter(
     "slider_engine_dred_probes_total",
     "Head-bound support checks run by DRed rederivation.",
+)
+
+# -- views --------------------------------------------------------------
+VIEWS_ADVANCE_SECONDS = REGISTRY.histogram(
+    "slider_views_advance_seconds",
+    "Time to derive one revision's read view from its predecessor.",
+)
+VIEWS_OVERLAY_TRIPLES = REGISTRY.gauge(
+    "slider_views_overlay_triples",
+    "Added + tombstoned triples in the overlay of the view published last.",
+)
+VIEWS_REBASES = REGISTRY.counter(
+    "slider_views_rebases_total",
+    "Overlays folded into a fresh base image.",
 )
 
 # -- persist ------------------------------------------------------------

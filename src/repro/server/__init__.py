@@ -4,8 +4,9 @@ This package turns the in-process :class:`~repro.reasoner.engine.Slider`
 into a system other processes can hit, with three load-bearing ideas:
 
 * **snapshot-isolated reads** — immutable per-revision
-  :class:`~repro.server.views.ReadView` images (copy-on-write from each
-  revision's :class:`~repro.reasoner.delta.InferenceReport` diff), so
+  :class:`~repro.server.views.ReadView` images (a shared indexed base
+  plus a small overlay advanced by each revision's
+  :class:`~repro.reasoner.delta.InferenceReport` diff), so
   any number of readers query committed state without locks and without
   ever observing an in-flight apply;
 * **coalesced writes** — concurrent apply requests are netted into one

@@ -72,7 +72,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..obs import SlowQueryLog, TRACER, instruments as _obs, new_trace_id
 from ..persist.snapshot import image_revision
 from ..rdf.terms import Variable
-from ..store.query import ask, construct, explain, solve
+from ..store.query import ask, construct, explain, select, solve
 from ..tenancy.errors import (
     AdmissionRejectedError,
     QuotaExceededError,
@@ -115,8 +115,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive matters: the bench's closed-loop clients reuse their
     # connection for thousands of requests.
     protocol_version = "HTTP/1.1"
-    # Headers and body leave in separate small writes; with Nagle on,
-    # that interacts with delayed ACKs into a ~40 ms stall per response.
+    # JSON replies leave in one write (see _send_body); the streaming
+    # endpoints still send many small ones, and with Nagle on those
+    # interact with delayed ACKs into a ~40 ms stall each.
     disable_nagle_algorithm = True
     server: "ReasoningHTTPServer"
 
@@ -143,13 +144,22 @@ class _Handler(BaseHTTPRequestHandler):
         if trace_id is not None:
             self.send_header("X-Trace-Id", trace_id)
 
+    def _send_body(self, body: bytes) -> None:
+        """``end_headers()`` and the body in one ``sendall``: queued behind
+        the buffered header block instead of written after it, so a reply
+        is one syscall and one client wake-up, not two."""
+        self.send_header("Content-Length", str(len(body)))
+        if self.request_version == "HTTP/0.9":  # no header block to join
+            self.wfile.write(body)
+            return
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
+
     def _send_json(self, payload: dict, status: int = 200) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
 
     def _send_error_json(
         self, status: int, message: str, retry_after: float | None = None
@@ -163,9 +173,7 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after is not None:
             # Whole seconds per RFC 9110; never advertise 0 ("retry now").
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send_body(payload)
 
     def _params(self) -> dict[str, list[str]]:
         return parse_qs(urlsplit(self.path).query, keep_blank_values=True)
@@ -380,7 +388,6 @@ class _Handler(BaseHTTPRequestHandler):
             # per join step instead of the solution rows.
             self._send_json({"revision": revision, "explain": explain(graph, patterns)})
             return
-        solutions = solve(graph, patterns)
         names = params.get("var")
         if names:
             variables = [Variable(name) for name in names]
@@ -398,15 +405,12 @@ class _Handler(BaseHTTPRequestHandler):
                     if isinstance(term, Variable):
                         seen[term] = None
             variables = list(seen)
-        rows: list[list[str]] = []
-        emitted: set[tuple] = set()
-        for solution in solutions:
-            row = tuple(solution[v].n3() for v in variables)
-            if row not in emitted:
-                emitted.add(row)
-                rows.append(list(row))
-            if len(rows) >= limit:
-                break
+        # The limit is the executor's: joining and decoding stop at the
+        # limit-th distinct projected row.
+        rows = [
+            [term.n3() for term in row]
+            for row in select(graph, variables, patterns, limit=limit)
+        ]
         solved = time.perf_counter()
         self._note_slow(
             "/select",
@@ -460,7 +464,7 @@ class _Handler(BaseHTTPRequestHandler):
         limit = self._limit(params)
         parsed = time.perf_counter()
         try:
-            triples = construct(graph, template, patterns)[:limit]
+            triples = construct(graph, template, patterns, limit=limit)
         except ValueError as error:  # template variable the body never binds
             raise _BadRequest(str(error))
         self._note_slow(
@@ -569,9 +573,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_response(307)
                 self.send_header("Location", f"{service.leader_url}/apply")
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send_body(body)
             else:
                 self._send_error_json(
                     403, "this node is a read replica and accepts no writes"
@@ -773,9 +775,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = _obs.REGISTRY.expose().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
 
     def _ep_debug_traces(self) -> None:
         """Recent spans as JSON lines; ``?trace_id=`` narrows to one trace."""
@@ -787,9 +787,7 @@ class _Handler(BaseHTTPRequestHandler):
         body = TRACER.ring.to_jsonl(trace_id=trace_id, limit=limit).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
 
     # --- SSE ----------------------------------------------------------------
     def _ep_subscribe(self) -> None:

@@ -51,8 +51,9 @@ Supported fragments are ρdf and RDFS (``rhodf``, ``rdfs``): every join
 rule in both joins through the broadcast schema plane, which is what
 makes per-shard closure + forwarding complete.  ``rdfs-full`` (per-shard
 axiomatic preloads would multiply into the merge) and ``owl-horst``
-(stateful transitivity registry outside the store) are rejected at
-construction.
+(prp-trp joins two *instance* triples, ``<x p y>`` and ``<y p z>``, on a
+variable that is not their routing key, so the pair can sit on two
+shards and neither derives ``<x p z>``) are rejected at construction.
 """
 
 from __future__ import annotations
@@ -187,9 +188,10 @@ class ShardedReasoner:
             supported = ", ".join(sorted(SUPPORTED_FRAGMENTS))
             raise ClusterError(
                 f"fragment {fragment!r} cannot be sharded (supported: {supported}); "
-                "rdfs-full preloads per-engine axioms and owl-horst keeps "
-                "transitivity state outside the store, both of which break "
-                "the cross-shard closure equivalence"
+                "rdfs-full preloads per-engine axioms, and owl-horst's prp-trp "
+                "joins two instance triples on a variable that is not their "
+                "routing key (the pair can sit on two shards), both of which "
+                "break the cross-shard closure equivalence"
             )
         if store is not None and not isinstance(store, str):
             raise ClusterError(

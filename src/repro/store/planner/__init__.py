@@ -11,7 +11,9 @@ the relational treatment of the same problem:
   OSP / membership / scan) for its bound-position shape;
 * :mod:`~repro.store.planner.executor` — run a plan entirely in encoded
   integer space, decoding only the final bindings, with optional
-  per-step actual-row counters for ``explain``;
+  per-step actual-row counters for ``explain``; ``solution_blocks``
+  hands the same executor its first step's rows a block at a time for
+  callers that stop early (``limit``, ``ASK``);
 * :mod:`~repro.store.planner.incremental` — compile a *standing* BGP
   into per-delta join plans (one per pattern position a delta triple can
   enter through), the O(delta) maintenance path the subscription layer
@@ -22,7 +24,7 @@ reference evaluator (``solve_naive``) stays behind as the differential
 oracle's ground truth.
 """
 
-from .executor import execute_plan, solve_planned
+from .executor import execute_plan, solution_blocks, solve_planned
 from .incremental import IncrementalBGPPlan
 from .plan import PlanStep, QueryPlan, explain_plan, plan_bgp
 
@@ -33,5 +35,6 @@ __all__ = [
     "explain_plan",
     "execute_plan",
     "solve_planned",
+    "solution_blocks",
     "IncrementalBGPPlan",
 ]

@@ -16,14 +16,24 @@ the core protocol.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
 from .plan import BOUND, CONST, FREE, QueryPlan, plan_bgp
 
-__all__ = ["solve_planned", "execute_plan", "execute_encoded"]
+__all__ = [
+    "solve_planned",
+    "solution_blocks",
+    "execute_plan",
+    "execute_encoded",
+    "BLOCK_ROWS",
+]
+
+#: First-step rows :func:`solution_blocks` hands the remaining join steps
+#: (and the decoder) at a time.
+BLOCK_ROWS = 64
 
 #: Reserved working-solution key carrying seed variables whose terms are
 #: unseen by the dictionary (they cannot be encoded, but a seed variable
@@ -54,16 +64,55 @@ def solve_planned(
     return solutions
 
 
+def solution_blocks(
+    graph: Graph, patterns: Sequence[TriplePattern], decode: bool = True
+) -> Iterator[list]:
+    """The solutions of a BGP, lazily, one list per block of first-step rows.
+
+    For callers that stop early (``limit``, ``ASK``): the first plan step
+    is evaluated whole, then its rows go through the remaining steps
+    :data:`BLOCK_ROWS` at a time, so join and decode work follow the
+    solutions actually consumed.  The concatenated blocks are exactly
+    :func:`solve_planned`'s answer; ``decode=False`` yields encoded
+    solutions (variable -> id) and skips the dictionary.
+
+    The work itself stays in the eager :func:`execute_encoded` /
+    :func:`execute_plan` — only the hand-over of blocks is lazy.
+    """
+    if not patterns:
+        yield [{}]
+        return
+    plan = plan_bgp(graph, patterns)
+    head, rest = (
+        QueryPlan(plan.patterns, steps, plan.variables, plan.planned_size)
+        for steps in (plan.steps[:1], plan.steps[1:])
+    )
+    rows = execute_encoded(graph, head, [{}])
+    for start in range(0, len(rows), BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        if decode:
+            yield execute_plan(graph, rest, encoded_seeds=block)
+        else:
+            yield execute_encoded(graph, rest, block)
+
+
 def execute_plan(
     graph: Graph,
     plan: QueryPlan,
     bindings: Sequence[Binding] | None = None,
     step_counters: list[int] | None = None,
+    encoded_seeds: list[dict] | None = None,
 ) -> list[Binding]:
-    """Execute a plan over term-level seeds; return term-level bindings."""
+    """Execute a plan over term-level seeds; return term-level bindings.
+
+    ``encoded_seeds`` hands in already-encoded partial solutions instead
+    (the blocks of :func:`solution_blocks`).
+    """
     lookup = graph.dictionary.lookup
     seeds: list[dict] = []
-    if bindings:
+    if encoded_seeds is not None:
+        seeds = encoded_seeds
+    elif bindings:
         for seed in bindings:
             encoded: dict = {}
             carry: dict = {}

@@ -165,6 +165,7 @@ def select(
     variables: Sequence[Variable],
     patterns: Sequence[TriplePattern],
     distinct: bool = True,
+    limit: int | None = None,
 ) -> list[tuple[Term, ...]]:
     """SPARQL-SELECT-like projection of BGP solutions onto ``variables``.
 
@@ -172,6 +173,10 @@ def select(
     pattern can bind would otherwise KeyError on the first solution).
     An empty BGP has exactly one (empty) solution, so
     ``select(graph, [], [])`` returns ``[()]``.
+
+    ``limit`` keeps the first ``limit`` (distinct) rows in evaluation
+    order — an arbitrary but valid subset of the full answer — and stops
+    joining and decoding once it has them.
     """
     pattern_variables: set[Variable] = set()
     for pattern in patterns:
@@ -180,36 +185,54 @@ def select(
     if unbound:
         names = ", ".join(f"?{v.name}" for v in unbound)
         raise ValueError(f"projected variables not bound by any pattern: {names}")
-    rows = [
-        tuple(solution[variable] for variable in variables)
-        for solution in solve(graph, patterns)
-    ]
-    if distinct:
-        seen: set[tuple[Term, ...]] = set()
-        unique_rows = []
-        for row in rows:
-            if row not in seen:
+    rows: list[tuple[Term, ...]] = []
+    seen: set[tuple[Term, ...]] = set()
+    for block in _solution_blocks(graph, patterns, limit):
+        for solution in block:
+            row = tuple(solution[variable] for variable in variables)
+            if distinct:
+                if row in seen:
+                    continue
                 seen.add(row)
-                unique_rows.append(row)
-        return unique_rows
+            rows.append(row)
+            if len(rows) == limit:
+                return rows
     return rows
 
 
+def _solution_blocks(graph: Graph, patterns: Sequence[TriplePattern], limit: int | None):
+    """All solutions as one eager block, or lazy blocks under a ``limit``."""
+    if limit is None:
+        return (solve(graph, patterns),)
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    from .planner import solution_blocks  # lazy: planner imports this module
+
+    return solution_blocks(graph, patterns)
+
+
 def ask(graph: Graph, patterns: Sequence[TriplePattern]) -> bool:
-    """SPARQL-ASK: does at least one solution exist?"""
-    return bool(solve(graph, patterns))
+    """SPARQL-ASK: does at least one solution exist?
+
+    Stops at the first solution and never decodes one.
+    """
+    from .planner import solution_blocks  # lazy: planner imports this module
+
+    return any(solution_blocks(graph, patterns, decode=False))
 
 
 def construct(
     graph: Graph,
     template: Sequence[TriplePattern],
     patterns: Sequence[TriplePattern],
+    limit: int | None = None,
 ) -> list[Triple]:
     """SPARQL-CONSTRUCT: instantiate ``template`` for every solution.
 
     Every template variable must be bound by the body ``patterns``; a
     variable the body can never bind would silently drop template
     triples (or worse, emit malformed ones), so it raises instead.
+    ``limit`` stops after that many distinct triples (see :func:`select`).
     """
     body_variables: set[Variable] = set()
     for pattern in patterns:
@@ -225,11 +248,14 @@ def construct(
         raise ValueError(f"template variables never bound by the body: {names}")
     results: list[Triple] = []
     seen: set[Triple] = set()
-    for solution in solve(graph, patterns):
-        for pattern in template:
-            subject, predicate, obj = _substitute(pattern, solution)
-            triple = Triple(subject, predicate, obj)
-            if triple not in seen:
-                seen.add(triple)
-                results.append(triple)
+    for block in _solution_blocks(graph, patterns, limit):
+        for solution in block:
+            for pattern in template:
+                subject, predicate, obj = _substitute(pattern, solution)
+                triple = Triple(subject, predicate, obj)
+                if triple not in seen:
+                    seen.add(triple)
+                    results.append(triple)
+                    if len(results) == limit:
+                        return results
     return results

@@ -173,6 +173,35 @@ class TestDebugTraces:
         status, _, _ = request(client, "GET", "/debug/traces?limit=0")
         assert status == 400
 
+    def test_view_advance_span_and_metrics(self, client):
+        """The read image's advance is a child span of the commit that
+        caused it, and feeds the ``slider_views_*`` families."""
+        status, _, _ = request(
+            client, "POST", "/apply", schema_body(),
+            headers={"X-Trace-Id": "view-trace-7"},
+        )
+        assert status == 200
+        _, _, body = request(client, "GET", "/debug/traces?trace_id=view-trace-7")
+        spans = [json.loads(line) for line in body.decode().splitlines()]
+        (advance,) = [span for span in spans if span["name"] == "view.advance"]
+        (commit,) = [span for span in spans if span["name"] == "commit"]
+        assert advance["parent_id"] == commit["span_id"]
+        attrs = advance["attrs"]
+        assert attrs["delta"] == 3  # two asserted + one inferred triple
+        assert attrs["overlay"] == 3 and attrs["rebased"] is False
+        assert 0 < attrs["entries"] < 64
+        _, _, body = request(client, "GET", "/metrics")
+        families = validate_exposition(body.decode("utf-8"))
+        advances = [
+            value
+            for name, _, value in families["slider_views_advance_seconds"]["samples"]
+            if name.endswith("_count")
+        ]
+        assert advances and advances[0] >= 1
+        ((_, _, overlay),) = families["slider_views_overlay_triples"]["samples"]
+        assert overlay == 3
+        assert families["slider_views_rebases_total"]["type"] == "counter"
+
 
 class TestSlowQueryLog:
     def test_slow_select_is_logged_with_breakdown_and_explain(self, server, client):

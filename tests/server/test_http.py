@@ -14,6 +14,7 @@ import pytest
 
 from repro.rdf import RDF, RDFS
 from repro.server import ReasoningService, serve
+from repro.store.planner.executor import BLOCK_ROWS
 
 from ..conftest import EX
 
@@ -170,6 +171,133 @@ class TestReadEndpoints:
         assert status == 404
         status, health = get(client, "/healthz")  # same connection
         assert status == 200 and health["ok"] is True
+
+
+class TestLimitPushdown:
+    """``/select?limit=k`` keeps exactly ``min(k, distinct projected rows)``
+    rows of the unlimited answer; ``/ask`` agrees with the reference
+    evaluator — over a join whose first step spans several blocks, read
+    through a view with a non-empty overlay."""
+
+    PEOPLE = 3 * BLOCK_ROWS + 5
+
+    @pytest.fixture()
+    def social(self, server, client):
+        post(client, "/apply", {"assert": [f"{EX.Person.n3()} {SUBCLASS} {EX.Agent.n3()}"]})
+        for start in range(0, self.PEOPLE, 50):  # several commits: an overlay
+            lines = []
+            for i in range(start, min(start + 50, self.PEOPLE)):
+                lines.append(f"{EX[f'p{i}'].n3()} {RDF_TYPE} {EX.Person.n3()}")
+                for other in ((i + 1) % self.PEOPLE, (i * 7 + 3) % self.PEOPLE):
+                    lines.append(f"{EX[f'p{i}'].n3()} {EX.knows.n3()} {EX[f'p{other}'].n3()}")
+            assert post(client, "/apply", {"assert": lines})[0] == 200
+        assert server.service.view()._pso, "reads must go through the overlay"
+        return quote(f"?x {RDF_TYPE} {EX.Agent.n3()} . ?x {EX.knows.n3()} ?y", safe="")
+
+    @pytest.mark.parametrize(
+        "limit", (1, 25, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3)
+    )
+    def test_select_limit_rows(self, client, social, limit):
+        _, full = get(client, f"/select?query={social}")
+        everything = {tuple(row) for row in full["rows"]}
+        assert len(everything) == len(full["rows"]) > 2 * BLOCK_ROWS + 3
+        status, out = get(client, f"/select?query={social}&limit={limit}")
+        assert status == 200
+        rows = [tuple(row) for row in out["rows"]]
+        assert len(rows) == min(limit, len(everything))
+        assert len(set(rows)) == len(rows) and set(rows) <= everything
+        # Projected on ?x the duplicates collapse: the limit counts people.
+        status, out = get(client, f"/select?query={social}&var=x&limit={limit}")
+        people = [row[0] for row in out["rows"]]
+        assert out["variables"] == ["x"]
+        assert len(people) == len(set(people)) == min(limit, self.PEOPLE)
+        assert {(person,) for person in people} <= {(x,) for x, _ in everything}
+
+    def test_construct_limit(self, client, social):
+        template = quote(f"?y {EX.knownBy.n3()} ?x", safe="")
+        status, out = get(
+            client, f"/construct?template={template}&query={social}&limit={BLOCK_ROWS + 2}"
+        )
+        assert status == 200 and out["count"] == BLOCK_ROWS + 2
+        assert len(set(out["triples"])) == BLOCK_ROWS + 2
+
+    def test_ask_matches_reference_evaluator(self, server, client, social):
+        from repro.server.wire import parse_patterns
+        from repro.store import solve_naive
+
+        graph = server.service.graph()
+        for text in (
+            f"?x {RDF_TYPE} {EX.Agent.n3()} . ?x {EX.knows.n3()} ?y",
+            f"{EX.p3.n3()} {EX.knows.n3()} {EX.p4.n3()}",
+            f"{EX.p3.n3()} {EX.knows.n3()} {EX.p5.n3()}",
+            f"?x {EX.knows.n3()} ?x",
+            f"?x {RDF_TYPE} {EX.Robot.n3()} . ?x {EX.knows.n3()} ?y",
+            f"?x {EX.knows.n3()} ?y . ?y {EX.knows.n3()} ?z . ?z {EX.knows.n3()} ?x",
+        ):
+            expected = bool(solve_naive(graph, parse_patterns(text)))
+            status, out = get(client, f"/ask?query={quote(text, safe='')}")
+            assert status == 200 and out["result"] is expected, text
+
+
+class _RecordedWrites(list):
+    """A ``wfile`` that records each write (= each ``sendall``)."""
+
+    def write(self, data):
+        self.append(bytes(data))
+
+    def flush(self):
+        pass
+
+
+class TestOneWritePerReply:
+    """Status line, headers and body of a JSON reply leave in one write."""
+
+    def _handler(self):
+        from types import SimpleNamespace
+
+        from repro.server.http import _Handler
+
+        handler = _Handler.__new__(_Handler)
+        handler.server = SimpleNamespace(verbose=False)
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /x HTTP/1.1"
+        handler.wfile = _RecordedWrites()
+        handler._trace_id = "t-1"
+        return handler
+
+    @staticmethod
+    def _parse(reply: bytes):
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        return status, headers, body
+
+    def test_send_json(self):
+        handler = self._handler()
+        handler._send_json({"rows": [["a"], ["b"]]}, status=200)
+        assert len(handler.wfile) == 1
+        status, headers, body = self._parse(handler.wfile[0])
+        assert status.startswith("HTTP/1.1 200")
+        assert json.loads(body) == {"rows": [["a"], ["b"]]}
+        assert int(headers["Content-Length"]) == len(body)
+        assert headers["Content-Type"] == "application/json"
+        assert headers["X-Trace-Id"] == "t-1"
+
+    def test_send_error_json(self):
+        handler = self._handler()
+        handler._send_error_json(429, "slow down", retry_after=0.2)
+        assert len(handler.wfile) == 1
+        status, headers, body = self._parse(handler.wfile[0])
+        assert status.startswith("HTTP/1.1 429")
+        assert headers["Retry-After"] == "1"
+        assert int(headers["Content-Length"]) == len(body)
+        assert json.loads(body) == {"error": "slow down", "retry_after": 0.2}
+
+    def test_replies_stay_well_framed_on_keep_alive(self, client):
+        """Back-to-back requests on one connection parse cleanly."""
+        for _ in range(3):
+            assert get(client, "/healthz")[0] == 200
+            assert get(client, "/nope")[0] == 404
 
 
 class TestApplyEndpoint:

@@ -35,6 +35,16 @@ class TestConstruction:
             with pytest.raises(ClusterError, match="cannot be sharded"):
                 ShardedReasoner(fragment=fragment, shards=2)
 
+    def test_owl_horst_refusal_names_the_real_obstacle(self):
+        """The reason is prp-trp's instance-instance join across shards —
+        not a transitivity registry outside the store (there is none)."""
+        with pytest.raises(ClusterError) as refusal:
+            ShardedReasoner(fragment="owl-horst", shards=2)
+        message = str(refusal.value)
+        assert "prp-trp joins two instance triples" in message
+        assert "not their routing key" in message
+        assert "outside the store" not in message
+
     def test_store_instances_rejected(self):
         with pytest.raises(ClusterError, match="spec"):
             ShardedReasoner(shards=2, store=create_store("hashdict"))
