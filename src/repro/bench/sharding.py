@@ -61,7 +61,8 @@ def storage_latency(seconds: float):
 
     Process-wide (the class method is swapped), so every engine built
     inside the context pays the same floor — single-node and sharded
-    configurations are handicapped identically.
+    configurations are handicapped identically; a cluster's own
+    ``cluster.wal`` append pays it too, once per global commit.
     """
     if seconds <= 0:
         yield

@@ -281,10 +281,11 @@ def _print_recovery(reasoner: Slider) -> None:
         return
     if hasattr(info, "revision_vector"):  # cluster recovery
         vector = ",".join(str(r) for r in info.revision_vector)
-        torn = ", torn manifest reconciled" if info.torn else ""
+        torn = ", shards ahead of the cluster log reconciled" if info.torn else ""
         print(
             f"recovered global revision {info.recovered_revision} "
-            f"across {info.shards} shards (revision vector [{vector}]{torn})"
+            f"across {info.shards} shards (revision vector [{vector}], "
+            f"replayed {info.replayed_records} cluster log records{torn})"
         )
         return
     torn = f", dropped {info.torn_bytes_dropped} torn bytes" if info.torn_bytes_dropped else ""

@@ -218,6 +218,10 @@ SHARDING_COMMITS = REGISTRY.counter(
     "slider_sharding_commits_total",
     "Global sharded commits merged.",
 )
+SHARDING_CHECKPOINTS = REGISTRY.counter(
+    "slider_sharding_checkpoints_total",
+    "cluster.json checkpoints written (the cluster log truncated after each).",
+)
 
 # -- tenancy ------------------------------------------------------------
 TENANCY_ADMITTED = REGISTRY.counter(

@@ -13,7 +13,8 @@ restarts; this package makes the engine a *restartable* system:
   stream no code writes any more;
 * :mod:`~repro.persist.journal` — an append-only write-ahead changelog
   of committed deltas, fsynced before ``apply()`` returns, with a
-  torn-tail-tolerant reader;
+  torn-tail-tolerant reader; the same writer keeps a sharded cluster's
+  ``cluster.wal`` of global commits (:data:`CLUSTER_LOG`);
 * :mod:`~repro.persist.manager` — the :class:`PersistenceManager`
   wiring both into the recovery / compaction lifecycle;
 * :mod:`~repro.persist.format` — the shared byte-level encoding and
@@ -29,11 +30,14 @@ Enable it with ``Slider(persist_dir="state/")``; see the README's
 from .columnar import ColumnarSnapshot, encode_columnar_snapshot
 from .format import FormatError, atomic_write
 from .journal import (
+    CLUSTER_LOG,
     JOURNAL_MAGIC,
+    ClusterRecord,
     JournalError,
     JournalRecord,
     JournalWriter,
     read_journal,
+    recover_journal,
 )
 from .manager import (
     DEFAULT_COMPACT_BYTES,
@@ -64,9 +68,12 @@ __all__ = [
     "image_revision",
     "atomic_write",
     "JournalRecord",
+    "ClusterRecord",
     "JournalWriter",
     "JournalError",
     "read_journal",
+    "recover_journal",
+    "CLUSTER_LOG",
     "FormatError",
     "SNAPSHOT_FILENAME",
     "JOURNAL_FILENAME",

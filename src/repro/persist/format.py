@@ -15,7 +15,9 @@ Both durable artifacts are built from the same three layers:
 
 Beside them sits :func:`atomic_write`, the one tmp → fsync → rename →
 directory-fsync file replacement every durable whole-file artifact
-(snapshot image, ``cluster.json``, ``tenants.json``) goes through.
+(snapshot image, a sharded cluster's ``cluster.json`` checkpoint,
+``tenants.json``) goes through.  None of them is rewritten per commit:
+a commit's durability is one appended, fsynced log record.
 
 Everything here is pure byte manipulation — no engine types beyond the
 term classes — so the on-disk format is testable in isolation and the

@@ -34,7 +34,7 @@ from ..obs import instruments as _obs
 from ..rdf.terms import Term, Triple
 from .columnar import encode_columnar_snapshot
 from .format import atomic_write
-from .journal import JournalRecord, JournalWriter, read_journal
+from .journal import JournalRecord, JournalWriter, recover_journal
 from .snapshot import Snapshot, load_snapshot
 
 __all__ = [
@@ -130,14 +130,9 @@ class PersistenceManager:
         if self.snapshot_path.exists():
             snapshot = load_snapshot(self.snapshot_path)
             self.last_snapshot_revision = snapshot.revision
-        records: list[JournalRecord] = []
-        if self.journal_path.exists():
-            records, durable, self.journal_fragment = read_journal(self.journal_path)
-            actual = self.journal_path.stat().st_size
-            if durable < actual:
-                self.torn_bytes_dropped = actual - durable
-                with open(self.journal_path, "r+b") as handle:
-                    handle.truncate(durable)
+        records, self.torn_bytes_dropped, self.journal_fragment = recover_journal(
+            self.journal_path
+        )
         if snapshot is not None:
             records = [r for r in records if r.revision > snapshot.revision]
         return snapshot, records

@@ -22,6 +22,7 @@ Entry points:
 """
 
 from .cluster import (
+    CLUSTER_LOG_FILENAME,
     CLUSTER_META_FILENAME,
     ClusterError,
     ClusterRecoveryInfo,
@@ -40,6 +41,7 @@ from .router import (
 
 __all__ = [
     "BROADCAST",
+    "CLUSTER_LOG_FILENAME",
     "CLUSTER_META_FILENAME",
     "ClusterError",
     "ClusterRecoveryInfo",

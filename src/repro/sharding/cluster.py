@@ -37,10 +37,28 @@ How a commit works
    commits exactly one monotonic global revision whose
    :class:`~repro.reasoner.delta.InferenceReport` is the exact global
    store diff, classified explicit/inferred against the *user's* net
-   assertions.  Commit listeners (the change feed) receive the net
-   user-level delta — a follower replaying it through a single-node
-   engine reaches the identical closure at the identical revision,
-   which is exactly the equivalence the differential harness enforces.
+   assertions.  A durable cluster appends one fsynced
+   :class:`~repro.persist.journal.ClusterRecord` — revision, revision
+   vector, net user delta — to ``cluster.wal`` before anyone hears of
+   the commit, so its durable cost is O(|net delta|), independent of
+   how much the user has asserted.  Commit listeners (the change feed)
+   receive the same net user-level delta — a follower replaying it
+   through a single-node engine reaches the identical closure at the
+   identical revision, which is exactly the equivalence the
+   differential harness enforces.
+
+Durable layout
+--------------
+
+``cluster.json`` is a *checkpoint* of the user-level state (topology,
+revision, revision vector, explicit set), written at the first global
+commit of a process, whenever ``cluster.wal`` outgrows
+``DEFAULT_COMPACT_BYTES`` and at :meth:`ShardedReasoner.close`: the
+manifest is replaced atomically first, then the log is truncated —
+the order of :meth:`PersistenceManager.write_snapshot
+<repro.persist.manager.PersistenceManager.write_snapshot>`.  Recovery
+reads the manifest and replays the log records newer than it; each
+shard recovers from its own ``shard-NN/`` directory.
 
 Determinism: with the default ``workers=0`` shard engines, routing,
 stream order, merge order, and forward rounds are all deterministic, so
@@ -69,6 +87,8 @@ from ..dictionary.encoder import EncodedTriple, TermDictionary
 from ..obs import TRACER, instruments as _obs
 from ..persist.columnar import encode_columnar_snapshot
 from ..persist.format import atomic_write
+from ..persist.journal import CLUSTER_LOG, ClusterRecord, JournalWriter, recover_journal
+from ..persist.manager import DEFAULT_COMPACT_BYTES
 from ..rdf.terms import Triple
 from ..reasoner.delta import Delta, InferenceReport, net_deltas
 from ..reasoner.engine import Slider
@@ -83,6 +103,7 @@ __all__ = [
     "ClusterError",
     "SUPPORTED_FRAGMENTS",
     "CLUSTER_META_FILENAME",
+    "CLUSTER_LOG_FILENAME",
 ]
 
 #: Fragments whose rule shape (instance patterns joined through schema
@@ -90,6 +111,7 @@ __all__ = [
 SUPPORTED_FRAGMENTS = frozenset(("rhodf", "rdfs"))
 
 CLUSTER_META_FILENAME = "cluster.json"
+CLUSTER_LOG_FILENAME = "cluster.wal"
 
 #: Safety valve for the forward fixpoint; the supported fragments
 #: converge in a handful of rounds (bounded by rule chain depth), so
@@ -110,6 +132,7 @@ class ClusterRecoveryInfo:
         "revision_vector",
         "saved_revision_vector",
         "torn",
+        "replayed_records",
         "per_shard",
     )
 
@@ -120,6 +143,7 @@ class ClusterRecoveryInfo:
         revision_vector: list[int],
         saved_revision_vector: list[int] | None,
         torn: bool,
+        replayed_records: int,
         per_shard: list[dict | None],
     ):
         self.shards = shards
@@ -127,11 +151,15 @@ class ClusterRecoveryInfo:
         self.revision_vector = revision_vector
         self.saved_revision_vector = saved_revision_vector
         #: True when the shard WALs are ahead of (or missing from) the
-        #: last recorded global commit — a crash between the shard
-        #: commits and the cluster manifest write.  The reassembled
-        #: state is the shards' durable truth; the next global commit
-        #: re-records the vector.
+        #: last durable cluster record — a crash after the shard
+        #: sub-commits but before the commit's ``cluster.wal`` record
+        #: was on disk (such a commit was never acknowledged).  The
+        #: reassembled closure is the shards' durable truth; the next
+        #: global commit re-records the vector.
         self.torn = torn
+        #: ``cluster.wal`` records newer than ``cluster.json`` that
+        #: recovery replayed on top of it.
+        self.replayed_records = replayed_records
         self.per_shard = per_shard
 
     @property
@@ -151,13 +179,15 @@ class ClusterRecoveryInfo:
                 else None
             ),
             "torn": self.torn,
+            "replayed_records": self.replayed_records,
             "per_shard": self.per_shard,
         }
 
     def __repr__(self):
         return (
             f"<ClusterRecoveryInfo revision={self.revision} "
-            f"vector={self.revision_vector} torn={self.torn}>"
+            f"vector={self.revision_vector} torn={self.torn} "
+            f"replayed={self.replayed_records}>"
         )
 
 
@@ -228,6 +258,12 @@ class ShardedReasoner:
             "rounds": 0,
         }
         self.recovery: ClusterRecoveryInfo | None = None
+        #: ``cluster.wal``'s writer (opened at the first durable commit).
+        self._log: JournalWriter | None = None
+        #: Log records newer than ``cluster.json`` (what a checkpoint folds).
+        self._unfolded = 0
+        #: Whether this process has written ``cluster.json`` yet.
+        self._checkpointed = False
 
         meta: dict | None = None
         if self._root is not None:
@@ -277,18 +313,22 @@ class ShardedReasoner:
         return meta
 
     def _recover(self, meta: dict | None) -> None:
-        """Reassemble global state from the per-shard durable layouts."""
+        """Reassemble global state from the per-shard durable layouts,
+        the ``cluster.json`` checkpoint and the ``cluster.wal`` tail."""
+        records, _, _ = recover_journal(
+            self._root / CLUSTER_LOG_FILENAME, CLUSTER_LOG
+        )
         actual_vector = [engine.revision for engine in self.engines]
-        if meta is None and not any(actual_vector):
+        if meta is None and not records and not any(actual_vector):
             return  # fresh directory, nothing to reassemble
 
         # Rebuild holders + the cluster dictionary/store by scanning the
         # shard stores in index order (shard-local id order within each:
         # deterministic, because shard recovery itself is).
+        encode = self.dictionary.encode_triple
         for index, engine in enumerate(self.engines):
             bit = 1 << index
             decode = engine.dictionary.decode_triple
-            encode = self.dictionary.encode_triple
             for local in sorted(engine.store):
                 encoded = encode(decode(local))
                 mask = self._holders.get(encoded, 0)
@@ -297,23 +337,34 @@ class ShardedReasoner:
                 self._holders[encoded] = mask | bit
 
         saved_vector = None
-        torn = False
-        if meta is not None:
-            self._revision = int(meta["revision"])
-            saved_vector = [int(r) for r in meta["revision_vector"]]
-            torn = saved_vector != actual_vector
-            from ..server.wire import parse_statements
+        if meta is not None or records:
+            # Log records without a manifest: the directory's first
+            # global commit died between its record and its checkpoint,
+            # so the log starts from the empty state at revision 0.
+            if meta is not None:
+                self._revision = int(meta["revision"])
+                saved_vector = [int(r) for r in meta["revision_vector"]]
+                from ..server.wire import parse_statements
 
-            encode = self.dictionary.encode_triple
-            self._explicit = {encode(t) for t in parse_statements(meta["explicit"])}
+                self._explicit = {encode(t) for t in parse_statements(meta["explicit"])}
+            for record in records:
+                if record.revision <= self._revision:
+                    continue  # already folded into the checkpoint
+                for triple in record.retractions:
+                    self._explicit.discard(encode(triple))
+                self._explicit.update(encode(t) for t in record.assertions)
+                self._revision = record.revision
+                saved_vector = list(record.vector)
+                self._unfolded += 1
+            torn = saved_vector != actual_vector
         else:
-            # Shards carry state but the manifest never landed: a crash
-            # inside the very first global commit.  The shards' durable
-            # union is the truth; approximate the user-asserted registry
-            # by per-shard explicitness.
+            # Shards carry state but no cluster record ever landed: a
+            # crash inside the very first global commit (in a directory
+            # built by an older release: before its manifest write).  The
+            # shards' durable union is the truth; approximate the
+            # user-asserted registry by per-shard explicitness.
             torn = True
             self._revision = max(actual_vector)
-            encode = self.dictionary.encode_triple
             for engine in self.engines:
                 decode = engine.dictionary.decode_triple
                 for local in sorted(engine.input_manager.explicit):
@@ -325,6 +376,7 @@ class ShardedReasoner:
             revision_vector=actual_vector,
             saved_revision_vector=saved_vector,
             torn=torn,
+            replayed_records=self._unfolded,
             per_shard=[
                 engine.recovery.as_dict() if engine.recovery is not None else None
                 for engine in self.engines
@@ -347,9 +399,34 @@ class ShardedReasoner:
                     "directory and reload"
                 )
 
-    def _write_meta(self) -> None:
+    def _cluster_log(self) -> JournalWriter:
+        if self._log is None:
+            self._log = JournalWriter(
+                self._root / CLUSTER_LOG_FILENAME,
+                fsync=self._persist_fsync,
+                fragment=self.fragment.name,
+                codec=CLUSTER_LOG,
+            )
+        return self._log
+
+    def _log_commit(self, assertions, retractions) -> None:
+        """Make the global commit just merged durable: one fsynced
+        ``cluster.wal`` record, then a checkpoint when one is due."""
         if self._root is None:
             return
+        log = self._cluster_log()
+        log.append(
+            ClusterRecord(self._revision, self.revision_vector, assertions, retractions)
+        )
+        self._unfolded += 1
+        if not self._checkpointed or log.size >= DEFAULT_COMPACT_BYTES:
+            self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        """Fold the log into ``cluster.json``: the manifest is replaced
+        atomically *first*, then the log is truncated — a crash between
+        the two leaves only records at or below the manifest's revision,
+        which recovery skips."""
         decode = self.dictionary.decode_triple
         payload = {
             "format": 1,
@@ -366,6 +443,11 @@ class ShardedReasoner:
             json.dumps(payload).encode("utf-8"),
             fsync=self._persist_fsync,
         )
+        self._cluster_log().reset()
+        self._unfolded = 0
+        self._checkpointed = True
+        if _obs.REGISTRY.enabled:
+            _obs.SHARDING_CHECKPOINTS.inc()
 
     # --- the commit pipeline ------------------------------------------------
     def apply(self, delta: Delta) -> InferenceReport:
@@ -455,7 +537,7 @@ class ShardedReasoner:
                 _obs.SHARDING_FIXPOINT_ROUNDS.observe(rounds)
                 vector = [engine.revision for engine in self.engines]
                 _obs.SHARDING_REVISION_SKEW.set(max(vector) - min(vector))
-            self._write_meta()
+            self._log_commit(net.assertions, net.retractions)
             self._fire_commit(net.assertions, net.retractions)
             self._notify_subscribers(report)
             return report
@@ -743,7 +825,15 @@ class ShardedReasoner:
 
     @property
     def persistence(self):
-        """No single WAL spans the cluster — the feed stays ring-only."""
+        """``None``: the change feed stays ring-only.
+
+        ``cluster.wal`` does hold every global commit's net delta, but
+        only until the next checkpoint — at least once per process (its
+        first commit) — so it is no retained history a lagging follower
+        could resume from; the feed's WAL fallback needs a journal whose
+        compaction floor it can check.  A follower behind the ring
+        re-bootstraps from ``/snapshot``.
+        """
         return None
 
     def cluster_stats(self) -> dict:
@@ -786,14 +876,19 @@ class ShardedReasoner:
 
     # --- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Flush staged deltas, stop the pool, close every shard engine."""
+        """Flush staged deltas, checkpoint the cluster log, stop the
+        pool, close every shard engine."""
         with self._lock:
             if self._closed:
                 return
             if self._staged:
                 self.apply_many([])
+            if self._unfolded:
+                self._checkpoint()
             self._closed = True
         self._pool.shutdown(wait=True)
+        if self._log is not None:
+            self._log.close()
         for engine in self.engines:
             engine.close()
 

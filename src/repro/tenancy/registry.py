@@ -6,11 +6,12 @@ dedicated engine, and every admission decision — write rate, triple
 count, standing-query count, queue depth — is taken against the
 tenant's :class:`TenantQuota`.
 
-The registry mirrors the sharding layer's ``cluster.json`` precedent:
-a single JSON document, written through the same atomic writer
-(:func:`~repro.persist.format.atomic_write`), re-loadable
-by the CLI and the server so that a restart serves the same tenant set
-with the same limits.
+The registry is a single JSON document, written through the atomic
+writer every whole-file artifact uses
+(:func:`~repro.persist.format.atomic_write`) at start-up and when the
+tenant set or a quota changes — never per commit — re-loadable by the CLI and
+the server so that a restart serves the same tenant set with the same
+limits.
 """
 
 from __future__ import annotations

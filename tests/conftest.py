@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,6 +38,45 @@ def fsynced(monkeypatch):
 
     monkeypatch.setattr(os, "fsync", recording_fsync)
     return lambda path: any(os.path.samestat(os.stat(path), seen) for seen in log)
+
+
+class _CountingFile:
+    """A file handle that adds every written byte to ``counts[name]``."""
+
+    def __init__(self, handle, name: str, counts: Counter):
+        self._handle, self._name, self._counts = handle, name, counts
+
+    def write(self, data) -> int:
+        self._counts[self._name] += len(data)
+        return self._handle.write(data)
+
+    def __getattr__(self, attribute):
+        return getattr(self._handle, attribute)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+
+@pytest.fixture
+def bytes_written(monkeypatch):
+    """Bytes the persistence layer has written so far, per file name
+    (a ``Counter``; atomic replacements count under their ``.tmp`` name).
+    Wraps every file ``repro.persist`` opens from the start of the test,
+    so long-lived handles such as a log writer's are counted too."""
+    from repro.persist import format as persist_format, journal as persist_journal
+
+    counts: Counter = Counter()
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        return _CountingFile(handle, os.path.basename(path), counts)
+
+    for module in (persist_format, persist_journal):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    return counts
 
 
 def make_chain(n: int) -> list[Triple]:

@@ -9,11 +9,14 @@ import pytest
 
 from repro import Slider
 from repro.persist import (
+    CLUSTER_LOG,
     JOURNAL_MAGIC,
+    ClusterRecord,
     JournalError,
     JournalRecord,
     JournalWriter,
     read_journal,
+    recover_journal,
 )
 from repro.rdf import Literal, RDF, Triple
 
@@ -149,6 +152,18 @@ class TestCrashInjection:
         records, durable, fragment = read_journal(path)
         assert records == [] and durable == 0 and fragment is None
 
+    def test_recover_journal_cuts_the_torn_tail_off_the_file(self, tmp_path):
+        path = tmp_path / "changelog.wal"
+        written = write_records(path, 3)
+        intact = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(written[0].encode()[:-2])
+        records, dropped, fragment = recover_journal(path)
+        assert_records_equal(records, written)
+        assert dropped == len(written[0].encode()) - 2 and fragment == ""
+        assert path.stat().st_size == intact
+        assert recover_journal(tmp_path / "absent.wal") == ([], 0, None)
+
     def test_engine_recovery_truncates_torn_tail(self, tmp_path):
         """End to end: a torn last record is dropped by Slider start-up
         and the journal is physically truncated for clean appends."""
@@ -168,3 +183,34 @@ class TestCrashInjection:
             r.materialize([typed(7)])
         with Slider(fragment="rhodf", workers=0, timeout=None, persist_dir=state) as r:
             assert set(r.graph) >= survivors | {typed(7)}
+
+
+class TestClusterLog:
+    """The same writer and reader under the cluster log's codec."""
+
+    def test_records_round_trip(self, tmp_path):
+        path = tmp_path / "cluster.wal"
+        written = [
+            ClusterRecord(1, [1, 0], [typed(1), typed(2)]),
+            ClusterRecord(2, [1, 1]),
+            ClusterRecord(3, [3, 1], [typed(3)], [typed(1)]),
+        ]
+        with JournalWriter(path, fragment="rdfs", codec=CLUSTER_LOG) as writer:
+            for record in written:
+                writer.append(record)
+        records, durable, fragment = read_journal(path, CLUSTER_LOG)
+        assert path.read_bytes().startswith(CLUSTER_LOG.magic)
+        assert durable == path.stat().st_size and fragment == "rdfs"
+        assert [(r.revision, r.vector, r.assertions, r.retractions) for r in records] == [
+            (r.revision, r.vector, r.assertions, r.retractions) for r in written
+        ]
+
+    def test_each_reader_refuses_the_other_log(self, tmp_path):
+        changelog, cluster_log = tmp_path / "changelog.wal", tmp_path / "cluster.wal"
+        write_records(changelog, 1)
+        with JournalWriter(cluster_log, codec=CLUSTER_LOG) as writer:
+            writer.append(ClusterRecord(1, [1]))
+        with pytest.raises(JournalError, match="not a Slider changelog"):
+            read_journal(cluster_log)
+        with pytest.raises(JournalError, match="not a Slider cluster log"):
+            read_journal(changelog, CLUSTER_LOG)

@@ -7,17 +7,45 @@ surface the cluster's topology in ``stats()`` (and therefore /stats,
 /healthz).
 """
 
+import json
 import threading
+from http.client import HTTPConnection
 
 import pytest
 
 from repro import Slider, Triple, Variable
-from repro.obs import TRACER
+from repro.obs import TRACER, validate_exposition
 from repro.rdf import RDF, RDFS
-from repro.sharding import ShardedReasoner
-from repro.server import ReasoningService
+from repro.sharding import CLUSTER_LOG_FILENAME, ShardedReasoner
+from repro.server import ReasoningService, serve
 
 from ..conftest import EX, small_ontology
+from .test_cluster import kill_cluster
+
+
+def call(port, method, path, body=None):
+    """One request on its own connection: ``(status, decoded body)``."""
+    conn = HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, None if body is None else json.dumps(body))
+        response = conn.getresponse()
+        payload = response.read()
+        if response.getheader("Content-Type", "").startswith("application/json"):
+            payload = json.loads(payload)
+        return response.status, payload
+    finally:
+        conn.close()
+
+
+def scrape(port) -> dict[str, float]:
+    """``/metrics``, validated, summed by sample name."""
+    status, body = call(port, "GET", "/metrics")
+    assert status == 200
+    totals: dict[str, float] = {}
+    for family in validate_exposition(body.decode("utf-8")).values():
+        for name, _labels, value in family["samples"]:
+            totals[name] = totals.get(name, 0.0) + value
+    return totals
 
 
 def drained_batch(service, trace_id):
@@ -176,3 +204,57 @@ class TestDurableService:
             stats = revived.stats()
             assert stats["recovery"]["revision"] == revision
             assert stats["recovery"]["shards"] == 2
+
+    def test_cluster_log_on_metrics_and_recovery_on_stats(self, tmp_path):
+        """A global commit's durable cost, read off ``/metrics``: its
+        shard WAL appends plus one ``cluster.wal`` record — bytes and
+        fsyncs — and no checkpoint; after a crash ``/stats`` says how
+        many log records recovery replayed."""
+        state = tmp_path / "cluster-state"
+        writes = [Triple(EX[f"s{i}"], EX.knows, EX[f"o{i}"]) for i in range(3)]
+
+        def wal_bytes() -> int:
+            logs = [state / CLUSTER_LOG_FILENAME, *state.glob("shard-*/changelog.wal")]
+            return sum(path.stat().st_size for path in logs)
+
+        service = ReasoningService(shards=2, fragment="rhodf", workers=0, persist_dir=state)
+        service.apply(small_ontology())  # schema broadcasts: every shard WAL exists
+        http_server, _thread = serve(service)
+        try:
+            before, vector = scrape(http_server.port), list(service.reasoner.revision_vector)
+            log_before, on_disk = (state / CLUSTER_LOG_FILENAME).stat().st_size, wal_bytes()
+            for triple in writes:
+                status, _ = call(http_server.port, "POST", "/apply", {"assert": [triple.n3()]})
+                assert status == 200
+            after = scrape(http_server.port)
+            sub_commits = sum(service.reasoner.revision_vector) - sum(vector)
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+            service.writes.close()
+            kill_cluster(service.reasoner)  # a crash: no close(), no checkpoint
+
+        def moved(name):
+            return after.get(name, 0.0) - before.get(name, 0.0)
+
+        assert (state / CLUSTER_LOG_FILENAME).stat().st_size > log_before
+        assert moved("slider_persist_wal_bytes_total") == wal_bytes() - on_disk
+        assert moved("slider_persist_fsync_seconds_count") == sub_commits + len(writes)
+        assert moved("slider_sharding_checkpoints_total") == 0
+
+        revived = ReasoningService(shards=2, fragment="rhodf", workers=0, persist_dir=state)
+        http_server, _thread = serve(revived)
+        try:
+            _, stats = call(http_server.port, "GET", "/stats")
+            # Every commit after the boot flush's checkpoint, warm-up included.
+            assert stats["recovery"]["replayed_records"] == 1 + len(writes)
+            assert stats["recovery"]["torn"] is False
+            # The boot flush is the revived cluster's first commit: it
+            # checkpoints (the registry is process-wide, hence the delta).
+            assert scrape(http_server.port)["slider_sharding_checkpoints_total"] == (
+                after["slider_sharding_checkpoints_total"] + 1
+            )
+        finally:
+            http_server.shutdown()
+            http_server.server_close()
+            revived.close()
