@@ -9,7 +9,8 @@ prefix          what it covers
 ``http``        per-endpoint/status request latency, in-flight, slow
                 queries
 ``coalescer``   write-queue depth, drain batch size, waiters
-``engine``      apply latency, per-rule-module time, DRed counters
+``engine``      apply latency, per-rule-module time, firings by path,
+                DRed counters
 ``views``       read-image advance latency, overlay size, re-bases
 ``persist``     WAL append + fsync latency, snapshot/compaction
 ``replication`` follower lag, bootstraps, feed truncations
@@ -127,6 +128,13 @@ ENGINE_RULE_SECONDS = REGISTRY.counter(
     "slider_engine_rule_seconds_total",
     "Cumulative time in each rule module (from InferenceReport.timings).",
     ("module",),
+)
+ENGINE_FIRINGS = REGISTRY.counter(
+    "slider_engine_firings_total",
+    "Rule-module firings by where they ran: inline (a buffer drained "
+    "below capacity by the commit, on the committing thread) or pool "
+    "(a full or stale buffer).",
+    ("path",),
 )
 ENGINE_DRED_DELETED = REGISTRY.counter(
     "slider_engine_dred_deleted_total",

@@ -10,8 +10,11 @@
   configured fragment,
 * a predicate routing table and the rules dependency graph
   (:mod:`~repro.reasoner.dependency`),
-* a thread pool executing rule-module instances (``workers=0`` selects a
-  deterministic inline executor for tests and single-threaded use),
+* a thread pool executing the rule-module instances of buffers that fill
+  (or go stale), while a buffer drained below capacity by the commit
+  barrier fires on the committing thread — so a small delta's whole
+  fixpoint never leaves the caller (``workers=0`` runs full buffers
+  through a deterministic inline executor too),
 * an optional timeout sweeper flushing stale buffers, and
 * an optional :class:`~repro.reasoner.trace.Trace` feeding the demo.
 
@@ -100,6 +103,10 @@ __all__ = ["Slider", "SliderError", "RecoveryInfo"]
 _CAUSE_SIZE = "size"
 _CAUSE_TIMEOUT = "timeout"
 _CAUSE_FLUSH = "flush"
+
+# Where a firing ran, resolved once: the counter ticks on every firing.
+_FIRINGS_INLINE = _obs.ENGINE_FIRINGS.labels("inline")
+_FIRINGS_POOL = _obs.ENGINE_FIRINGS.labels("pool")
 
 
 class SliderError(RuntimeError):
@@ -199,11 +206,15 @@ class Slider:
         ``"owl-horst"``) or a :class:`~repro.reasoner.fragments.Fragment`.
     buffer_size:
         Triples needed to fire a rule execution (paper demo parameter).
+        A full buffer fires in the thread pool; whatever is left below
+        capacity at the commit barrier fires on the committing thread.
     timeout:
-        Seconds of buffer inactivity before a forced flush; ``None``
-        disables the sweeper (an explicit :meth:`flush` still drains).
+        Seconds of buffer inactivity before a forced flush into the
+        thread pool; ``None`` disables the sweeper (an explicit
+        :meth:`flush` still drains, on the calling thread).
     workers:
-        Thread-pool size; ``0`` runs rule modules inline (deterministic).
+        Thread-pool size for full and stale buffers; ``0`` runs them
+        inline too (deterministic).
     trace:
         A :class:`~repro.reasoner.trace.Trace` to record events into, or
         ``None`` for no tracing.
@@ -921,7 +932,13 @@ class Slider:
                         return self._commit_revision()
 
     def _quiesce(self) -> None:
-        """Drain every buffer and wait for the fixpoint (no commit)."""
+        """Drain every buffer and wait for the fixpoint (no commit).
+
+        A drained batch is below its buffer's capacity by construction,
+        so it fires right here on the calling thread; only buffers that
+        fill meanwhile (:meth:`_deliver`) or go stale (the sweeper) hand
+        work to the pool, whose tasks each round waits for.
+        """
         if self.trace.enabled:
             self.trace.record("flush")
         while True:
@@ -930,7 +947,7 @@ class Slider:
                 batch = module.buffer.drain()
                 if batch:
                     fired = True
-                    self._schedule(index, batch, _CAUSE_FLUSH)
+                    self._run_module(index, batch, _CAUSE_FLUSH, pooled=False)
             self._wait_idle()
             self._raise_errors()
             if not fired and all(len(m.buffer) == 0 for m in self.modules):
@@ -1272,8 +1289,15 @@ class Slider:
         self._raise_errors()
 
     def _raise_errors(self) -> None:
-        if self._errors:
-            cause = self._errors[0]
+        errors = self._errors
+        if errors:
+            # Surfaced once: the call that sees a failed firing raises
+            # (its apply rolls back the staged journal delta) and the
+            # engine takes the next commit.  Slicing by the count read
+            # here keeps a failure appended concurrently for next time.
+            count = len(errors)
+            cause = errors[0]
+            del errors[:count]
             raise SliderError(f"rule module failed: {cause!r}") from cause
 
     def _dispatch(self, triples: Sequence[EncodedTriple]) -> None:
@@ -1292,15 +1316,20 @@ class Slider:
                         per_rule.setdefault(index, []).append(triple)
             for index, batch in per_rule.items():
                 self._deliver(index, batch)
-        has_predicate = self.store.has_predicate
+        activations = self._activation
         for index in self._universal:
-            activation = self._activation.get(index)
-            if activation is None or any(has_predicate(p) for p in activation):
-                self._deliver(index, triples)
-                continue
-            activating = [t for t in triples if t[1] in activation]
-            if activating:
-                self._deliver(index, activating)
+            activation = activations[index]
+            if activation is not None:
+                if not any(self.store.has_predicate(p) for p in activation):
+                    activating = [t for t in triples if t[1] in activation]
+                    if activating:
+                        self._deliver(index, activating)
+                    continue
+                # Active once, live for good: delivering everything is
+                # always complete (the filter only saves work), so the
+                # store is never probed for this rule again.
+                activations[index] = None
+            self._deliver(index, triples)
 
     def _deliver(self, index: int, batch: Sequence[EncodedTriple]) -> None:
         buffer = self.modules[index].buffer
@@ -1314,13 +1343,20 @@ class Slider:
             self._schedule(index, full_batch, _CAUSE_SIZE)
 
     def _schedule(self, index: int, batch: list[EncodedTriple], cause: str) -> None:
+        """Hand a full or stale buffer's batch to the pool."""
         with self._idle:
             self._pending += 1
         self._executor.submit(self._run_module, index, batch, cause)
 
-    def _run_module(self, index: int, batch: list[EncodedTriple], cause: str) -> None:
-        """One rule-module instance (one unit of thread-pool work)."""
+    def _run_module(
+        self, index: int, batch: list[EncodedTriple], cause: str, pooled: bool = True
+    ) -> None:
+        """One rule-module instance: a pool task, or (``pooled=False``) a
+        drained batch firing on the committing thread, which stays out of
+        the ``_pending`` / ``_idle`` accounting."""
         try:
+            if _obs.REGISTRY.enabled:
+                (_FIRINGS_POOL if pooled else _FIRINGS_INLINE).inc()
             module = self.modules[index]
             if self.trace.enabled:
                 self.trace.record(
@@ -1352,12 +1388,17 @@ class Slider:
         except BaseException as error:  # surfaced at the next flush/add
             self._errors.append(error)
         finally:
-            with self._idle:
-                self._pending -= 1
-                if self._pending == 0:
-                    self._idle.notify_all()
+            if pooled:
+                with self._idle:
+                    self._pending -= 1
+                    if self._pending == 0:
+                        self._idle.notify_all()
 
     def _wait_idle(self) -> None:
+        # Every pool task this thread caused counted itself in before it
+        # was submitted, so a zero read needs no lock.
+        if not self._pending:
+            return
         with self._idle:
             while self._pending > 0:
                 self._idle.wait()

@@ -143,6 +143,21 @@ def batch_closure(fragment: str, explicit) -> set[Triple]:
     return set(reasoner.graph)
 
 
+def assert_every_revision(fragment: str, store: str, seed: int, **engine) -> None:
+    script = script_for(fragment, seed)
+    with Slider(fragment=fragment, timeout=None, store=store, **engine) as r:
+        for step, delta in enumerate(script, start=1):
+            r.apply(delta)
+            incremental = set(r.graph)
+            baseline = batch_closure(fragment, explicit_after(script, step))
+            assert incremental == baseline, (
+                f"divergence at revision {step} "
+                f"(fragment={fragment}, store={store}, seed={seed}, {engine}): "
+                f"{len(incremental - baseline)} extra, "
+                f"{len(baseline - incremental)} missing"
+            )
+
+
 class TestIncrementalMatchesBatch:
     """Incremental closure == from-scratch closure at every revision."""
 
@@ -150,18 +165,15 @@ class TestIncrementalMatchesBatch:
     @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
     def test_every_revision(self, fragment, store, seed):
-        script = script_for(fragment, seed)
-        with Slider(fragment=fragment, workers=0, timeout=None, store=store) as r:
-            for step, delta in enumerate(script, start=1):
-                r.apply(delta)
-                incremental = set(r.graph)
-                baseline = batch_closure(fragment, explicit_after(script, step))
-                assert incremental == baseline, (
-                    f"divergence at revision {step} "
-                    f"(fragment={fragment}, store={store}, seed={seed}): "
-                    f"{len(incremental - baseline)} extra, "
-                    f"{len(baseline - incremental)} missing"
-                )
+        assert_every_revision(fragment, store, seed, workers=0)
+
+    @pytest.mark.parametrize("seed", SEEDS[:2])
+    @pytest.mark.parametrize("store", STORE_BACKENDS)
+    @pytest.mark.parametrize("fragment", ("rdfs", "owl-horst"))
+    def test_every_revision_pooled(self, fragment, store, seed):
+        """Tiny buffers on a real pool: every commit mixes firings on the
+        committing thread (drained buffers) with pool size-fires."""
+        assert_every_revision(fragment, store, seed, workers=2, buffer_size=3)
 
 
     @pytest.mark.parametrize("seed", SEEDS[:2])

@@ -1,11 +1,16 @@
 """Concurrency tests: the threaded pipeline must match the inline one."""
 
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
+from repro import Delta
+from repro.obs import REGISTRY, parse_exposition
 from repro.rdf import RDF, RDFS, Triple
-from repro.reasoner import Slider
+from repro.reasoner import Slider, SliderError
+from repro.reasoner.fragments import Fragment
 
 from ..conftest import EX, make_chain, random_ontology, small_ontology
 
@@ -114,3 +119,161 @@ class TestTimeoutSweeper:
         reasoner = Slider(fragment="rhodf", workers=0, timeout=0.01)
         assert reasoner._sweeper is None
         reasoner.close()
+
+
+def firings() -> dict[str, float]:
+    """``slider_engine_firings_total`` by path, read off the exposition."""
+    family = parse_exposition(REGISTRY.expose())["slider_engine_firings_total"]
+    return {labels["path"]: value for _name, labels, value in family["samples"]}
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count an engine's pool submissions and store read-lock
+    acquisitions: ``watch(engine)`` wraps both (as ``fsynced`` wraps
+    ``os.fsync``) and returns the live :class:`Counter`."""
+    counts: Counter = Counter()
+
+    def watch(engine: Slider) -> Counter:
+        for owner, method in (
+            (engine._executor, "submit"),
+            (engine.store.lock, "acquire_read"),
+        ):
+            real = getattr(owner, method)
+
+            def counting(*args, _real=real, _key=method, **kwargs):
+                counts[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, method, counting)
+        return counts
+
+    return watch
+
+
+class TestWhereFiringsRun:
+    """A buffer the commit drains below capacity fires on the committing
+    thread; only full (or stale) buffers go to the pool."""
+
+    def test_small_commit_fires_inline_only(self):
+        with Slider(fragment="rdfs", workers=2, timeout=None) as reasoner:
+            reasoner.apply(Delta(assertions=small_ontology()))
+            before = firings()
+            reasoner.apply(
+                Delta(
+                    assertions=[
+                        Triple(EX.rex, RDF.type, EX.Dog),
+                        Triple(EX.bob, EX.hasPet, EX.rex),
+                        Triple(EX.Dog, RDFS.subClassOf, EX.Animal),
+                    ]
+                )
+            )
+            after = firings()
+        assert after["inline"] > before["inline"]
+        assert after["pool"] == before["pool"]
+
+    def test_bulk_load_fans_out_to_the_pool(self):
+        load = [Triple(EX.C0, RDFS.subClassOf, EX.C1)]
+        load += [Triple(EX[f"i{n}"], RDF.type, EX.C0) for n in range(499)]
+        with Slider(fragment="rhodf", workers=2, timeout=None) as reasoner:
+            before = firings()
+            reasoner.apply(Delta(assertions=load))
+            assert firings()["pool"] > before["pool"]
+            assert reasoner.inferred_count == 499
+
+
+    def test_mixed_paths_under_fast_thread_switching(self):
+        """Drains firing on the committing thread race pool size-fires of
+        the same rules; a lost update would lose a derivation."""
+        chain = make_chain(40)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Slider(fragment="rhodf", workers=4, buffer_size=3, timeout=None) as r:
+                for start in range(0, len(chain), 4):
+                    r.apply(Delta(assertions=chain[start:start + 4]))
+                result = set(r.graph)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result == inline_closure(chain)
+
+
+class TestSmallCommitCostIsScaleFree:
+    """The same 3-triple commit costs the same work — no pool hand-off,
+    equal module runs, equal store read locks — whatever the store holds."""
+
+    COMMIT = Delta(
+        assertions=[
+            Triple(EX.fresh, RDF.type, EX.C0),
+            Triple(EX.fresh, EX.knows, EX.i0),
+            Triple(EX.i1, EX.knows, EX.fresh),
+        ]
+    )
+
+    @staticmethod
+    def loaded(instances: int) -> Slider:
+        schema = [Triple(EX[f"C{k}"], RDFS.subClassOf, EX[f"C{k + 1}"]) for k in range(3)]
+        schema += [
+            Triple(EX.knows, RDFS.domain, EX.C1),
+            Triple(EX.knows, RDFS.range, EX.C2),
+        ]
+        typed = [Triple(EX[f"i{n}"], RDF.type, EX[f"C{n % 3}"]) for n in range(instances)]
+        reasoner = Slider(fragment="rdfs", workers=2, timeout=None)
+        reasoner.apply(Delta(assertions=schema + typed))
+        return reasoner
+
+    def commit_cost(self, instances: int, watch) -> tuple:
+        with self.loaded(instances) as reasoner:
+            counts = watch(reasoner)
+            counts.clear()
+            runs_before = sum(m.executions for m in reasoner.modules)
+            report = reasoner.apply(self.COMMIT)
+            runs = sum(m.executions for m in reasoner.modules) - runs_before
+            return (
+                counts["submit"],
+                runs,
+                counts["acquire_read"],
+                report.inferred_added_count,
+            )
+
+    def test_same_counts_at_100_and_10000_instances(self, counted):
+        small = self.commit_cost(100, counted)
+        large = self.commit_cost(10_000, counted)
+        assert small[0] == large[0] == 0  # no pool submission
+        assert small[3] > 0  # the commit derived something
+        assert small == large
+
+
+class TestInlineFiringFailure:
+    def test_failure_rolls_back_and_the_next_apply_succeeds(self):
+        class FailOnce:
+            name = "fail-once"
+            input_predicates = None
+            output_predicates = None
+
+            def __init__(self):
+                self.threads: list[threading.Thread] = []
+
+            def accepts(self, predicate):
+                return True
+
+            def apply(self, store, new_triples, vocab):
+                self.threads.append(threading.current_thread())
+                if len(self.threads) == 1:
+                    raise RuntimeError("kaboom")
+                return []
+
+        rule = FailOnce()
+        journal: list[tuple] = []
+        fragment = Fragment("fail-once", lambda vocab: [rule])
+        with Slider(fragment=fragment, workers=2, timeout=None) as reasoner:
+            reasoner.add_commit_listener(
+                lambda revision, assertions, retractions: journal.append(assertions)
+            )
+            with pytest.raises(SliderError, match="kaboom"):
+                reasoner.apply(Delta(assertions=[Triple(EX.a, EX.p, EX.b)]))
+            report = reasoner.apply(Delta(assertions=[Triple(EX.c, EX.p, EX.d)]))
+        assert rule.threads[0] is threading.current_thread()  # fired inline
+        assert report.revision == 1
+        # The failed delta's staged record was dropped, not journaled later.
+        assert journal[0] == (Triple(EX.c, EX.p, EX.d),)

@@ -8,12 +8,13 @@ buffering data triples for it — without ever giving up completeness
 
 import pytest
 
+from repro import Delta
 from repro.dictionary import TermDictionary
 from repro.rdf import OWL, RDF, RDFS, Triple
 from repro.reasoner import Slider, Vocabulary
 from repro.reasoner.fragments import get_fragment
 
-from ..conftest import EX, closure_with_slider
+from ..conftest import EX, closure_with_batch, closure_with_slider
 
 
 def inline(**kwargs) -> Slider:
@@ -97,6 +98,21 @@ class TestCompletenessPreserved:
             t for t in closure if t.predicate == RDF.type and t.object == EX.Person
         ]
         assert len(typed) == 20
+
+    def test_retracting_the_last_activating_triple_keeps_the_closure_exact(self):
+        """An activated rule stays live after its only schema triple
+        leaves; the closure still equals the batch one, before and after
+        another subPropertyOf arrives."""
+        data = [Triple(EX[f"s{i}"], EX.knows, EX[f"o{i}"]) for i in range(20)]
+        schema = Triple(EX.knows, RDFS.subPropertyOf, EX.interactsWith)
+        later = Triple(EX.knows, RDFS.subPropertyOf, EX.near)
+        with inline() as reasoner:
+            reasoner.apply(Delta(assertions=data[:10] + [schema]))
+            reasoner.apply(Delta(retractions=[schema]))
+            reasoner.apply(Delta(assertions=data[10:]))
+            assert set(reasoner.graph) == closure_with_batch(data, "rhodf")
+            reasoner.apply(Delta(assertions=[later]))
+            assert set(reasoner.graph) == closure_with_batch(data + [later], "rhodf")
 
     def test_owl_horst_same_as_after_facts(self):
         with inline(fragment="owl-horst") as reasoner:
