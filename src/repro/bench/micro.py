@@ -83,9 +83,10 @@ def _best(rounds: int, fn: Callable[[], float]) -> float:
 def _join_rule(fragment: str):
     """A join rule with an unconstrained compiled plan, plus its vocab.
 
-    Picks the first rule whose left-direction plan has no constant
-    checks beyond the predicates, so a synthetic chain exercises the
-    pure join path of both the classic loop and the kernel.
+    Picks the first rule whose left-direction plan joins a constant
+    stored predicate with no constant checks beyond the predicates, so a
+    synthetic chain exercises the pure join path of both the classic
+    loop and the kernel.
     """
     from ..reasoner.fragments import get_fragment
 
@@ -97,7 +98,7 @@ def _join_rule(fragment: str):
         plan = rule._plans[0]
         if plan is None or plan.new_checks or plan.new_eq or plan.partner_checks:
             continue
-        if plan.new_pred is None:
+        if plan.new_pred is None or plan.store_pred is None:
             continue
         return rule, plan, dictionary, vocab
     raise ValueError(f"fragment {fragment!r} has no kernel-plannable join rule")
@@ -130,9 +131,8 @@ def _join_micro(
     def kernel() -> float:
         out = OutputBuffer()
         start = clock()
-        handled = plan.execute(store, batch, is_literal, out)
+        plan.execute(store, batch, is_literal, out)
         elapsed = clock() - start
-        assert handled, "kernel unexpectedly deferred to the classic loop"
         kernel.result = set(out.take())  # type: ignore[attr-defined]
         return elapsed
 

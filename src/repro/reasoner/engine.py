@@ -947,7 +947,7 @@ class Slider:
                 batch = module.buffer.drain()
                 if batch:
                     fired = True
-                    self._run_module(index, batch, _CAUSE_FLUSH, pooled=False)
+                    self._run_module(index, batch, _CAUSE_FLUSH)
             self._wait_idle()
             self._raise_errors()
             if not fired and all(len(m.buffer) == 0 for m in self.modules):
@@ -1289,15 +1289,11 @@ class Slider:
         self._raise_errors()
 
     def _raise_errors(self) -> None:
-        errors = self._errors
-        if errors:
-            # Surfaced once: the call that sees a failed firing raises
-            # (its apply rolls back the staged journal delta) and the
-            # engine takes the next commit.  Slicing by the count read
-            # here keeps a failure appended concurrently for next time.
-            count = len(errors)
-            cause = errors[0]
-            del errors[:count]
+        # Fail closed: a failed firing leaves the store and the change
+        # log holding a partial delta that no journal record describes,
+        # so every later call raises rather than report or replicate it.
+        if self._errors:
+            cause = self._errors[0]
             raise SliderError(f"rule module failed: {cause!r}") from cause
 
     def _dispatch(self, triples: Sequence[EncodedTriple]) -> None:
@@ -1349,11 +1345,12 @@ class Slider:
         self._executor.submit(self._run_module, index, batch, cause)
 
     def _run_module(
-        self, index: int, batch: list[EncodedTriple], cause: str, pooled: bool = True
+        self, index: int, batch: list[EncodedTriple], cause: str
     ) -> None:
-        """One rule-module instance: a pool task, or (``pooled=False``) a
+        """One rule-module instance: a pool task, or (cause ``flush``) a
         drained batch firing on the committing thread, which stays out of
         the ``_pending`` / ``_idle`` accounting."""
+        pooled = cause != _CAUSE_FLUSH
         try:
             if _obs.REGISTRY.enabled:
                 (_FIRINGS_POOL if pooled else _FIRINGS_INLINE).inc()

@@ -29,6 +29,12 @@ sets.  :meth:`Rule.apply` remains as the list-returning convenience
 wrapper, and custom rules may override either method — each has a
 default implemented in terms of the other.
 
+Firings never interpret the patterns: each built-in rule body compiles
+once into a positional plan (:mod:`repro.reasoner.kernels`) that
+filters, probes and projects by tuple position.  The binding-dict
+interpreter — :meth:`Pattern.matches` / :meth:`Pattern.instantiate` —
+serves the goal-directed and whole-store questions below.
+
 Because head and body are data, a rule can also be asked the
 goal-directed question DRed re-derivation needs —
 :meth:`Rule.supports`: "is there one body instantiation of *this* triple
@@ -49,7 +55,7 @@ from typing import Sequence
 
 from ..dictionary.encoder import EncodedTriple
 from ..store.backends.base import TripleStore
-from .kernels import compile_half_join
+from .kernels import compile_half_join, compile_projection
 from .vocabulary import Vocabulary
 
 __all__ = [
@@ -396,18 +402,22 @@ def _has_witness(
 
 class SingleRule(Rule):
     """A rule with a one-pattern body, e.g. rdfs6: ``<p type Property> →
-    <p subPropertyOf p>``."""
+    <p subPropertyOf p>``.
+
+    The body and head compile once into a
+    :class:`~repro.reasoner.kernels.ProjectionPlan`: constant and
+    repeated-variable checks filter the batch, and each survivor is
+    projected onto the head — no binding dict per triple.  Emission
+    keeps ``_emit``'s order: dedup first, then the literal guards.
+    """
 
     def __init__(self, name: str, pattern: Pattern, head: Pattern):
         super().__init__(name, head, (pattern,))
         self.pattern = pattern
+        self._plan = compile_projection(pattern, head)
 
     def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        empty: dict[str, int] = {}
-        for triple in new_triples:
-            binding = self.pattern.matches(triple, empty)
-            if binding is not None:
-                self._emit(binding, vocab, out)
+        self._plan.execute(new_triples, vocab.dictionary.is_literal, out)
 
 
 class JoinRule(Rule):
@@ -424,9 +434,8 @@ class JoinRule(Rule):
         self.right = right
         if not (left.variables() & right.variables()) and not self._ground_join():
             raise RuleViolation(f"rule {name}: body patterns share no variable")
-        # Compiled batch kernels, one per half-join direction (None when
-        # the direction's shape is not batchable — it stays on the
-        # classic per-triple loop below).
+        # One compiled plan per half-join direction; None only for a
+        # cartesian direction, which stays on the classic loop below.
         self._plans = (
             compile_half_join(left, right, head),
             compile_half_join(right, left, head),
@@ -439,18 +448,20 @@ class JoinRule(Rule):
         return not self.left.variables() or not self.right.variables()
 
     def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        # Each direction runs its compiled batch kernel when the pass's
-        # cardinalities make batching profitable (see
-        # :mod:`repro.reasoner.kernels`), else the classic probe loop.
+        # Each direction runs its compiled plan at every batch size; the
+        # plan picks merge join, hash join or positional probes by the
+        # pass's cardinalities (see :mod:`repro.reasoner.kernels`).  Only
+        # a plan-less (cartesian) direction of a custom rule takes the
+        # binding-dict loop.
         is_literal = vocab.dictionary.is_literal
         left_plan, right_plan = self._plans
-        if left_plan is None or not left_plan.execute(
-            store, new_triples, is_literal, out
-        ):
+        if left_plan is not None:
+            left_plan.execute(store, new_triples, is_literal, out)
+        else:
             self._half_join(store, new_triples, self.left, self.right, vocab, out)
-        if right_plan is None or not right_plan.execute(
-            store, new_triples, is_literal, out
-        ):
+        if right_plan is not None:
+            right_plan.execute(store, new_triples, is_literal, out)
+        else:
             self._half_join(store, new_triples, self.right, self.left, vocab, out)
 
     def _half_join(
@@ -463,6 +474,11 @@ class JoinRule(Rule):
         out: OutputBuffer,
     ) -> None:
         """One direction of Algorithm 1: new triples × stored partners.
+
+        The binding-dict reference loop: firings run the compiled
+        :class:`~repro.reasoner.kernels.HalfJoinPlan` instead, so this
+        serves only plan-less (cartesian) directions of custom rules and
+        the equivalence tests and micro-benchmark that compare against it.
 
         Short-circuit: when the stored side has a constant predicate with
         an empty partition, no probe can succeed — skip the whole sweep.

@@ -245,7 +245,7 @@ class TestSmallCommitCostIsScaleFree:
 
 
 class TestInlineFiringFailure:
-    def test_failure_rolls_back_and_the_next_apply_succeeds(self):
+    def test_failure_fails_closed(self):
         class FailOnce:
             name = "fail-once"
             input_predicates = None
@@ -266,14 +266,19 @@ class TestInlineFiringFailure:
         rule = FailOnce()
         journal: list[tuple] = []
         fragment = Fragment("fail-once", lambda vocab: [rule])
-        with Slider(fragment=fragment, workers=2, timeout=None) as reasoner:
-            reasoner.add_commit_listener(
-                lambda revision, assertions, retractions: journal.append(assertions)
-            )
-            with pytest.raises(SliderError, match="kaboom"):
-                reasoner.apply(Delta(assertions=[Triple(EX.a, EX.p, EX.b)]))
-            report = reasoner.apply(Delta(assertions=[Triple(EX.c, EX.p, EX.d)]))
-        assert rule.threads[0] is threading.current_thread()  # fired inline
-        assert report.revision == 1
-        # The failed delta's staged record was dropped, not journaled later.
-        assert journal[0] == (Triple(EX.c, EX.p, EX.d),)
+        reasoner = Slider(fragment=fragment, workers=2, timeout=None)
+        reasoner.add_commit_listener(
+            lambda revision, assertions, retractions: journal.append(assertions)
+        )
+        with pytest.raises(SliderError, match="kaboom"):
+            reasoner.apply(Delta(assertions=[Triple(EX.a, EX.p, EX.b)]))
+        # The failed apply's explicit triple stays in the store and the
+        # change log, but in no journal record: a later report would list
+        # it and a replica replaying the journal would diverge.  So every
+        # later call raises the same failure, closing included.
+        with pytest.raises(SliderError, match="kaboom"):
+            reasoner.apply(Delta(assertions=[Triple(EX.c, EX.p, EX.d)]))
+        with pytest.raises(SliderError, match="kaboom"):
+            reasoner.close()
+        assert rule.threads == [threading.current_thread()]  # fired inline, once
+        assert journal == []
