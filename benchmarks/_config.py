@@ -30,10 +30,6 @@ BENCH_SCALE = float(os.environ.get("SLIDER_BENCH_SCALE", "0.02"))
 SLIDER_WORKERS = int(os.environ.get("SLIDER_BENCH_WORKERS", "2"))
 SLIDER_BUFFER = int(os.environ.get("SLIDER_BENCH_BUFFER", "200"))
 
-#: Storage backend spec: "hashdict" (single-lock vertical store) or
-#: "sharded[:N]" (predicate-hash lock striping over N shards).
-SLIDER_STORE = os.environ.get("SLIDER_BENCH_STORE", "hashdict")
-
 #: Table 1 rows benchmarked by default.  BSBM_5M is included only when
 #: running at reduced scale (at scale 1.0 it alone takes ~30 min).
 def table1_datasets() -> list[str]:

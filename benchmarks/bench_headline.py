@@ -22,7 +22,6 @@ from repro.bench import gain_percent, run_batch, run_slider
 from _config import (
     BENCH_SCALE,
     SLIDER_BUFFER,
-    SLIDER_STORE,
     SLIDER_WORKERS,
     pedantic_once,
     register_summary,
@@ -46,7 +45,6 @@ def test_headline_pair(benchmark, fragment, dataset):
             BENCH_SCALE,
             buffer_size=SLIDER_BUFFER,
             workers=SLIDER_WORKERS,
-            store=SLIDER_STORE,
         )
         return baseline, slider
 

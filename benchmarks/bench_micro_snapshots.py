@@ -22,7 +22,6 @@ from repro.bench import run_micro
 
 from _config import (
     BENCH_SCALE,
-    SLIDER_STORE,
     pedantic_once,
     register_summary,
 )
@@ -40,7 +39,6 @@ def test_micro_pair(benchmark, dataset):
         dataset,
         "rhodf",
         BENCH_SCALE,
-        store=SLIDER_STORE,
     )
     _results.append(result)
     benchmark.extra_info.update(
@@ -68,7 +66,6 @@ def _micro_summary() -> str | None:
                 {
                     "kind": "micro",
                     "scale": BENCH_SCALE,
-                    "store": SLIDER_STORE,
                     "kernel_join_speedup": worst_join.kernel_join_speedup,
                     "runs": [r.as_dict() for r in _results],
                 },
@@ -76,15 +73,14 @@ def _micro_summary() -> str | None:
             )
     lines = [
         "",
-        f"=== Snapshot/kernel micro (scale={BENCH_SCALE:g}, store={SLIDER_STORE}) ===",
+        f"=== Snapshot/kernel micro (scale={BENCH_SCALE:g}) ===",
         f"{'dataset':<16} {'image B':>10} {'load s':>10} "
-        f"{'hydrate s':>10} {'join x':>7} {'gallop e/s':>12}",
+        f"{'hydrate s':>10} {'join x':>7}",
     ]
     for r in _results:
         lines.append(
             f"{r.dataset:<16} {r.image_bytes:>10,} {r.load_seconds:>10.5f} "
-            f"{r.hydrate_seconds:>10.4f} {r.kernel_join_speedup:>6.1f}x "
-            f"{r.gallop_elements_per_second:>12,.0f}"
+            f"{r.hydrate_seconds:>10.4f} {r.kernel_join_speedup:>6.1f}x"
         )
     if artifact:
         lines.append(f"JSON artifact written to {artifact}")

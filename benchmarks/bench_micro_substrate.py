@@ -14,7 +14,7 @@ from repro.datasets import generate_bsbm
 from repro.rdf import parse_ntriples, serialize_ntriples
 from repro.reasoner import Vocabulary
 from repro.reasoner.fragments import get_fragment
-from repro.store import HashDictStore, create_store
+from repro.store import HashDictStore
 
 
 @pytest.fixture(scope="module")
@@ -23,16 +23,14 @@ def encoded_triples():
     return [dictionary.encode_triple(t) for t in generate_bsbm(5_000)]
 
 
-@pytest.mark.parametrize("backend", ["hashdict", "sharded:8"])
-def test_store_add_all(benchmark, encoded_triples, backend):
+def test_store_add_all(benchmark, encoded_triples):
     def run():
-        store = create_store(backend)
+        store = HashDictStore()
         store.add_all(encoded_triples)
         return len(store)
 
     size = benchmark(run)
     benchmark.extra_info["triples_per_round"] = size
-    benchmark.extra_info["backend"] = backend
 
 
 def test_store_match_by_predicate(benchmark, encoded_triples):

@@ -17,7 +17,7 @@ import os
 
 from repro.bench import run_obs_overhead
 
-from _config import SLIDER_STORE, pedantic_once, register_summary
+from _config import pedantic_once, register_summary
 
 #: Instrumented / disabled throughput acceptance floor.
 MIN_RATIO = float(os.environ.get("SLIDER_BENCH_OBS_MIN_RATIO", "0.9"))
@@ -34,7 +34,6 @@ def test_obs_overhead(benchmark):
         run_obs_overhead,
         batches=BATCHES,
         batch_size=BATCH_SIZE,
-        store=SLIDER_STORE,
     )
     _results.append(result)
     benchmark.extra_info.update(
@@ -68,7 +67,7 @@ def _obs_summary() -> str | None:
             json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
     lines = [
         "",
-        f"=== Observability overhead (store={SLIDER_STORE}) ===",
+        "=== Observability overhead ===",
         f"disabled    : {result.disabled_tps:>8,.0f} triples/s",
         f"instrumented: {result.instrumented_tps:>8,.0f} triples/s "
         f"({result.instrumented_throughput_ratio:.3f}x, "

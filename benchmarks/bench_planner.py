@@ -24,7 +24,7 @@ import os
 
 from repro.bench.planner import run_planner_bench
 
-from _config import SLIDER_STORE, pedantic_once, register_summary
+from _config import pedantic_once, register_summary
 
 #: The planner workloads are structural (selectivity skew, standing-query
 #: fan-out), not volume benchmarks: half scale keeps the pessimal naive
@@ -46,7 +46,6 @@ def test_planner(benchmark):
     result = pedantic_once(
         benchmark,
         run_planner_bench,
-        store=SLIDER_STORE,
         scale=PLANNER_SCALE,
         rounds=2,
     )
@@ -79,7 +78,7 @@ def _planner_summary() -> str | None:
             json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
     lines = [
         "",
-        f"=== Planner (scale={PLANNER_SCALE:g}, store={SLIDER_STORE}) ===",
+        f"=== Planner (scale={PLANNER_SCALE:g}) ===",
         f"query suite:   naive {result.naive_seconds:.4f}s vs planned "
         f"{result.planned_seconds:.4f}s -> {result.query_speedup:.1f}x "
         f"(gate {MIN_QUERY_SPEEDUP:g}x)",

@@ -22,7 +22,6 @@ from repro.bench import run_recovery
 from _config import (
     BENCH_SCALE,
     SLIDER_BUFFER,
-    SLIDER_STORE,
     SLIDER_WORKERS,
     pedantic_once,
     register_summary,
@@ -45,7 +44,6 @@ def test_recovery_pair(benchmark, fragment, dataset):
         dataset,
         fragment,
         BENCH_SCALE,
-        store=SLIDER_STORE,
         workers=SLIDER_WORKERS,
         buffer_size=SLIDER_BUFFER,
     )
@@ -76,7 +74,7 @@ def _recovery_summary() -> str | None:
             json.dump([r.as_dict() for r in _results], handle, indent=2, sort_keys=True)
     lines = [
         "",
-        f"=== Recovery (scale={BENCH_SCALE:g}, store={SLIDER_STORE}) ===",
+        f"=== Recovery (scale={BENCH_SCALE:g}) ===",
         f"{'dataset':<16} {'frag':<6} {'cold s':>8} {'snap s':>8} "
         f"{'speedup':>8} {'replay s':>9} {'wal trip/s':>11}",
     ]

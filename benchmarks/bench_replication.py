@@ -16,7 +16,7 @@ import os
 
 from repro.bench import run_replication_bench
 
-from _config import SLIDER_STORE, SLIDER_WORKERS, pedantic_once, register_summary
+from _config import SLIDER_WORKERS, pedantic_once, register_summary
 
 #: Aggregate follower read-throughput floor, requests per second.
 MIN_RPS = float(os.environ.get("SLIDER_BENCH_REPLICATION_MIN_RPS", "500"))
@@ -41,7 +41,6 @@ def test_replication_scaling_and_catchup(benchmark):
         follower_counts=FOLLOWERS,
         duration=DURATION,
         writers=WRITERS,
-        store=SLIDER_STORE,
         workers=SLIDER_WORKERS,
     )
     _results.append(result)
@@ -81,8 +80,7 @@ def _replication_summary() -> str | None:
             json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
     lines = [
         "",
-        f"=== Replication ({DURATION:.1f}s per stage, {WRITERS} writer(s), "
-        f"store={SLIDER_STORE}) ===",
+        f"=== Replication ({DURATION:.1f}s per stage, {WRITERS} writer(s)) ===",
     ]
     for count in sorted(result.read_rps_by_followers):
         lines.append(

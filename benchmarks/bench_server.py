@@ -15,7 +15,7 @@ import os
 
 from repro.bench import run_server_load
 
-from _config import SLIDER_STORE, SLIDER_WORKERS, pedantic_once, register_summary
+from _config import SLIDER_WORKERS, pedantic_once, register_summary
 
 #: Mixed-throughput acceptance floor, requests per second.
 MIN_RPS = float(os.environ.get("SLIDER_BENCH_SERVER_MIN_RPS", "1000"))
@@ -34,7 +34,6 @@ def test_server_mixed_load(benchmark):
         duration=DURATION,
         readers=READERS,
         writers=WRITERS,
-        store=SLIDER_STORE,
         workers=SLIDER_WORKERS,
     )
     _results.append(result)
@@ -73,7 +72,7 @@ def _server_summary() -> str | None:
     lines = [
         "",
         f"=== Server mixed load ({result.readers} readers + {result.writers} "
-        f"writers, {result.seconds:.1f}s, store={SLIDER_STORE}) ===",
+        f"writers, {result.seconds:.1f}s) ===",
         f"throughput : {result.total_rps:>8,.0f} req/s total "
         f"({result.read_rps:,.0f} read + {result.write_rps:,.0f} write)",
         f"read  p50  : {result.read_p50_ms:>8.2f} ms   p99: {result.read_p99_ms:.2f} ms",

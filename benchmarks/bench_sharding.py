@@ -19,7 +19,7 @@ import os
 from repro.bench import run_sharding_bench
 from repro.bench.sharding import DEFAULT_FSYNC_FLOOR_MS
 
-from _config import SLIDER_STORE, pedantic_once, register_summary
+from _config import pedantic_once, register_summary
 
 #: Required 4-shard over single-node durable write scale-up.
 MIN_SCALEUP_4 = float(os.environ.get("SLIDER_BENCH_SHARDING_MIN_SCALEUP_4", "2.0"))
@@ -49,7 +49,6 @@ def test_sharded_write_scaleup(benchmark):
         deltas=DELTAS,
         deltas_per_commit=DELTAS_PER_COMMIT,
         fsync_floor_ms=FSYNC_FLOOR_MS,
-        store=SLIDER_STORE,
     )
     _results.append(result)
     benchmark.extra_info.update(
@@ -89,8 +88,7 @@ def _sharding_summary() -> str | None:
     lines = [
         "",
         f"=== Sharding ({result.deltas} durable deltas, window "
-        f"{result.deltas_per_commit}, {result.fsync_floor_ms}ms append floor, "
-        f"store={SLIDER_STORE}) ===",
+        f"{result.deltas_per_commit}, {result.fsync_floor_ms}ms append floor) ===",
     ]
     for count in sorted(result.write_tps_by_shards):
         lines.append(

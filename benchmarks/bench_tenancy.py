@@ -24,7 +24,7 @@ import os
 
 from repro.bench import run_tenancy_load
 
-from _config import SLIDER_STORE, pedantic_once, register_summary
+from _config import pedantic_once, register_summary
 
 #: Zipfian write-throughput acceptance floor, admitted writes/s.
 MIN_TPS = float(os.environ.get("SLIDER_BENCH_TENANCY_MIN_TPS", "300"))
@@ -43,9 +43,7 @@ def test_tenancy_load(benchmark):
     result = pedantic_once(
         benchmark,
         run_tenancy_load,
-        zipf={"tenants": TENANTS, "writes": WRITES, "store": SLIDER_STORE},
-        noisy={"store": SLIDER_STORE},
-        overload={"store": SLIDER_STORE},
+        zipf={"tenants": TENANTS, "writes": WRITES},
     )
     _results.append(result)
     benchmark.extra_info.update(
@@ -87,7 +85,7 @@ def _tenancy_summary() -> str | None:
             json.dump(result.as_dict(), handle, indent=2, sort_keys=True)
     lines = [
         "",
-        f"=== Tenancy ({result.tenants} zipfian tenants, store={SLIDER_STORE}) ===",
+        f"=== Tenancy ({result.tenants} zipfian tenants) ===",
         f"zipf writes : {result.zipf_write_tps:>8,.0f} admitted writes/s "
         f"({result.engines_touched} engines touched)",
         f"isolation   : p99 {result.interactive_p99_alone_ms:.2f} ms alone -> "

@@ -58,14 +58,11 @@ from .store import (
     Binding,
     Graph,
     HashDictStore,
-    ShardedTripleStore,
     TriplePattern,
     TripleStore,
     ask,
-    available_backends,
     construct,
     create_store,
-    register_backend,
     select,
     solve,
     unify,
@@ -102,10 +99,7 @@ __all__ = [
     "Graph",
     "TripleStore",
     "HashDictStore",
-    "ShardedTripleStore",
     "create_store",
-    "register_backend",
-    "available_backends",
     "TermDictionary",
     "EncodedTriple",
     "IRI",

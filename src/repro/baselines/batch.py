@@ -77,7 +77,7 @@ class _BaseBatchReasoner:
         self,
         fragment: str | Fragment = "rhodf",
         dictionary: TermDictionary | None = None,
-        store: TripleStore | str | None = None,
+        store: TripleStore | None = None,
     ):
         self.fragment = fragment if isinstance(fragment, Fragment) else get_fragment(fragment)
         self.dictionary = dictionary if dictionary is not None else TermDictionary()

@@ -118,7 +118,6 @@ def run_slider(
     buffer_size: int = 200,
     timeout: float | None = 0.05,
     workers: int = 2,
-    store: str = "hashdict",
     clock: Callable[[], float] = time.perf_counter,
 ) -> RunResult:
     """Timed Slider run over a dataset file (parse + incremental closure)."""
@@ -126,7 +125,7 @@ def run_slider(
     start = clock()
     reasoner = Slider(
         fragment=fragment, buffer_size=buffer_size, timeout=timeout,
-        workers=workers, store=store,
+        workers=workers,
     )
     reasoner.load(path)
     report = reasoner.flush()
@@ -139,7 +138,7 @@ def run_slider(
         "slider", name, fragment, seconds,
         reasoner.input_count, reasoner.inferred_count,
         extra={
-            "buffer_size": buffer_size, "workers": workers, "store": store,
+            "buffer_size": buffer_size, "workers": workers,
             "revision": report.revision,
             "report_explicit_added": report.explicit_added_count,
             "report_inferred_added": report.inferred_added_count,
@@ -227,12 +226,11 @@ def run_table1_row(
     scale: float = DEFAULT_SCALE,
     workers: int = 2,
     buffer_size: int = 200,
-    store: str = "hashdict",
 ) -> Table1Row:
     """Measure one ontology under one fragment: baseline vs Slider."""
     baseline = run_batch(name, fragment, scale)
     slider = run_slider(name, fragment, scale, buffer_size=buffer_size,
-                        workers=workers, store=store)
+                        workers=workers)
     return Table1Row(
         dataset=name,
         input_count=slider.input_count,
@@ -248,12 +246,11 @@ def run_table1(
     scale: float = DEFAULT_SCALE,
     workers: int = 2,
     buffer_size: int = 200,
-    store: str = "hashdict",
 ) -> list[Table1Row]:
     """Regenerate one half of Table 1 (all rows, one fragment)."""
     names = list(datasets) if datasets is not None else list(TABLE1_ORDER)
     return [
         run_table1_row(name, fragment, scale, workers=workers,
-                       buffer_size=buffer_size, store=store)
+                       buffer_size=buffer_size)
         for name in names
     ]

@@ -13,8 +13,7 @@ Three families of numbers; the one that gates CI is a runner-robust ratio:
 * **join kernels** — one firing batch pushed through the classic
   per-triple half-join loop vs the compiled batch kernel
   (:mod:`repro.reasoner.kernels`) over the same store and rule;
-  ``kernel_join_speedup`` is the gated ratio.  The galloping
-  intersection primitive is measured alongside in elements/second.
+  ``kernel_join_speedup`` is the gated ratio.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from ..dictionary.encoder import TermDictionary
 from ..persist.snapshot import load_snapshot
 from ..rdf.terms import IRI
 from ..reasoner.engine import Slider
-from ..reasoner.kernels import intersect_sorted
 from ..reasoner.rules import JoinRule, OutputBuffer
 from ..reasoner.vocabulary import Vocabulary
-from ..store.backends import create_store
+from ..store.backends import HashDictStore
 from ..store.backends.columnar import ColumnarReadStore
 from .harness import dataset_file
 
@@ -43,13 +41,12 @@ class MicroResult:
     """Outcome of one microbenchmark sweep (see module docstring)."""
 
     __slots__ = (
-        "dataset", "fragment", "scale", "store",
+        "dataset", "fragment", "scale",
         "triples", "terms",
         "image_bytes",
         "load_seconds",
         "hydrate_seconds",
         "classic_join_seconds", "kernel_join_seconds",
-        "gallop_elements_per_second",
     )
 
     def __init__(self, **fields):
@@ -110,7 +107,7 @@ def _join_micro(
     """(classic_seconds, kernel_seconds) for one synthetic firing batch."""
     rule, plan, dictionary, vocab = _join_rule(fragment)
     ids = [dictionary.encode(IRI(f"http://bench/n{i}")) for i in range(nodes)]
-    store = create_store("hashdict")
+    store = HashDictStore()
     store.add_all(
         [(ids[i], plan.store_pred, ids[i + 1]) for i in range(nodes - 1)]
     )
@@ -142,28 +139,10 @@ def _join_micro(
     return classic_seconds, kernel_seconds
 
 
-def _gallop_micro(rounds: int, clock) -> float:
-    """Galloping-intersection throughput in elements/second."""
-    a = list(range(0, 400_000, 2))
-    b = list(range(0, 400_000, 7))
-    expected = len(set(a) & set(b))
-
-    def once() -> float:
-        start = clock()
-        out = intersect_sorted(a, b)
-        elapsed = clock() - start
-        assert len(out) == expected
-        return elapsed
-
-    seconds = _best(rounds, once)
-    return (len(a) + len(b)) / seconds if seconds > 0 else float("inf")
-
-
 def run_micro(
     name: str,
     fragment: str = "rhodf",
     scale: float = DEFAULT_SCALE,
-    store: str = "hashdict",
     rounds: int = 3,
     join_nodes: int = 4000,
     join_batch: int = 512,
@@ -177,7 +156,7 @@ def run_micro(
     one probe read, asserted against the engine's own triple count.
     """
     path = dataset_file(name, scale)
-    with Slider(fragment=fragment, store=store, workers=0, timeout=None) as engine:
+    with Slider(fragment=fragment, workers=0, timeout=None) as engine:
         engine.load(path)
         engine.flush()
         blob = engine.snapshot_bytes()
@@ -203,7 +182,7 @@ def run_micro(
             snapshot = load_snapshot(image_path)
             start = clock()
             dictionary = TermDictionary()
-            target = create_store(store)
+            target = HashDictStore()
             snapshot.restore(dictionary, target)
             elapsed = clock() - start
             assert len(target) == triple_total
@@ -216,12 +195,11 @@ def run_micro(
         fragment, join_nodes, join_batch, rounds, clock
     )
     return MicroResult(
-        dataset=name, fragment=fragment, scale=scale, store=store,
+        dataset=name, fragment=fragment, scale=scale,
         triples=triple_total, terms=term_total,
         image_bytes=len(blob),
         load_seconds=load_seconds,
         hydrate_seconds=hydrate_seconds,
         classic_join_seconds=classic_seconds,
         kernel_join_seconds=kernel_seconds,
-        gallop_elements_per_second=_gallop_micro(rounds, clock),
     )

@@ -55,7 +55,6 @@ class OBSOverheadResult:
 
     batches: int
     batch_size: int
-    store: str
     warmup_batches: int
     disabled_tps: float
     instrumented_tps: float
@@ -86,7 +85,6 @@ def _workload(batches: int, batch_size: int) -> list[list[Triple]]:
 def run_obs_overhead(
     batches: int = 600,
     batch_size: int = 40,
-    store: str = "hashdict",
 ) -> OBSOverheadResult:
     """Measure the observability tax on the write pipeline.
 
@@ -110,7 +108,7 @@ def run_obs_overhead(
     times: dict[bool, list[float]] = {False: [], True: []}
     ring_before = len(TRACER.ring)
     service = ReasoningService(
-        fragment="rhodf", workers=0, timeout=None, store=store, coalesce_tick=0.0
+        fragment="rhodf", workers=0, timeout=None, coalesce_tick=0.0
     )
     gc_was_enabled = gc.isenabled()
     try:
@@ -133,7 +131,6 @@ def run_obs_overhead(
     return OBSOverheadResult(
         batches=batches,
         batch_size=batch_size,
-        store=store,
         warmup_batches=WARMUP_BATCHES,
         disabled_tps=batch_size / disabled_median,
         instrumented_tps=batch_size / instrumented_median,

@@ -50,7 +50,7 @@ class PlannerBenchResult:
     """Outcome of one planner sweep (see module docstring)."""
 
     __slots__ = (
-        "store", "people", "graph_size", "queries",
+        "people", "graph_size", "queries",
         "naive_seconds", "planned_seconds",
         "standing_queries", "revisions",
         "resolve_seconds", "incremental_seconds",
@@ -91,7 +91,7 @@ class PlannerBenchResult:
 
 # --- query workload ----------------------------------------------------------
 
-def _build_query_graph(people: int, store: str) -> Graph:
+def _build_query_graph(people: int) -> Graph:
     """A social graph where written-order evaluation goes quadratic.
 
     ``type Person`` is maximally unselective (one row per person), the
@@ -99,7 +99,7 @@ def _build_query_graph(people: int, store: str) -> Graph:
     and exactly one person carries the selective ``status Suspect``
     anchor a cost-based planner should start from.
     """
-    graph = Graph(store=store)
+    graph = Graph()
     triples = []
     for i in range(people):
         person = EX[f"person{i}"]
@@ -217,10 +217,10 @@ def _solution_keys(bindings) -> set:
     return {frozenset(binding.items()) for binding in bindings}
 
 
-def _run_incremental(store, base, script, patterns, clock):
+def _run_incremental(base, script, patterns, clock):
     """Maintain every standing BGP through the engine's subscription
     layer; returns (seconds, final solution key-sets)."""
-    with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
         r.apply(Delta(assertions=base))
         subscriptions = [r.subscribe(p) for p in patterns]
         start = clock()
@@ -233,10 +233,10 @@ def _run_incremental(store, base, script, patterns, clock):
     return elapsed, final
 
 
-def _run_resolve(store, base, script, patterns, clock):
+def _run_resolve(base, script, patterns, clock):
     """The pre-planner strategy: after every revision, re-run ``solve``
     for every standing BGP and diff against the previous solutions."""
-    with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
         r.apply(Delta(assertions=base))
         previous = [_solution_keys(solve(r.graph, bgp)) for bgp in patterns]
         start = clock()
@@ -255,7 +255,6 @@ def _run_resolve(store, base, script, patterns, clock):
 # --- entry point -------------------------------------------------------------
 
 def run_planner_bench(
-    store: str = "hashdict",
     scale: float = 1.0,
     standing: int = 1000,
     revisions: int = 8,
@@ -266,7 +265,7 @@ def run_planner_bench(
 ) -> PlannerBenchResult:
     """Run both planner workloads; see the module docstring."""
     people = max(50, int(400 * scale))
-    graph = _build_query_graph(people, store)
+    graph = _build_query_graph(people)
     queries = _query_suite()
 
     # Answers must agree before any time is believed.
@@ -282,17 +281,16 @@ def run_planner_bench(
     base = _base_graph(int(base_triples * scale))
     script = _write_script(revisions, random.Random(seed))
     incremental_seconds, incremental_final = _run_incremental(
-        store, base, script, patterns, clock
+        base, script, patterns, clock
     )
     resolve_seconds, resolve_final = _run_resolve(
-        store, base, script, patterns, clock
+        base, script, patterns, clock
     )
     assert incremental_final == resolve_final, (
         "incremental subscription maintenance diverged from re-solve"
     )
 
     return PlannerBenchResult(
-        store=store,
         people=people,
         graph_size=len(graph.store),
         queries=len(queries),
@@ -312,14 +310,12 @@ def main(argv=None) -> int:
         prog="python -m repro.bench.planner",
         description="Planner benchmarks: cost-based joins, incremental subscriptions.",
     )
-    parser.add_argument("--store", default="hashdict")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--standing", type=int, default=1000)
     parser.add_argument("--revisions", type=int, default=8)
     parser.add_argument("--rounds", type=int, default=3)
     args = parser.parse_args(argv)
     result = run_planner_bench(
-        store=args.store,
         scale=args.scale,
         standing=args.standing,
         revisions=args.revisions,

@@ -39,7 +39,7 @@ class RecoveryResult:
     """Outcome of one recovery benchmark (see module docstring)."""
 
     __slots__ = (
-        "dataset", "fragment", "scale", "store",
+        "dataset", "fragment", "scale",
         "input_count", "inferred_count",
         "cold_seconds", "durable_build_seconds",
         "snapshot_load_seconds", "snapshot_bytes",
@@ -79,10 +79,10 @@ class RecoveryResult:
         )
 
 
-def _engine(fragment: str, store: str, workers: int, buffer_size: int, **extra) -> Slider:
+def _engine(fragment: str, workers: int, buffer_size: int, **extra) -> Slider:
     return Slider(
         fragment=fragment, workers=workers, buffer_size=buffer_size,
-        timeout=0.05 if workers else None, store=store, **extra,
+        timeout=0.05 if workers else None, **extra,
     )
 
 
@@ -90,7 +90,6 @@ def run_recovery(
     name: str,
     fragment: str = "rhodf",
     scale: float = DEFAULT_SCALE,
-    store: str = "hashdict",
     workers: int = 0,
     buffer_size: int = 200,
     chunk_size: int = 512,
@@ -117,7 +116,7 @@ def run_recovery(
     try:
         # Phase 1 — cold in-memory materialization (the reference).
         start = clock()
-        with _engine(fragment, store, workers, buffer_size) as cold:
+        with _engine(fragment, workers, buffer_size) as cold:
             cold.load(path)
             cold.flush()
             cold_seconds = clock() - start
@@ -130,7 +129,7 @@ def run_recovery(
         # Phase 2a — build the compacted durable state.
         start = clock()
         with _engine(
-            fragment, store, workers, buffer_size,
+            fragment, workers, buffer_size,
             persist_dir=snap_dir, persist_fsync=fsync,
         ) as durable:
             durable.load(path)
@@ -144,7 +143,7 @@ def run_recovery(
         for _ in range(max(1, recovery_rounds)):
             start = clock()
             recovered = _engine(
-                fragment, store, workers, buffer_size,
+                fragment, workers, buffer_size,
                 persist_dir=snap_dir, persist_fsync=fsync,
             )
             snapshot_load_seconds = min(snapshot_load_seconds, clock() - start)
@@ -154,7 +153,7 @@ def run_recovery(
         # Phase 3a — build a journal-only state: one revision per chunk,
         # no snapshot (the worst-case restart: everything replays).
         with _engine(
-            fragment, store, workers, buffer_size,
+            fragment, workers, buffer_size,
             persist_dir=wal_dir, persist_fsync=fsync,
             compact_journal_bytes=None,
         ) as streamer:
@@ -171,7 +170,7 @@ def run_recovery(
         for _ in range(max(1, recovery_rounds)):
             start = clock()
             replayed = _engine(
-                fragment, store, workers, buffer_size,
+                fragment, workers, buffer_size,
                 persist_dir=wal_dir, persist_fsync=fsync,
                 compact_journal_bytes=None,
             )
@@ -180,7 +179,7 @@ def run_recovery(
             replayed.close()
 
         return RecoveryResult(
-            dataset=name, fragment=fragment, scale=scale, store=store,
+            dataset=name, fragment=fragment, scale=scale,
             input_count=input_count, inferred_count=inferred_count,
             cold_seconds=cold_seconds,
             durable_build_seconds=durable_build_seconds,

@@ -105,7 +105,6 @@ def run_replication_bench(
     writers: int = 1,
     readers_per_follower: int = 2,
     fragment: str = "rhodf",
-    store: str = "hashdict",
     workers: int = 2,
     seed_classes: int = 10,
     seed_instances: int = 50,
@@ -122,7 +121,7 @@ def run_replication_bench(
     max_followers = max(follower_counts)
     with tempfile.TemporaryDirectory(prefix="slider-repl-bench-") as state_dir:
         reasoner = Slider(
-            fragment=fragment, store=store, workers=workers,
+            fragment=fragment, workers=workers,
             timeout=0.05 if workers else None, buffer_size=200,
             persist_dir=f"{state_dir}/leader", persist_fsync=False,
         )
@@ -134,7 +133,7 @@ def run_replication_bench(
 
         def new_follower() -> "tuple[Follower, object]":
             follower = Follower(
-                leader_url, store=store, workers=workers,
+                leader_url, workers=workers,
                 reconnect_delay=0.1,
             ).start()
             if not follower.wait_ready(catchup_timeout):
@@ -238,7 +237,7 @@ def run_replication_bench(
 
         # WAL tail: a fresh replica resumes the retained changelog from 0.
         started = clock()
-        wal_follower = Follower(leader_url, store=store, workers=workers).start()
+        wal_follower = Follower(leader_url, workers=workers).start()
         if not wal_follower.wait_ready(catchup_timeout):
             raise RuntimeError(f"WAL catch-up never finished: {wal_follower.status!r}")
         catchup_wal = clock() - started
@@ -249,7 +248,7 @@ def run_replication_bench(
         # fresh replica must fetch /snapshot instead.
         reasoner.snapshot()
         started = clock()
-        snap_follower = Follower(leader_url, store=store, workers=workers).start()
+        snap_follower = Follower(leader_url, workers=workers).start()
         if not snap_follower.wait_ready(catchup_timeout):
             raise RuntimeError(
                 f"snapshot catch-up never finished: {snap_follower.status!r}"

@@ -144,7 +144,6 @@ def run_server_load(
     readers: int = 8,
     writers: int = 2,
     fragment: str = "rhodf",
-    store: str = "hashdict",
     workers: int = 2,
     coalesce_tick: float = 0.002,
     seed_classes: int = 10,
@@ -156,7 +155,7 @@ def run_server_load(
     from ..server.http import serve
     from ..server.service import ReasoningService
 
-    reasoner = Slider(fragment=fragment, store=store, workers=workers,
+    reasoner = Slider(fragment=fragment, workers=workers,
                       timeout=0.05 if workers else None, buffer_size=200)
     reasoner.add(_seed_triples(seed_classes, seed_instances))
     service = ReasoningService(reasoner=reasoner, coalesce_tick=coalesce_tick)

@@ -182,7 +182,6 @@ def run_sharding_bench(
     deltas: int = 160,
     deltas_per_commit: int = 16,
     fsync_floor_ms: float = DEFAULT_FSYNC_FLOOR_MS,
-    store: str = "hashdict",
 ) -> ShardingBenchResult:
     """Measure durable write throughput at each cluster width.
 
@@ -207,11 +206,11 @@ def run_sharding_bench(
                 if count == 1:
                     engine = Slider(
                         fragment="rhodf", workers=0, timeout=None,
-                        store=store, persist_dir=state,
+                        persist_dir=state,
                     )
                 else:
                     engine = ShardedReasoner(
-                        fragment="rhodf", shards=count, store=store,
+                        fragment="rhodf", shards=count,
                         persist_dir=state,
                     )
                 try:

@@ -100,7 +100,6 @@ def run_zipfian_tenants(
     writes: int = 3000,
     writers: int = 8,
     exponent: float = 1.1,
-    store: str = "hashdict",
     seed: int = 42,
 ) -> dict:
     """Closed-loop zipfian writes across ``tenants`` isolated engines.
@@ -114,7 +113,6 @@ def run_zipfian_tenants(
     manager = TenantManager(
         registry=TenantRegistry(default_quota=TenantQuota()),
         coalesce_tick=0.0,
-        store=store,
     )
     # Pre-drawn per-writer schedules: sampling stays off the timed path
     # and the run is reproducible under a fixed seed.
@@ -168,7 +166,6 @@ def run_zipfian_tenants(
 def run_noisy_neighbor(
     interactive_writes: int = 150,
     bulk_batch: int = 100,
-    store: str = "hashdict",
 ) -> dict:
     """Interactive p99 commit latency, alone vs. beside a bulk loader.
 
@@ -182,7 +179,6 @@ def run_noisy_neighbor(
         manager = TenantManager(
             registry=TenantRegistry(default_quota=TenantQuota()),
             coalesce_tick=0.0,
-            store=store,
         )
         stop = threading.Event()
 
@@ -298,7 +294,6 @@ def run_overload(
     writes: int = 40,
     rate: float = 50.0,
     burst: int = 5,
-    store: str = "hashdict",
 ) -> dict:
     """Drive an over-rate tenant through the real HTTP server.
 
@@ -314,7 +309,7 @@ def run_overload(
     registry.register(
         "hot", TenantQuota(writes_per_second=rate, burst=burst)
     )
-    manager = TenantManager(registry=registry, coalesce_tick=0.0, store=store)
+    manager = TenantManager(registry=registry, coalesce_tick=0.0)
     service = ReasoningService(fragment="rhodf", workers=0, timeout=None)
     server, _thread = serve(service, tenants=manager)
     client = RetryAfterClient("127.0.0.1", server.port, "hot")

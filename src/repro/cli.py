@@ -54,7 +54,7 @@ examples:
   slider-reason reason data.nt --persist state/        # durable run (WAL + recovery)
   slider-reason snapshot --persist state/              # compact: snapshot + truncate WAL
   slider-reason recover --persist state/ --output closure.nt
-  slider-reason bench --experiment table1 --store sharded:8
+  slider-reason bench --experiment table1 --scale 0.02
   slider-reason serve data.nt --port 8080 --persist state/   # HTTP service (leader)
   slider-reason serve data.nt --shards 4 --persist state/    # partitioned leader (4 commit pipelines)
   slider-reason serve --follow http://leader:8080 --port 8081  # read replica
@@ -177,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("rhodf", "rdfs", "both"))
     bench.add_argument("--scale", type=float, default=DEFAULT_SCALE)
     bench.add_argument("--workers", type=int, default=2)
-    bench.add_argument("--store", default="hashdict", metavar="BACKEND",
-                       help="storage backend spec, e.g. hashdict or sharded:8 "
-                            "(default %(default)s)")
     bench.add_argument("--datasets", nargs="*", default=None,
                        help="restrict to these dataset names")
 
@@ -228,9 +225,6 @@ def _add_reasoner_options(parser: argparse.ArgumentParser) -> None:
                         help="buffer inactivity flush, seconds; 0 disables")
     parser.add_argument("--workers", type=int, default=4,
                         help="rule thread-pool size; 0 = inline (default %(default)s)")
-    parser.add_argument("--store", default="hashdict", metavar="BACKEND",
-                        help="storage backend spec: hashdict (single-lock) or "
-                             "sharded[:N] (lock-striped, N shards; default %(default)s)")
     parser.add_argument("--persist", default=None, metavar="DIR",
                         help="durable state directory: journal every commit and "
                              "recover existing state on start-up")
@@ -243,8 +237,6 @@ def _add_persist_tuning(parser: argparse.ArgumentParser) -> None:
     """The reasoner knobs the durable-state subcommands need."""
     parser.add_argument("--fragment", default="rhodf",
                         help="rule fragment the state was built with (default %(default)s)")
-    parser.add_argument("--store", default="hashdict", metavar="BACKEND",
-                        help="storage backend to restore into (default %(default)s)")
     parser.add_argument("--no-fsync", action="store_true",
                         help="skip the fsync-per-commit during this operation")
 
@@ -256,7 +248,6 @@ def _make_reasoner(args, trace: Trace | None = None) -> Slider:
         buffer_size=args.buffer_size,
         timeout=timeout,
         workers=args.workers,
-        store=args.store,
         trace=trace,
         persist_dir=args.persist,
         persist_fsync=not args.no_fsync,
@@ -269,7 +260,6 @@ def _open_recovered(args) -> Slider:
         fragment=args.fragment,
         workers=0,
         timeout=None,
-        store=args.store,
         persist_dir=args.persist,
         persist_fsync=not args.no_fsync,
     )
@@ -408,7 +398,6 @@ def _cmd_serve(args) -> int:
             buffer_size=args.buffer_size,
             timeout=None if not args.timeout else args.timeout,
             workers=args.workers,
-            store=args.store,
             persist_dir=args.persist,
             persist_fsync=not args.no_fsync,
         )
@@ -446,7 +435,6 @@ def _cmd_serve(args) -> int:
             coalesce_tick=args.coalesce_ms / 1000.0,
             queue_limit=args.tenant_queue_limit,
             fragment=args.fragment,
-            store=args.store,
             buffer_size=args.buffer_size,
             workers=args.workers,
             timeout=None if not args.timeout else args.timeout,
@@ -502,7 +490,6 @@ def _cmd_serve_follower(args) -> int:
     try:
         follower = Follower(
             args.follow,
-            store=args.store,
             workers=args.workers,
             timeout=None if not args.timeout else args.timeout,
             buffer_size=args.buffer_size,
@@ -651,7 +638,7 @@ def _cmd_bench(args) -> int:
     halves = {}
     for fragment in fragments:
         rows = run_table1(fragment, datasets=args.datasets, scale=args.scale,
-                          workers=args.workers, store=args.store)
+                          workers=args.workers)
         halves[fragment] = rows
         print(render_table1_half(rows, "ρdf" if fragment == "rhodf" else fragment.upper()))
         print()
@@ -707,7 +694,6 @@ def _cmd_demo(args) -> int:
             "buffer_size": args.buffer_size,
             "timeout": args.timeout,
             "workers": args.workers,
-            "store": args.store,
         }
     print(render_text(trace, config))
     if args.save_trace and not args.replay:

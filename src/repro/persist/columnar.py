@@ -102,7 +102,7 @@ def encode_columnar_snapshot(
     *,
     revision: int,
     fragment: str,
-    store_spec: str,
+    store_spec: str = "hashdict",
     axiom_count: int,
     terms: Sequence[Term],
     explicit: Iterable[EncodedTriple],

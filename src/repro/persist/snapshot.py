@@ -4,10 +4,13 @@ A snapshot freezes everything the engine needs to resume without
 re-materializing: the **term dictionary** in id order (a fresh
 dictionary that re-encodes the terms in sequence reproduces every id
 bit for bit), the **explicit** and **inferred** partitions as encoded
-``(s, p, o)`` id tuples against that term table (backend-independent:
-an image taken over the hashdict store restores into a sharded one and
-vice versa), the optional named-graph column, and the **revision id**,
-fragment name, store spec and axiom count.
+``(s, p, o)`` id tuples against that term table (store-independent:
+the ids restore into any :class:`~repro.store.backends.base.TripleStore`),
+the optional named-graph column, and the **revision id**, fragment
+name, store spec and axiom count.  The store spec is informational: the
+engine writes the constant ``"hashdict"`` and no reader acts on it, so
+images written when other backend names existed (``"sharded:N"``, a
+store class name) load unchanged.
 
 Exactly one format is *written*: the columnar image of
 :mod:`repro.persist.columnar` (``SLSNAP02``; ``SLSNAP03`` when it

@@ -230,12 +230,11 @@ class Slider:
         optimisation of the rules execution's scheduling".  ``None``
         (default) keeps the static plan.
     store:
-        The storage backend: a spec string (``"hashdict"`` — the default
-        single-lock vertical store — or ``"sharded"`` / ``"sharded:N"``
-        for the lock-striped store, see
-        :mod:`repro.store.backends`), or a pre-existing store instance
-        to share substrate (e.g. to reason over an already-loaded
-        :class:`~repro.store.graph.Graph`).
+        A pre-existing store instance to share substrate (e.g. to reason
+        over an already-loaded :class:`~repro.store.graph.Graph`), or
+        ``None`` (default) for a fresh
+        :class:`~repro.store.backends.hashdict.HashDictStore`.  Backend
+        spec strings were removed and raise :class:`TypeError`.
     dictionary:
         Optionally share a pre-existing term dictionary.
     persist_dir:
@@ -264,7 +263,7 @@ class Slider:
         workers: int = 4,
         trace: Trace | None = None,
         dictionary: TermDictionary | None = None,
-        store: TripleStore | str | None = None,
+        store: TripleStore | None = None,
         routing: str = "predicate",
         adaptive: "AdaptiveBufferController | bool | None" = None,
         persist_dir: "str | Path | None" = None,
@@ -280,9 +279,6 @@ class Slider:
         self.fragment = fragment if isinstance(fragment, Fragment) else get_fragment(fragment)
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self.store = create_store(store)
-        # Captured for the snapshot header (informational; snapshots are
-        # backend-independent and restore into any registered backend).
-        self._store_spec = store if isinstance(store, str) else type(self.store).__name__
         # Durability: load the snapshot before anything can dispatch, so
         # the recovered closure never re-enters the rule pipeline.
         self._persist: PersistenceManager | None = None
@@ -793,7 +789,6 @@ class Slider:
         return dict(
             revision=self._revision,
             fragment=self.fragment.name,
-            store_spec=self._store_spec,
             axiom_count=self._axiom_count,
             terms=self.dictionary.snapshot_terms(),
             explicit=explicit,

@@ -13,10 +13,6 @@ firing is index probes and tuple indexing only:
 * :class:`HalfJoinPlan` — one direction of a two-pattern body.  Each
   pass picks its kernel by operand cardinality:
 
-  - **galloping merge join** (columnar stores): the partner partition
-    is a sorted ``memoryview`` column of the mapped snapshot, so the
-    batch is sorted by join key and intersected with the column by
-    exponential (galloping) search — no partner materialization;
   - **hash join** (batches of at least :data:`KERNEL_MIN_BATCH`, the
     partition at most 64x the batch): fetch the stored partition once,
     group it by join key, stream the batch through dict lookups;
@@ -44,7 +40,6 @@ itself, and *its* half-join finds today's batch already in the store
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from operator import itemgetter
 from typing import Sequence
 
@@ -56,8 +51,6 @@ __all__ = [
     "ProjectionPlan",
     "compile_half_join",
     "compile_projection",
-    "gallop_left",
-    "intersect_sorted",
 ]
 
 #: Below this (filtered) batch size a pass probes per triple instead of
@@ -72,44 +65,6 @@ _INDEX_MAX_RATIO = 64
 _CONST = 0   # value is the constant itself
 _NEW = 1     # value indexes the new triple (0..2)
 _FREE = 2    # slot left open (value is None)
-
-
-def gallop_left(column, value, lo: int, hi: int) -> int:
-    """Leftmost index in sorted ``column[lo:hi]`` with ``column[i] >= value``.
-
-    Exponential (galloping) search: doubles the probe distance from
-    ``lo`` before binary-searching the bracketed window — O(log d) for a
-    partner d positions ahead, which is what makes a merge join over a
-    long sorted column proportional to the *output*, not the column.
-    """
-    if lo >= hi or column[lo] >= value:
-        return lo
-    step = 1
-    while lo + step < hi and column[lo + step] < value:
-        step <<= 1
-    return bisect_left(column, value, lo + (step >> 1) + 1, min(lo + step, hi))
-
-
-def intersect_sorted(a, b) -> list:
-    """Galloping intersection of two sorted, duplicate-free sequences.
-
-    Works over any indexable sequence — lists, arrays, or the
-    ``memoryview`` id columns of a mapped columnar snapshot.
-    """
-    out: list = []
-    i, j = 0, 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        va, vb = a[i], b[j]
-        if va == vb:
-            out.append(va)
-            i += 1
-            j += 1
-        elif va < vb:
-            i = gallop_left(a, vb, i + 1, len_a)
-        else:
-            j = gallop_left(b, va, j + 1, len_b)
-    return out
 
 
 class HalfJoinPlan:
@@ -184,14 +139,8 @@ class HalfJoinPlan:
             return
         if not store.has_predicate(self.store_pred):
             return  # empty partition short-circuit, as in _half_join
-        if len(batch) < KERNEL_MIN_BATCH:
-            self._probe_loop(store, batch, is_literal, out)
-            return
-        partition = getattr(store, "pos_partition", None)
-        if partition is not None and len(self.probe) == 1 and self.probe[0][0] == 1:
-            self._merge_join_columnar(partition(self.store_pred), batch,
-                                      is_literal, out)
-        elif store.count_predicate(self.store_pred) > _INDEX_MAX_RATIO * len(batch):
+        if (len(batch) < KERNEL_MIN_BATCH
+                or store.count_predicate(self.store_pred) > _INDEX_MAX_RATIO * len(batch)):
             self._probe_loop(store, batch, is_literal, out)
         else:
             self._hash_join(store, batch, is_literal, out)
@@ -256,30 +205,6 @@ class HalfJoinPlan:
             partners = index.get(tuple(t[new_pos] for _, new_pos in probe))
             if partners:
                 self._emit(t, partners, is_literal, out)
-
-    def _merge_join_columnar(self, partition, batch, is_literal, out) -> None:
-        """Gallop the sorted batch along the mapped partition columns.
-
-        ``partition`` is ``(o_col, s_col, lo, hi)`` — the predicate's
-        span of the POS ordering, sorted by object then subject, served
-        as zero-copy ``memoryview`` windows.  The batch is sorted by its
-        probe value, so the cursor only ever moves forward.
-        """
-        o_col, s_col, lo, hi = partition
-        _, new_pos = self.probe[0]
-        batch = sorted(batch, key=lambda t: t[new_pos])
-        partner_ok = self._partner_ok
-        for t in batch:
-            value = t[new_pos]
-            lo = gallop_left(o_col, value, lo, hi)
-            i = lo
-            partners = []
-            while i < hi and o_col[i] == value:
-                pair = (s_col[i], value)
-                if partner_ok(pair):
-                    partners.append(pair)
-                i += 1
-            self._emit(t, partners, is_literal, out)
 
 
 def compile_half_join(new_side, store_side, head) -> HalfJoinPlan | None:

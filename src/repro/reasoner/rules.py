@@ -449,8 +449,8 @@ class JoinRule(Rule):
 
     def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
         # Each direction runs its compiled plan at every batch size; the
-        # plan picks merge join, hash join or positional probes by the
-        # pass's cardinalities (see :mod:`repro.reasoner.kernels`).  Only
+        # plan picks a hash join or positional probes by the pass's
+        # cardinalities (see :mod:`repro.reasoner.kernels`).  Only
         # a plan-less (cartesian) direction of a custom rule takes the
         # binding-dict loop.
         is_literal = vocab.dictionary.is_literal

@@ -191,7 +191,7 @@ class Follower:
     """A read replica of one leader, with its own serving stack.
 
     Parameters mirror :class:`~repro.reasoner.engine.Slider` where they
-    configure the local engine (``store``, ``workers``, ``timeout``,
+    configure the local engine (``workers``, ``timeout``,
     ``persist_dir`` …); ``fragment=None`` (the default) discovers the
     rule fragment from the leader's ``/stats``.  The follower exposes
     :attr:`service` — swapped atomically on re-bootstrap — so serve it
@@ -204,7 +204,6 @@ class Follower:
         leader_url: str,
         *,
         fragment: str | None = None,
-        store: str = "hashdict",
         workers: int = 2,
         timeout: float | None = 0.05,
         buffer_size: int = 50,
@@ -221,7 +220,6 @@ class Follower:
         self._leader_port = parts.port or 80
         self.leader_url = f"http://{self._leader_host}:{self._leader_port}"
         self._fragment = fragment
-        self._store = store
         self._workers = workers
         self._timeout = timeout
         self._buffer_size = buffer_size
@@ -425,7 +423,6 @@ class Follower:
         fragment = self._discover_fragment()
         reasoner = Slider(
             fragment=fragment,
-            store=self._store,
             workers=self._workers,
             timeout=self._timeout,
             buffer_size=self._buffer_size,
@@ -513,7 +510,6 @@ class Follower:
                     stale.unlink()
         reasoner = Slider(
             fragment=self._fragment,
-            store=self._store,
             workers=self._workers,
             timeout=self._timeout,
             buffer_size=self._buffer_size,

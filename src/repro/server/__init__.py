@@ -22,7 +22,7 @@ Start one from Python::
 
     from repro.server import ReasoningService, serve
 
-    service = ReasoningService(fragment="rdfs", store="sharded:8")
+    service = ReasoningService(fragment="rdfs", workers=2)
     server, thread = serve(service, port=8080)
     ...
     server.shutdown(); service.close()

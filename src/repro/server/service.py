@@ -148,7 +148,7 @@ class SubscriptionChannel:
 class ReasoningService:
     """Concurrency front end over one :class:`~repro.reasoner.engine.Slider`.
 
-    Parameters mirror ``Slider`` (``fragment``, ``store``, ``workers``,
+    Parameters mirror ``Slider`` (``fragment``, ``workers``,
     ``persist_dir``, ...) and are forwarded; alternatively pass a
     pre-built engine as ``reasoner`` (the service takes ownership and
     closes it).  ``coalesce_tick`` is the write-batching window in

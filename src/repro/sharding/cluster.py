@@ -93,7 +93,7 @@ from ..rdf.terms import Triple
 from ..reasoner.delta import Delta, InferenceReport, net_deltas
 from ..reasoner.engine import Slider
 from ..reasoner.subscription import Subscription
-from ..store.backends import DEFAULT_BACKEND, create_store
+from ..store.backends import HashDictStore
 from ..store.graph import Graph
 from .router import BROADCAST, Router, create_router
 
@@ -195,9 +195,7 @@ class ShardedReasoner:
     """N partitioned leader engines behind one reasoner surface.
 
     Accepts the engine options that make sense cluster-wide and passes
-    them through to every shard.  ``store`` must be a backend *spec*
-    (each shard and the cluster-level read store need their own
-    instance); columnar image specs are read-only and rejected.
+    them through to every shard.
     """
 
     def __init__(
@@ -205,7 +203,6 @@ class ShardedReasoner:
         fragment: str = "rhodf",
         shards: int = 2,
         router: str | Router = "subject",
-        store: str | None = None,
         workers: int = 0,
         buffer_size: int = 50,
         timeout: float | None = None,
@@ -223,24 +220,15 @@ class ShardedReasoner:
                 "routing key (the pair can sit on two shards), both of which "
                 "break the cross-shard closure equivalence"
             )
-        if store is not None and not isinstance(store, str):
-            raise ClusterError(
-                "sharded clusters take a store *spec* string (each shard "
-                f"builds its own instance), got {type(store).__name__}"
-            )
-        spec = store or DEFAULT_BACKEND
-        if spec.startswith("columnar"):
-            raise ClusterError("columnar image stores are read-only; shards need writable backends")
 
         self.shards = shards
         self.router = create_router(router, shards)
-        self._spec = spec
         self._workers = workers
         self._persist_fsync = persist_fsync
         self._root: Path | None = Path(persist_dir) if persist_dir is not None else None
 
         self.dictionary = TermDictionary()
-        self.store = create_store(spec)
+        self.store = HashDictStore()
         #: cluster-encoded triple -> bitmask of shards holding it.
         self._holders: dict[EncodedTriple, int] = {}
         #: cluster-encoded triples currently asserted by the user.
@@ -277,7 +265,6 @@ class ShardedReasoner:
             workers=workers,
             buffer_size=buffer_size,
             timeout=timeout,
-            store=spec,
         )
         self.engines: list[Slider] = []
         try:
@@ -433,7 +420,6 @@ class ShardedReasoner:
             "shards": self.shards,
             "router": self.router.name,
             "fragment": self.fragment.name,
-            "store": self._spec,
             "revision": self._revision,
             "revision_vector": [engine.revision for engine in self.engines],
             "explicit": [decode(t).n3() for t in sorted(self._explicit)],
@@ -867,7 +853,6 @@ class ShardedReasoner:
             return encode_columnar_snapshot(
                 revision=self._revision,
                 fragment=self.fragment.name,
-                store_spec=self._spec,
                 axiom_count=0,
                 terms=self.dictionary.snapshot_terms(),
                 explicit=self._explicit,

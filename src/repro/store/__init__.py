@@ -1,13 +1,9 @@
-"""Triple store substrate: pluggable backends, RW locking, BGP queries."""
+"""Triple store substrate: the hash-dict store, RW locking, BGP queries."""
 
 from .backends import (
     HashDictStore,
-    ShardedTripleStore,
     TripleStore,
-    UnknownBackendError,
-    available_backends,
     create_store,
-    register_backend,
 )
 from .graph import Graph
 from .locks import ReentrantReadWriteLock
@@ -28,11 +24,7 @@ __all__ = [
     "ReentrantReadWriteLock",
     "TripleStore",
     "HashDictStore",
-    "ShardedTripleStore",
-    "UnknownBackendError",
     "create_store",
-    "register_backend",
-    "available_backends",
     "TriplePattern",
     "Binding",
     "solve",

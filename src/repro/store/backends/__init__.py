@@ -1,124 +1,49 @@
-"""Pluggable storage backends and their registry.
+"""Storage backends.
 
-Every component that stores triples — the :class:`~repro.reasoner.engine.Slider`
-engine, the batch baselines, :class:`~repro.store.graph.Graph` — resolves
-its backend through :func:`create_store`, so a backend choice is a
-string that travels through configuration untouched:
+:class:`~repro.store.backends.hashdict.HashDictStore` is the store: one
+vertically-partitioned index set behind a reentrant read/write lock,
+which the rule thread pool reads and writes.  Every component that
+stores triples — the :class:`~repro.reasoner.engine.Slider` engine, the
+batch baselines, :class:`~repro.store.graph.Graph` — takes an optional
+``store=`` instance and builds a fresh ``HashDictStore`` when given
+none (:func:`create_store`).
 
-``"hashdict"``
-    The default: one vertically-partitioned index pair behind a single
-    reentrant read/write lock (the seed implementation, now in
-    :mod:`~repro.store.backends.hashdict`).
+:class:`~repro.store.backends.columnar.ColumnarReadStore` is a read-only
+store served straight off a mapped columnar (v2) snapshot file
+(:meth:`~repro.store.backends.columnar.ColumnarReadStore.open`);
+zero-copy, writes raise.
 
-``"sharded"`` / ``"sharded:N"``
-    Predicate-hash partitioning over N lock-striped shards
-    (:mod:`~repro.store.backends.sharded`); writers of different
-    predicates proceed in parallel.
-
-``"columnar:<path>"``
-    A read-only store served straight off a mapped columnar (v2)
-    snapshot file (:mod:`~repro.store.backends.columnar`); zero-copy,
-    writes raise.
-
-Third-party backends register with :func:`register_backend`; anything
-satisfying the :class:`~repro.store.backends.base.TripleStore` protocol
-plugs into the whole stack (engine, baselines, CLI, benchmarks).
+Anything satisfying the :class:`~repro.store.backends.base.TripleStore`
+protocol can be passed as ``store=`` to share substrate.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .base import TripleStore
 from .columnar import ColumnarReadStore
 from .hashdict import HashDictStore
-from .sharded import DEFAULT_SHARDS, ShardedTripleStore
 
 __all__ = [
     "TripleStore",
     "HashDictStore",
-    "ShardedTripleStore",
     "ColumnarReadStore",
-    "DEFAULT_SHARDS",
-    "UnknownBackendError",
-    "register_backend",
-    "available_backends",
     "create_store",
 ]
 
-#: The spec used when a component is given no backend choice at all.
-DEFAULT_BACKEND = "hashdict"
 
-BackendFactory = Callable[["str | None"], TripleStore]
+def create_store(store: TripleStore | None = None) -> TripleStore:
+    """``store`` itself, or a fresh :class:`HashDictStore` for ``None``.
 
-_REGISTRY: dict[str, BackendFactory] = {}
-
-
-class UnknownBackendError(ValueError):
-    """A store spec named a backend that is not registered."""
-
-
-def register_backend(name: str, factory: BackendFactory) -> None:
-    """Register a backend under ``name``.
-
-    ``factory`` receives the spec's parameter string (the part after the
-    colon in ``"name:param"``), or ``None`` when the spec is bare, and
-    returns a fresh store.  Re-registering a name replaces the factory,
-    so tests can stub backends.
+    Backend spec strings (``"hashdict"``, ``"sharded:N"``,
+    ``"columnar:<path>"``) were removed; passing one raises
+    :class:`TypeError` here rather than failing later.
     """
-    if not name or ":" in name:
-        raise ValueError(f"backend name must be non-empty and colon-free: {name!r}")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def create_store(spec: "TripleStore | str | None" = None) -> TripleStore:
-    """Resolve a store spec to a backend instance.
-
-    Accepts ``None`` (the default backend), a spec string like
-    ``"hashdict"`` / ``"sharded"`` / ``"sharded:16"``, or an existing
-    store instance (returned as-is, so callers can share substrate).
-    """
-    if spec is None:
-        spec = DEFAULT_BACKEND
-    if not isinstance(spec, str):
-        return spec
-    name, _, parameter = spec.partition(":")
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        known = ", ".join(available_backends())
-        raise UnknownBackendError(f"unknown store backend {name!r} (registered: {known})")
-    return factory(parameter or None)
-
-
-def _hashdict_factory(parameter: str | None) -> HashDictStore:
-    if parameter:
-        raise ValueError(f"the hashdict backend takes no parameter, got {parameter!r}")
-    return HashDictStore()
-
-
-def _sharded_factory(parameter: str | None) -> ShardedTripleStore:
-    if parameter is None:
-        return ShardedTripleStore()
-    try:
-        shards = int(parameter)
-    except ValueError:
-        raise ValueError(f"sharded backend parameter must be an int, got {parameter!r}") from None
-    return ShardedTripleStore(shards)
-
-
-def _columnar_factory(parameter: str | None) -> ColumnarReadStore:
-    if not parameter:
-        raise ValueError(
-            "the columnar backend needs a snapshot path: 'columnar:<path>'"
+    if store is None:
+        return HashDictStore()
+    if isinstance(store, str):
+        raise TypeError(
+            f"store= takes a TripleStore instance or None, got {store!r}: backend "
+            "spec strings ('hashdict', 'sharded:N', 'columnar:<path>') were "
+            "removed; pass None for a HashDictStore"
         )
-    return ColumnarReadStore.open(parameter)
-
-
-register_backend("hashdict", _hashdict_factory)
-register_backend("sharded", _sharded_factory)
-register_backend("columnar", _columnar_factory)
+    return store

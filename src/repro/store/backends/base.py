@@ -12,6 +12,12 @@ is swappable as long as it provides:
   predicate-first (:meth:`pairs_for_predicate`, :meth:`objects`,
   :meth:`subjects`, :meth:`match`), mirroring the paper's vertical
   partitioning.
+* **permutation reads** — what the cost-based planner
+  (:mod:`repro.store.planner`) binds to when a pattern leaves the
+  predicate free, and its O(1) per-join-step cost inputs:
+  :meth:`triples_for_subject` / :meth:`triples_for_object` (the SPO /
+  OSP permutations), :meth:`count_subject` / :meth:`count_object`,
+  :meth:`predicates_between` and :meth:`predicate_stats`.
 * **snapshot iteration** — :meth:`__iter__` and the list-returning reads
   hand back copies, so callers never iterate live index structures while
   writers run.
@@ -19,27 +25,14 @@ is swappable as long as it provides:
 All triples are *encoded* ``(int, int, int)`` tuples (see
 :mod:`repro.dictionary`); a backend never sees a term object.
 
-**Optional permutation-index extension** (the planner protocol).  The
-cost-based planner (:mod:`repro.store.planner`) probes for these by
-``getattr`` and degrades to :meth:`match` scans when absent, so they are
-deliberately *not* part of the runtime-checkable protocol below (adding
-required methods would silently flip ``isinstance`` for existing
-duck-typed backends):
-
-* ``triples_for_subject(s)`` / ``triples_for_object(o)`` — subject- and
-  object-first lookups (the SPO / OSP permutations);
-* ``count_subject(s)`` / ``count_object(o)`` — their cardinalities;
-* ``predicates_between(s, o)`` — predicates linking a bound pair;
-* ``predicate_stats(p) -> (count, distinct subjects, distinct objects)``
-  — the planner's O(1) per-join-step cost inputs, maintained
-  incrementally on the write path;
-* ``stats_vector() -> ((p, count, ds, do), ...)`` sorted by predicate —
-  the deterministic snapshot durability tests compare across recovery.
+``stats_vector() -> ((p, count, ds, do), ...)`` sorted by predicate is
+an optional extra: the deterministic snapshot durability tests compare
+across recovery.
 
 **Optional named-graph extension** (the quad protocol).  The engine
 tags the explicit triples of graph-scoped deltas
 (:class:`~repro.reasoner.delta.Delta` with ``graph=``) in a sparse
-side column; like the planner protocol, consumers probe by ``getattr``
+side column; consumers probe by ``getattr``
 and treat an absent column as "everything is in the default graph":
 
 * ``set_graphs(triples, graph_id)`` — tag stored triples with a graph
@@ -135,6 +128,31 @@ class TripleStore(Protocol):
         obj: int | None = None,
     ) -> list[EncodedTriple]:
         """All triples matching a pattern; ``None`` is a wildcard."""
+        ...
+
+    # --- permutation reads (the planner) ----------------------------------
+    def triples_for_subject(self, subject: int) -> list[EncodedTriple]:
+        """All triples with ``subject`` (the SPO permutation)."""
+        ...
+
+    def triples_for_object(self, obj: int) -> list[EncodedTriple]:
+        """All triples with ``obj`` (the OSP permutation)."""
+        ...
+
+    def count_subject(self, subject: int) -> int:
+        """Number of triples with ``subject``."""
+        ...
+
+    def count_object(self, obj: int) -> int:
+        """Number of triples with ``obj``."""
+        ...
+
+    def predicates_between(self, subject: int, obj: int) -> list[int]:
+        """All p with (subject, p, obj) in the store."""
+        ...
+
+    def predicate_stats(self, predicate: int) -> tuple[int, int, int]:
+        """``(count, distinct subjects, distinct objects)`` under ``predicate``."""
         ...
 
     # --- statistics -------------------------------------------------------

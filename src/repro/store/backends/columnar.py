@@ -20,8 +20,8 @@ store hydrates in the background (see
 
 The write half raises :class:`TypeError`, exactly like
 :class:`~repro.server.views.ReadView`: mutations belong to the engine.
-The registry spec ``columnar:<path>`` opens a store over a v2 snapshot
-file, so the backend also plugs into the CLI / bench ``--store`` flag.
+:meth:`ColumnarReadStore.open` maps a v2 snapshot file; the instance
+plugs into :class:`~repro.store.graph.Graph` (``Graph(store=...)``).
 """
 
 from __future__ import annotations
@@ -116,18 +116,6 @@ class ColumnarReadStore:
         lo, hi = self._predicate_spans().get(predicate, (0, 0))
         _, o_col, s_col = self._pos
         return [(s_col[i], o_col[i]) for i in range(lo, hi)]
-
-    def pos_partition(self, predicate: int):
-        """Zero-copy ``(o_col, s_col, lo, hi)`` span of one predicate.
-
-        The object and subject columns of the POS ordering with the
-        predicate's half-open row range — sorted by object, then
-        subject — served as ``memoryview`` windows for the galloping
-        merge-join kernels (:mod:`repro.reasoner.kernels`).
-        """
-        lo, hi = self._predicate_spans().get(predicate, (0, 0))
-        _, o_col, s_col = self._pos
-        return o_col, s_col, lo, hi
 
     def objects(self, predicate: int, subject: int) -> list[int]:
         s_col, p_col, o_col = self._spo

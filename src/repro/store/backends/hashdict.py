@@ -26,10 +26,10 @@ O(1) — the planner consults them per join step and must not pay a scan.
 All triples are *encoded* ``(int, int, int)`` tuples (see
 :mod:`repro.dictionary`).  The store never sees a term object.
 
-This is the default backend (``store="hashdict"``).  Its single
-read/write lock serializes all writers; the lock-striped
-:class:`~repro.store.backends.sharded.ShardedTripleStore` removes that
-bottleneck for concurrent workloads.
+This is the one mutable store: every engine, baseline and
+:class:`~repro.store.graph.Graph` builds one unless handed a store
+instance.  Its single read/write lock serializes writers; the rule
+thread pool (``workers>0``) reads and writes it concurrently.
 """
 
 from __future__ import annotations

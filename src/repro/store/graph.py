@@ -1,8 +1,10 @@
 """Term-level convenience wrapper around the encoded triple store.
 
 :class:`Graph` binds a :class:`~repro.dictionary.TermDictionary` to a
-storage backend (any :class:`~repro.store.backends.base.TripleStore`;
-pass a spec string like ``"sharded:8"`` to choose one) so callers can
+triple store (a fresh :class:`~repro.store.backends.hashdict.HashDictStore`,
+or any :class:`~repro.store.backends.base.TripleStore` instance passed
+as ``store=``, e.g. a read-only
+:class:`~repro.store.backends.columnar.ColumnarReadStore`) so callers can
 speak in RDF terms while storage and matching stay in integer space.  It
 is the type most public APIs accept and return; the reasoner uses the
 same two components internally but addresses them separately for
@@ -35,7 +37,7 @@ class Graph:
     def __init__(
         self,
         dictionary: TermDictionary | None = None,
-        store: TripleStore | str | None = None,
+        store: TripleStore | None = None,
     ):
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self.store = create_store(store)

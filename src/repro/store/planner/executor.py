@@ -7,11 +7,6 @@ variables to integer ids, and terms are decoded exactly once — for the
 final bindings.  This is where the planner's speed comes from as much
 as from join ordering: the naive evaluator decodes every candidate
 triple and compares term objects at every step.
-
-Backends without the optional permutation-index surface (see
-:mod:`repro.store.backends.base`) degrade to :meth:`match` scans for the
-subject-/object-first access paths; the predicate-first paths only need
-the core protocol.
 """
 
 from __future__ import annotations
@@ -238,40 +233,27 @@ def _apply_step(store, states, solutions: list[dict]) -> list[dict]:
                 out.append(extended)
         return out
 
-    # Free predicate variable: use the SPO / OSP permutations when the
-    # backend has them, else fall back to match() scans.
+    # Free predicate variable: use the SPO / OSP permutations.
     if s_tag != FREE and o_tag != FREE:
-        between = getattr(store, "predicates_between", None)
         for solution in solutions:
             s = s_val if s_tag == CONST else solution[s_val]
             o = o_val if o_tag == CONST else solution[o_val]
-            predicates = (
-                between(s, o)
-                if between is not None
-                else [t[1] for t in store.match(s, None, o)]
-            )
-            for p in predicates:
+            for p in store.predicates_between(s, o):
                 extended = dict(solution)
                 extended[p_val] = p
                 out.append(extended)
         return out
     if s_tag != FREE:
-        by_subject = getattr(store, "triples_for_subject", None)
         for solution in solutions:
             s = s_val if s_tag == CONST else solution[s_val]
-            triples = (
-                by_subject(s) if by_subject is not None else store.match(s, None, None)
-            )
-            _extend_free(solutions=out, base=solution, triples=triples, states=states)
+            _extend_free(solutions=out, base=solution,
+                         triples=store.triples_for_subject(s), states=states)
         return out
     if o_tag != FREE:
-        by_object = getattr(store, "triples_for_object", None)
         for solution in solutions:
             o = o_val if o_tag == CONST else solution[o_val]
-            triples = (
-                by_object(o) if by_object is not None else store.match(None, None, o)
-            )
-            _extend_free(solutions=out, base=solution, triples=triples, states=states)
+            _extend_free(solutions=out, base=solution,
+                         triples=store.triples_for_object(o), states=states)
         return out
     # Nothing known: full scan.
     all_triples = store.match()

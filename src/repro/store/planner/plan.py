@@ -135,16 +135,6 @@ def _variables(pattern: TriplePattern) -> set:
     return {term for term in pattern if isinstance(term, Variable)}
 
 
-def _predicate_stats(store, predicate_id: int) -> tuple[int, int, int]:
-    stats = getattr(store, "predicate_stats", None)
-    if stats is not None:
-        return stats(predicate_id)
-    count = store.count_predicate(predicate_id)
-    # No distinct counters on this backend: assume square fan-out.
-    side = max(1, int(count**0.5))
-    return (count, side, side)
-
-
 def _estimate(
     graph: Graph,
     pattern: TriplePattern,
@@ -161,7 +151,7 @@ def _estimate(
         predicate_id = graph.dictionary.lookup(predicate)
         if predicate_id is None:
             return 0.0
-        count, distinct_s, distinct_o = _predicate_stats(store, predicate_id)
+        count, distinct_s, distinct_o = store.predicate_stats(predicate_id)
         if not count:
             return 0.0
         if s_known and o_known:
@@ -186,17 +176,13 @@ def _estimate(
         return 2.0
     if s_known:
         if not isinstance(subject, Variable):
-            counter = getattr(store, "count_subject", None)
-            if counter is not None:
-                subject_id = graph.dictionary.lookup(subject)
-                return 0.0 if subject_id is None else float(counter(subject_id))
+            subject_id = graph.dictionary.lookup(subject)
+            return 0.0 if subject_id is None else float(store.count_subject(subject_id))
         return max(1.0, float(size) ** 0.5)
     if o_known:
         if not isinstance(obj, Variable):
-            counter = getattr(store, "count_object", None)
-            if counter is not None:
-                object_id = graph.dictionary.lookup(obj)
-                return 0.0 if object_id is None else float(counter(object_id))
+            object_id = graph.dictionary.lookup(obj)
+            return 0.0 if object_id is None else float(store.count_object(object_id))
         return max(1.0, float(size) ** 0.5)
     return float(size)
 

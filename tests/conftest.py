@@ -14,10 +14,6 @@ from repro.reasoner import Slider
 
 EX = Namespace("http://example.org/")
 
-#: One spec per registered storage backend; the fragment closure tests
-#: prove every backend reaches the identical fixpoint.
-STORE_BACKENDS = ("hashdict", "sharded:4")
-
 
 @pytest.fixture
 def ex():
@@ -141,23 +137,6 @@ def closure_with_slider(triples, fragment: str, **kwargs) -> set[Triple]:
         return set(reasoner.graph)
     finally:
         reasoner.close()
-
-
-def closure_all_backends(triples, fragment: str, **kwargs) -> set[Triple]:
-    """Materialize under every registered backend; assert byte-identical
-    closures and return the (shared) result."""
-    closures = {
-        spec: closure_with_slider(triples, fragment, store=spec, **kwargs)
-        for spec in STORE_BACKENDS
-    }
-    reference_spec = STORE_BACKENDS[0]
-    reference = closures[reference_spec]
-    for spec, closure in closures.items():
-        assert closure == reference, (
-            f"backend {spec!r} diverged from {reference_spec!r}: "
-            f"{len(closure - reference)} extra, {len(reference - closure)} missing"
-        )
-    return reference
 
 
 def closure_with_batch(triples, fragment: str) -> set[Triple]:

@@ -9,11 +9,10 @@ are executed three ways and must agree at *every* revision:
 3. **crash-replay** — run the same prefix durably, kill the engine
    (no ``close``), recover from snapshot + changelog, compare.
 
-The harness sweeps both store backends and all three rule fragments
-(ρdf, RDFS, OWL-Horst).  The OWL-Horst cells run scripts that also
-assert — and retract — ``owl:TransitiveProperty`` /
-``owl:SymmetricProperty`` declarations, ``owl:inverseOf`` and
-``owl:sameAs``.
+The harness sweeps all three rule fragments (ρdf, RDFS, OWL-Horst).
+The OWL-Horst cells run scripts that also assert — and retract —
+``owl:TransitiveProperty`` / ``owl:SymmetricProperty`` declarations,
+``owl:inverseOf`` and ``owl:sameAs``.
 
 CI pins an extra seed via ``SLIDER_DIFF_SEED`` so every push replays a
 known script on top of the built-in ones.
@@ -28,7 +27,7 @@ from repro import Delta, Slider
 from repro.baselines import BatchReasoner
 from repro.rdf import Literal, OWL, RDF, RDFS, Triple
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 from ..persist.test_recovery import kill
 
 FRAGMENTS = ("rhodf", "rdfs", "owl-horst")
@@ -143,16 +142,16 @@ def batch_closure(fragment: str, explicit) -> set[Triple]:
     return set(reasoner.graph)
 
 
-def assert_every_revision(fragment: str, store: str, seed: int, **engine) -> None:
+def assert_every_revision(fragment: str, seed: int, **engine) -> None:
     script = script_for(fragment, seed)
-    with Slider(fragment=fragment, timeout=None, store=store, **engine) as r:
+    with Slider(fragment=fragment, timeout=None, **engine) as r:
         for step, delta in enumerate(script, start=1):
             r.apply(delta)
             incremental = set(r.graph)
             baseline = batch_closure(fragment, explicit_after(script, step))
             assert incremental == baseline, (
                 f"divergence at revision {step} "
-                f"(fragment={fragment}, store={store}, seed={seed}, {engine}): "
+                f"(fragment={fragment}, seed={seed}, {engine}): "
                 f"{len(incremental - baseline)} extra, "
                 f"{len(baseline - incremental)} missing"
             )
@@ -162,18 +161,16 @@ class TestIncrementalMatchesBatch:
     """Incremental closure == from-scratch closure at every revision."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
-    def test_every_revision(self, fragment, store, seed):
-        assert_every_revision(fragment, store, seed, workers=0)
+    def test_every_revision(self, fragment, seed):
+        assert_every_revision(fragment, seed, workers=0)
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", ("rdfs", "owl-horst"))
-    def test_every_revision_pooled(self, fragment, store, seed):
+    def test_every_revision_pooled(self, fragment, seed):
         """Tiny buffers on a real pool: every commit mixes firings on the
         committing thread (drained buffers) with pool size-fires."""
-        assert_every_revision(fragment, store, seed, workers=2, buffer_size=3)
+        assert_every_revision(fragment, seed, workers=2, buffer_size=3)
 
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -197,33 +194,32 @@ class TestCrashReplayMatchesUninterrupted:
     """Kill + recover at any revision == never having crashed."""
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_recover_at_every_revision(self, tmp_path, store, seed):
+    def test_recover_at_every_revision(self, tmp_path, seed):
         script = generate_script(seed)
         # Uninterrupted reference: closure snapshot at every revision.
         closures: list[set[Triple]] = []
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             for delta in script:
                 r.apply(delta)
                 closures.append(set(r.graph))
 
         for upto in range(1, len(script) + 1):
-            state = tmp_path / f"s{seed}-{store.replace(':', '-')}-{upto}"
+            state = tmp_path / f"s{seed}-{upto}"
             victim = Slider(
                 fragment="rhodf", workers=0, timeout=None,
-                store=store, persist_dir=state,
+                persist_dir=state,
             )
             for delta in script[:upto]:
                 victim.apply(delta)
             kill(victim)  # kill: no close
             with Slider(
                 fragment="rhodf", workers=0, timeout=None,
-                store=store, persist_dir=state,
+                persist_dir=state,
             ) as revived:
                 assert revived.revision == upto
                 assert set(revived.graph) == closures[upto - 1], (
                     f"crash-replay diverged at revision {upto} "
-                    f"(store={store}, seed={seed})"
+                    f"(seed={seed})"
                 )
 
 class TestColumnarFormatDifferential:
@@ -246,12 +242,11 @@ class TestColumnarFormatDifferential:
                 assert set(image.explicit) | set(image.inferred) == set(r.store)
                 image.close()
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_sealed_crash_replay_matches_uninterrupted(self, tmp_path, store):
+    def test_sealed_crash_replay_matches_uninterrupted(self, tmp_path):
         """Kill + recover through a columnar seal == never having crashed."""
         seed = SEEDS[0]
         script = generate_script(seed)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             for delta in script:
                 r.apply(delta)
             reference = set(r.graph)
@@ -259,7 +254,7 @@ class TestColumnarFormatDifferential:
 
         state = tmp_path / "v2-state"
         victim = Slider(
-            fragment="rhodf", workers=0, timeout=None, store=store,
+            fragment="rhodf", workers=0, timeout=None,
             persist_dir=state,
         )
         for delta in script:
@@ -268,7 +263,7 @@ class TestColumnarFormatDifferential:
         extra = victim.revision - revision
         kill(victim)
         with Slider(
-            fragment="rhodf", workers=0, timeout=None, store=store,
+            fragment="rhodf", workers=0, timeout=None,
             persist_dir=state,
         ) as revived:
             assert revived.revision == revision + extra

@@ -1,8 +1,8 @@
-"""Instrumentation under real concurrent traffic, on every backend.
+"""Instrumentation under real concurrent traffic.
 
 The registry's own concurrency is unit-tested in ``test_metrics``;
 here racing writers go through the full service pipeline (coalescer →
-engine → views) on each registered storage backend, and the global
+engine → views), and the global
 instruments must stay exact where exactness is promised (submissions)
 and consistent where coalescing makes counts workload-dependent
 (commits), while a concurrent scrape stays valid.
@@ -10,27 +10,24 @@ and consistent where coalescing makes counts workload-dependent
 
 import threading
 
-import pytest
-
 from repro.obs import instruments as _obs
 from repro.obs import validate_exposition
 from repro.rdf import RDF, Triple
 from repro.server import ReasoningService
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 THREADS = 6
 WRITES_PER_THREAD = 20
 
 
-@pytest.mark.parametrize("store", STORE_BACKENDS)
-def test_racing_writers_instrument_exactly(store):
+def test_racing_writers_instrument_exactly():
     submitted_before = _obs.COALESCER_SUBMITTED.value()
     commits_before = _obs.ENGINE_COMMITS.value()
     errors: list[BaseException] = []
 
     with ReasoningService(
-        fragment="rhodf", workers=0, timeout=None, store=store
+        fragment="rhodf", workers=0, timeout=None
     ) as service:
 
         def writer(worker: int) -> None:

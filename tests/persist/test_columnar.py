@@ -1,8 +1,8 @@
 """The columnar snapshot image: state identity, bit for bit.
 
 The acceptance line: an image of an engine parses to the engine's
-revision, terms and partitions, restores into an identical substrate
-over every backend, and ``load_snapshot`` keeps reading the legacy v1
+revision, terms and partitions, restores into an identical substrate,
+and ``load_snapshot`` keeps reading the legacy v1
 stream forever — pinned by a golden v1 fixture committed to the repo
 (the v1 *writer* is gone; ``test_v1_compat`` covers what it left on
 disk).
@@ -30,9 +30,9 @@ from repro.persist.columnar import (
     parse_columnar_snapshot,
 )
 from repro.rdf import BNode, IRI, Literal
-from repro.store.backends import create_store
+from repro.store import HashDictStore
 
-from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from ..conftest import EX, make_chain, small_ontology
 
 GOLDEN_V1 = Path(__file__).parent / "fixtures" / "golden-v1.slider"
 
@@ -56,9 +56,9 @@ GOLDEN_STATE = dict(
 )
 
 
-def engine_image(store, extra_deltas=()):
+def engine_image(extra_deltas=()):
     """(image blob, expected state) for one engine run."""
-    with Slider(fragment="rhodf", store=store, workers=0, timeout=None) as r:
+    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
         r.apply(Delta(assertions=small_ontology() + make_chain(6)))
         r.apply(Delta(retractions=[small_ontology()[0]]))
         for delta in extra_deltas:
@@ -73,13 +73,12 @@ def engine_image(store, extra_deltas=()):
 
 
 class TestImageIdentity:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_image_parses_to_the_engine_state(self, store):
-        blob, expected = engine_image(store)
+    def test_image_parses_to_the_engine_state(self):
+        blob, expected = engine_image()
         image = parse_snapshot(blob)
         assert isinstance(image, ColumnarSnapshot)
         assert (image.revision, image.fragment, image.store_spec) == (
-            expected["revision"], "rhodf", store
+            expected["revision"], "rhodf", "hashdict"
         )
         assert image_revision(blob) == expected["revision"]
         # Term ids are positional: the lists must agree element-wise.
@@ -89,18 +88,16 @@ class TestImageIdentity:
         assert set(image.explicit) | set(image.inferred) == expected["store"]
         image.close()
 
-    @pytest.mark.parametrize("target_spec", STORE_BACKENDS)
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_restore_is_identical_across_backends(self, store, target_spec):
-        blob, expected = engine_image(store)
-        dictionary, target = TermDictionary(), create_store(target_spec)
+    def test_restore_is_identical(self):
+        blob, expected = engine_image()
+        dictionary, target = TermDictionary(), HashDictStore()
         explicit = parse_snapshot(blob).restore(dictionary, target)
         assert dictionary.snapshot_terms() == expected["terms"]  # ids bit-for-bit
         assert set(target) == expected["store"]
         assert explicit == expected["explicit"]
 
     def test_term_accessor_matches_term_list(self):
-        blob, expected = engine_image("hashdict")
+        blob, expected = engine_image()
         image = parse_columnar_snapshot(blob)
         for term_id, term in enumerate(expected["terms"]):
             assert image.term(term_id) == term
@@ -176,7 +173,7 @@ class TestEncodedRoundTripProperties:
         assert snapshot.revision == revision
         assert set(snapshot.explicit) == explicit
         assert set(snapshot.inferred) == inferred
-        dictionary, target = TermDictionary(), create_store("hashdict")
+        dictionary, target = TermDictionary(), HashDictStore()
         restored = snapshot.restore(dictionary, target)
         assert restored == explicit
         assert set(target) == explicit | inferred
@@ -213,7 +210,7 @@ class TestGoldenV1Fixture:
         )
         v2 = parse_columnar_snapshot(v2_blob)
         for snapshot in (v1, v2):
-            dictionary, target = TermDictionary(), create_store("hashdict")
+            dictionary, target = TermDictionary(), HashDictStore()
             explicit = snapshot.restore(dictionary, target)
             assert dictionary.snapshot_terms() == GOLDEN_STATE["terms"]
             assert explicit == set(GOLDEN_STATE["explicit"])

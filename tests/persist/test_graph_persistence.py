@@ -18,7 +18,7 @@ from repro.persist.journal import JOURNAL_MAGIC, JournalRecord
 from repro.persist.snapshot import load_snapshot, parse_snapshot
 from repro.rdf import RDF, Triple
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 G1 = EX.tenantA
 G2 = EX.tenantB
@@ -28,10 +28,10 @@ def typed(i: int) -> Triple:
     return Triple(EX[f"item{i}"], RDF.type, EX.Event)
 
 
-def make_engine(state_dir, store="hashdict", **options):
+def make_engine(state_dir, **options):
     options.setdefault("workers", 0)
     options.setdefault("timeout", None)
-    return Slider(fragment="rhodf", store=store, persist_dir=state_dir, **options)
+    return Slider(fragment="rhodf", persist_dir=state_dir, **options)
 
 
 def kill(engine) -> None:
@@ -69,16 +69,15 @@ class TestJournalGraphRecords:
 
 
 class TestRecoveryRoundTrip:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_journal_replay_restores_graph_column(self, tmp_path, store):
-        engine = make_engine(tmp_path, store=store)
+    def test_journal_replay_restores_graph_column(self, tmp_path):
+        engine = make_engine(tmp_path)
         engine.apply(Delta(assertions=[typed(1), typed(2)], graph=G1))
         engine.apply(Delta(assertions=[typed(3)], graph=G2))
         engine.apply(Delta(assertions=[typed(4)]))
         engine.apply(Delta(retractions=[typed(2)], graph=G1))
         expected = engine.graph_counts()
         kill(engine)
-        with make_engine(tmp_path, store=store) as recovered:
+        with make_engine(tmp_path) as recovered:
             assert recovered.recovery.replayed_records == 4
             assert recovered.graph_counts() == expected == {G1: 1, G2: 1}
             assert recovered.triples_in_graph(G1) == [typed(1)]

@@ -2,7 +2,7 @@
 
 The PR's acceptance line: a ``Slider`` killed (process exit without
 ``close``) after N committed revisions recovers to a closure identical
-to an uninterrupted run — over both store backends — with the same
+to an uninterrupted run with the same
 revision id, the same explicit/inferred split, and deterministically
 re-fired reports.
 """
@@ -13,7 +13,7 @@ from repro import CountWindow, Delta, Slider, WindowedReasoner
 from repro.persist import read_journal
 from repro.rdf import RDF, Triple, Variable
 
-from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from ..conftest import EX, make_chain, small_ontology
 
 
 def typed(i: int) -> Triple:
@@ -32,10 +32,10 @@ def kill(engine) -> None:
     engine._persist.close()
 
 
-def make_engine(state_dir, store="hashdict", **options):
+def make_engine(state_dir, **options):
     options.setdefault("workers", 0)
     options.setdefault("timeout", None)
-    return Slider(fragment="rhodf", store=store, persist_dir=state_dir, **options)
+    return Slider(fragment="rhodf", persist_dir=state_dir, **options)
 
 
 DELTAS = [
@@ -47,9 +47,9 @@ DELTAS = [
 ]
 
 
-def run_uninterrupted(store):
+def run_uninterrupted():
     """Reference run: same deltas, no persistence, no close-commit."""
-    with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
         closures = []
         for delta in DELTAS:
             r.apply(delta)
@@ -58,33 +58,31 @@ def run_uninterrupted(store):
 
 
 class TestKillRecover:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_kill_after_each_revision_recovers_identically(self, tmp_path, store):
-        reference = run_uninterrupted(store)
+    def test_kill_after_each_revision_recovers_identically(self, tmp_path):
+        reference = run_uninterrupted()
         for upto in range(1, len(DELTAS) + 1):
-            state = tmp_path / f"state-{store.replace(':', '-')}-{upto}"
-            victim = make_engine(state, store)
+            state = tmp_path / f"state-{upto}"
+            victim = make_engine(state)
             for delta in DELTAS[:upto]:
                 victim.apply(delta)
             kill(victim)  # killed: no close(), no final flush-commit
 
-            with make_engine(state, store) as revived:
+            with make_engine(state) as revived:
                 revision, closure, input_count, inferred_count = reference[upto - 1]
                 assert revived.revision == revision
                 assert set(revived.graph) == closure
                 assert revived.input_count == input_count
                 assert revived.inferred_count == inferred_count
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_replay_refires_reports_deterministically(self, tmp_path, store):
+    def test_replay_refires_reports_deterministically(self, tmp_path):
         original_reports = []
         state = tmp_path / "state"
-        victim = make_engine(state, store)
+        victim = make_engine(state)
         for delta in DELTAS:
             original_reports.append(victim.apply(delta))
         kill(victim)
 
-        with make_engine(state, store) as revived:
+        with make_engine(state) as revived:
             assert revived.recovery is not None
             replayed = revived.recovery.reports
             assert len(replayed) == len(original_reports)
@@ -241,7 +239,7 @@ class TestCompaction:
 
     def test_recovery_after_compaction_midstream(self, tmp_path):
         """Snapshot mid-sequence + journal tail replay compose."""
-        reference = run_uninterrupted("hashdict")
+        reference = run_uninterrupted()
         state = tmp_path / "state"
         victim = make_engine(state)
         for delta in DELTAS[:3]:
@@ -422,27 +420,25 @@ class TestStatsDurability:
     ids, which the deterministic dictionary rebuild preserves.
     """
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_stats_survive_kill_recover(self, tmp_path, store):
+    def test_stats_survive_kill_recover(self, tmp_path):
         state = tmp_path / "state"
-        victim = make_engine(state, store)
+        victim = make_engine(state)
         for delta in DELTAS:
             victim.apply(delta)
         expected = victim.graph.store.stats_vector()
         assert expected, "the script must leave non-trivial statistics"
         kill(victim)
-        with make_engine(state, store) as revived:
+        with make_engine(state) as revived:
             assert revived.graph.store.stats_vector() == expected
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_stats_survive_snapshot_compaction(self, tmp_path, store):
+    def test_stats_survive_snapshot_compaction(self, tmp_path):
         state = tmp_path / "state"
-        with make_engine(state, store, compact_journal_bytes=None) as r:
+        with make_engine(state, compact_journal_bytes=None) as r:
             for delta in DELTAS[:3]:
                 r.apply(delta)
             r.snapshot()
             for delta in DELTAS[3:]:  # journal tail on top of the seal
                 r.apply(delta)
             expected = r.graph.store.stats_vector()
-        with make_engine(state, store) as revived:
+        with make_engine(state) as revived:
             assert revived.graph.store.stats_vector() == expected

@@ -1,7 +1,6 @@
 """Snapshot format round-trips: partitions, dictionary ids, revision.
 
-The acceptance line for the format: snapshot → load over both store
-backends preserves the explicit/inferred partitions, every dictionary
+The acceptance line for the format: snapshot → load preserves the explicit/inferred partitions, every dictionary
 id, and the revision id *bit for bit*.
 """
 
@@ -20,22 +19,21 @@ from repro.persist import (
 )
 from repro.dictionary import TermDictionary
 from repro.rdf import BNode, IRI, Literal, RDF, Triple
-from repro.store.backends import create_store
+from repro.store import HashDictStore
 
-from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from ..conftest import EX, make_chain, small_ontology
 from .test_columnar import GOLDEN_V1
 
 
-def durable_engine(tmp_path, store, **options):
+def durable_engine(tmp_path, **options):
     options.setdefault("workers", 0)
     options.setdefault("timeout", None)
-    return Slider(fragment="rhodf", store=store, persist_dir=tmp_path / "state", **options)
+    return Slider(fragment="rhodf", persist_dir=tmp_path / "state", **options)
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_partitions_dictionary_and_revision_bit_for_bit(self, tmp_path, store):
-        with durable_engine(tmp_path, store) as reasoner:
+    def test_partitions_dictionary_and_revision_bit_for_bit(self, tmp_path):
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology() + make_chain(6)))
             reasoner.apply(Delta(retractions=[small_ontology()[0]]))
             path = reasoner.snapshot()
@@ -47,15 +45,14 @@ class TestRoundTrip:
         snapshot = load_snapshot(path)
         assert snapshot.revision == expected_revision
         assert snapshot.fragment == "rhodf"
-        assert snapshot.store_spec == store
+        assert snapshot.store_spec == "hashdict"
         assert snapshot.terms == expected_terms  # ids preserved by position
         assert set(snapshot.explicit) == expected_explicit
         assert set(snapshot.explicit) | set(snapshot.inferred) == expected_store
         assert set(snapshot.explicit).isdisjoint(snapshot.inferred)
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_restore_into_fresh_substrate_is_identical(self, tmp_path, store):
-        with durable_engine(tmp_path, store) as reasoner:
+    def test_restore_into_fresh_substrate_is_identical(self, tmp_path):
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology()))
             path = reasoner.snapshot()
             expected_terms = reasoner.dictionary.snapshot_terms()
@@ -63,7 +60,7 @@ class TestRoundTrip:
             expected_explicit = set(reasoner.input_manager.explicit)
 
         snapshot = load_snapshot(path)
-        dictionary, target = TermDictionary(), create_store(store)
+        dictionary, target = TermDictionary(), HashDictStore()
         explicit = snapshot.restore(dictionary, target)
         # Bit-for-bit: the fresh dictionary reproduces every id, so the
         # encoded tuples compare equal without any translation.
@@ -72,28 +69,17 @@ class TestRoundTrip:
         assert explicit == expected_explicit
 
     def test_restore_into_shared_dictionary_remaps_ids(self, tmp_path):
-        with durable_engine(tmp_path, "hashdict") as reasoner:
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology()))
             path = reasoner.snapshot()
             expected_graph = set(reasoner.graph)
 
         snapshot = load_snapshot(path)
         shared = TermDictionary(preregister=[EX.unrelated, EX.other])  # shifts all ids
-        target = create_store(None)
+        target = HashDictStore()
         snapshot.restore(shared, target)
         decoded = {shared.decode_triple(t) for t in target}
         assert decoded == expected_graph
-
-    def test_cross_backend_restore(self, tmp_path):
-        """A snapshot taken over hashdict restores into sharded (and back)."""
-        with durable_engine(tmp_path, "hashdict") as reasoner:
-            reasoner.apply(Delta(assertions=small_ontology()))
-            path = reasoner.snapshot()
-            expected = set(reasoner.store)
-        snapshot = load_snapshot(path)
-        target = create_store("sharded:4")
-        snapshot.restore(TermDictionary(), target)
-        assert set(target) == expected
 
     def test_every_term_shape_survives(self, tmp_path):
         triples = [
@@ -103,17 +89,17 @@ class TestRoundTrip:
             Triple(EX.s, EX.p, Literal("42", datatype=IRI("http://www.w3.org/2001/XMLSchema#integer"))),
             Triple(EX.s, RDF.type, EX.Thing),
         ]
-        with durable_engine(tmp_path, "hashdict") as reasoner:
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=triples))
             path = reasoner.snapshot()
             expected = set(reasoner.graph)
         snapshot = load_snapshot(path)
-        dictionary, target = TermDictionary(), create_store(None)
+        dictionary, target = TermDictionary(), HashDictStore()
         snapshot.restore(dictionary, target)
         assert {dictionary.decode_triple(t) for t in target} == expected
 
     def test_empty_engine_snapshot(self, tmp_path):
-        with durable_engine(tmp_path, "hashdict") as reasoner:
+        with durable_engine(tmp_path) as reasoner:
             path = reasoner.snapshot()
         snapshot = load_snapshot(path)
         assert snapshot.explicit == [] and snapshot.inferred == []
@@ -122,7 +108,7 @@ class TestRoundTrip:
 
 class TestDurabilitySafety:
     def test_corrupt_byte_is_detected(self, tmp_path):
-        with durable_engine(tmp_path, "hashdict") as reasoner:
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology()))
             path = reasoner.snapshot()
         blob = bytearray(path.read_bytes())
@@ -132,7 +118,7 @@ class TestDurabilitySafety:
             load_snapshot(path)
 
     def test_truncated_snapshot_is_detected(self, tmp_path):
-        with durable_engine(tmp_path, "hashdict") as reasoner:
+        with durable_engine(tmp_path) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology()))
             path = reasoner.snapshot()
         blob = path.read_bytes()
@@ -184,7 +170,7 @@ class TestDurabilitySafety:
 
     def test_snapshot_repr_and_counts(self, tmp_path):
         snapshot = Snapshot(
-            revision=3, fragment="rdfs", store_spec="sharded:4", axiom_count=2,
+            revision=3, fragment="rdfs", store_spec="hashdict", axiom_count=2,
             terms=[EX.a], explicit=[(0, 0, 0)], inferred=[],
         )
         assert snapshot.triple_count == 1

@@ -13,17 +13,23 @@ the next compaction.
 """
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 from repro import Delta, Slider
 from repro.dictionary import TermDictionary
-from repro.persist import SNAPSHOT_FILENAME, load_snapshot
-from repro.persist.columnar import COLUMNAR_MAGIC, COLUMNAR_MAGIC_V3
+from repro.cli import main
+from repro.persist import SNAPSHOT_FILENAME, atomic_write, load_snapshot
+from repro.persist.columnar import (
+    COLUMNAR_MAGIC,
+    COLUMNAR_MAGIC_V3,
+    encode_columnar_snapshot,
+)
 from repro.persist.snapshot import SNAPSHOT_MAGIC, Snapshot
 from repro.rdf import IRI, RDF, Triple
 from repro.sharding import ShardedReasoner
-from repro.store.backends import create_store
+from repro.store import HashDictStore
 from repro.tenancy import TenantManager
 
 from ..conftest import EX, closure_with_batch, make_chain, small_ontology
@@ -115,7 +121,7 @@ class TestGoldenGraphImage:
             assert getattr(snapshot, name) == pinned, name
 
     def test_restore_tags_the_graph_column(self):
-        dictionary, store = TermDictionary(), create_store("hashdict")
+        dictionary, store = TermDictionary(), HashDictStore()
         load_snapshot(GOLDEN_V1_GRAPHS).restore(dictionary, store)
         assert dictionary.snapshot_terms() == GOLDEN_GRAPHS_STATE["terms"]
         assert store.graph_assignments() == {
@@ -210,3 +216,51 @@ class TestGoldenClusterRoot:
                 FINAL_REVISION, vector, closure
             )
 
+
+
+class TestLegacyStoreSpec:
+    """Images sealed while ``store=`` still took backend specs carry the
+    spec in their header; it is informational, so a directory sealed
+    by a ``sharded:N`` engine opens unchanged on the one store left."""
+
+    LEGACY_SPEC = f"sharded:{4}"
+
+    def legacy_dir(self, path) -> Path:
+        build_engine_dir(path)
+        image = path / SNAPSHOT_FILENAME
+        sealed = load_snapshot(image)
+        blob = encode_columnar_snapshot(
+            revision=sealed.revision, fragment=sealed.fragment,
+            store_spec=self.LEGACY_SPEC, axiom_count=sealed.axiom_count,
+            terms=list(sealed.terms), explicit=list(sealed.explicit),
+            inferred=list(sealed.inferred),
+        )
+        sealed.close()
+        atomic_write(image, blob)
+        assert load_snapshot(image).store_spec == self.LEGACY_SPEC
+        return path
+
+    def test_engine_recovers_the_same_closure_and_revision(self, tmp_path):
+        state = self.legacy_dir(tmp_path / "state")
+        with Slider(fragment="rhodf", workers=0, timeout=None, persist_dir=state) as r:
+            assert r.recovery.snapshot_revision == SEALED_REVISION
+            assert r.revision == FINAL_REVISION
+            assert set(r.graph) == closure_with_batch(NET_EXPLICIT, "rhodf")
+
+    def test_cli_recover_reports_the_same_state(self, tmp_path, capsys):
+        state = self.legacy_dir(tmp_path / "state")
+        closure = closure_with_batch(NET_EXPLICIT, "rhodf")
+        assert main(["recover", "--persist", str(state)]) == 0
+        out = capsys.readouterr().out
+        assert f"recovered revision {FINAL_REVISION}" in out
+        assert f"= {len(closure)} triples at revision {FINAL_REVISION}" in out
+
+    def test_cluster_manifest_naming_a_spec_recovers(self, tmp_path):
+        root = fixture_copy("golden-v1-cluster", tmp_path)
+        manifest = root / "cluster.json"
+        meta = json.loads(manifest.read_text("utf-8"))
+        meta["store"] = self.LEGACY_SPEC
+        manifest.write_text(json.dumps(meta), "utf-8")
+        with ShardedReasoner(fragment="rhodf", shards=2, persist_dir=root) as cluster:
+            assert cluster.revision == FINAL_REVISION
+            assert set(cluster.graph) == closure_with_batch(NET_EXPLICIT, "rhodf")

@@ -1,11 +1,11 @@
 """Differential query oracle: the planner against ground truth.
 
-For hundreds of seeded random BGPs per backend, :func:`repro.store.solve`
+For hundreds of seeded random BGPs, :func:`repro.store.solve`
 (cost-based planner — statistics-driven join order, permutation-index
 access paths, encoded-space execution) must agree with
 :func:`repro.store.solve_naive` (written-order, term-level nested loops,
 deliberately sharing no code with the planner) as *multisets* of
-bindings.  The sweep covers both mutable store backends and the columnar
+bindings.  The sweep covers the mutable hash-dict store and the columnar
 read store, over ρdf and RDFS closures of random ontologies.
 
 Queries are generated from *witness triples* sampled from the closure:
@@ -32,7 +32,7 @@ from repro.rdf import Variable
 from repro.store import Graph, solve, solve_naive
 from repro.store.backends.columnar import ColumnarReadStore
 
-from ..conftest import EX, STORE_BACKENDS, random_ontology
+from ..conftest import EX, random_ontology
 
 FRAGMENTS = ("rhodf", "rdfs")
 
@@ -40,7 +40,7 @@ _extra_seed = os.environ.get("SLIDER_DIFF_SEED")
 SEEDS = (31415, 27182) + ((int(_extra_seed),) if _extra_seed else ())
 
 #: Queries per (fragment, seed) case: 2 fragments x >=2 seeds x 150
-#: >= 600 random queries per backend per run.
+#: >= 600 random queries per run.
 QUERIES_PER_CASE = 150
 
 #: The variable pool a generated BGP draws from (shared across patterns).
@@ -134,18 +134,17 @@ def _sweep(graph: Graph, closure, rng: random.Random, context: str) -> None:
 
 
 class TestPlannerMatchesNaive:
-    """solve == solve_naive on the mutable backends, as multisets."""
+    """solve == solve_naive on the mutable store, as multisets."""
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
-    def test_random_bgps(self, fragment, store, seed):
-        with Slider(fragment=fragment, workers=0, timeout=None, store=store) as r:
+    def test_random_bgps(self, fragment, seed):
+        with Slider(fragment=fragment, workers=0, timeout=None) as r:
             r.apply(Delta(assertions=random_ontology(seed)))
             closure = list(r.graph)
             assert closure, "closure must be non-empty for the oracle to bite"
-            rng = random.Random(f"{seed}:{fragment}:{store}")
-            _sweep(r.graph, closure, rng, f"fragment={fragment}, store={store}, seed={seed}")
+            rng = random.Random(f"{seed}:{fragment}:hashdict")
+            _sweep(r.graph, closure, rng, f"fragment={fragment}, seed={seed}")
 
 
 def columnar_graph(closure) -> Graph:
@@ -173,7 +172,7 @@ class TestPlannerMatchesNaiveColumnar:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
     def test_random_bgps(self, fragment, seed):
-        with Slider(fragment=fragment, workers=0, timeout=None, store="hashdict") as r:
+        with Slider(fragment=fragment, workers=0, timeout=None) as r:
             r.apply(Delta(assertions=random_ontology(seed)))
             closure = list(r.graph)
         graph = columnar_graph(closure)
@@ -189,14 +188,13 @@ class TestSeededSolveMatchesNaive:
     layer's evaluation mode), including carry variables no pattern binds
     and heterogeneous seed shapes."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_seeded_bindings(self, store):
+    def test_seeded_bindings(self):
         carry = Variable("carry")
-        with Slider(fragment="rdfs", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rdfs", workers=0, timeout=None) as r:
             r.apply(Delta(assertions=random_ontology(4242)))
             graph = r.graph
             closure = list(graph)
-            rng = random.Random(f"seeded:{store}")
+            rng = random.Random("seeded:hashdict")
             for query_index in range(60):
                 patterns = bounded_random_bgp(rng, graph, closure)
                 variables = sorted(
@@ -218,6 +216,6 @@ class TestSeededSolveMatchesNaive:
                 expected = as_multiset(solve_naive(graph, patterns, seeds))
                 got = as_multiset(solve(graph, patterns, seeds))
                 assert got == expected, (
-                    f"seeded planner != naive (store={store}, "
+                    f"seeded planner != naive ("
                     f"query={query_index}): patterns={patterns}, seeds={seeds}"
                 )

@@ -9,7 +9,7 @@ and stops once it has what it was asked for.  The contract:
   collapse duplicates, and for ``k`` on both sides of the block size;
 * ``ask`` ≡ ``bool(solve_naive(...))`` on the differential generator;
 * the blocks, concatenated, are the unlimited answer; and the unlimited
-  ``solve`` stays multiset-identical to ``solve_naive`` on both backends
+  ``solve`` stays multiset-identical to ``solve_naive`` on the store
   and on a :class:`~repro.server.ReadView` with a non-empty overlay and
   tombstones.
 """
@@ -26,7 +26,7 @@ from repro.store import Graph, ask, construct, select, solve, solve_naive
 from repro.store.planner import executor
 from repro.store.planner.executor import BLOCK_ROWS, solution_blocks
 
-from ..conftest import EX, STORE_BACKENDS, random_ontology
+from ..conftest import EX, random_ontology
 from .test_differential_oracle import _sweep, as_multiset, bounded_random_bgp
 
 X, Y, C = Variable("x"), Variable("y"), Variable("c")
@@ -56,11 +56,10 @@ def overlaid_view(engine: Slider, later: list[Delta]) -> ReadView:
     return view
 
 
-@pytest.fixture(params=(*STORE_BACKENDS, "view"))
+@pytest.fixture(params=("hashdict", "view"))
 def graph(request):
-    """The social graph on each backend, and on an overlaid read view."""
-    store = "hashdict" if request.param == "view" else request.param
-    with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as engine:
+    """The social graph on the store, and on an overlaid read view."""
+    with Slider(fragment="rhodf", workers=0, timeout=None) as engine:
         triples = social_triples()
         if request.param != "view":
             engine.apply(Delta(assertions=triples))
@@ -170,14 +169,13 @@ class TestBlocks:
 class TestAskMatchesNaive:
     """``ask`` ≡ ``bool(solve_naive)`` on the differential generator."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("fragment", ("rhodf", "rdfs"))
-    def test_random_bgps(self, fragment, store):
-        with Slider(fragment=fragment, workers=0, timeout=None, store=store) as engine:
+    def test_random_bgps(self, fragment):
+        with Slider(fragment=fragment, workers=0, timeout=None) as engine:
             engine.apply(Delta(assertions=random_ontology(1618)))
             graph = engine.graph
             closure = list(graph)
-            rng = random.Random(f"ask:{fragment}:{store}")
+            rng = random.Random(f"ask:{fragment}:hashdict")
             outcomes = Counter()
             for index in range(150):
                 patterns = bounded_random_bgp(rng, graph, closure)

@@ -3,32 +3,23 @@
 The compiled plans are a pure performance substitution — the
 acceptance line is triple-for-triple emission identity with the
 binding-dict interpreter: ``JoinRule._half_join`` for every direction
-of every fragment on every kernel path (hash join, galloping merge
-join over a mapped columnar image, positional probe loop), and a
-``Pattern.matches`` reference for ``SingleRule``.  A counting test
-shows a commit's firings make no interpreter call at all.  The
-galloping primitives are checked against their obvious-by-construction
-references.
+of every fragment on every kernel path (hash join, positional probe
+loop), and a ``Pattern.matches`` reference for ``SingleRule``.  A
+counting test shows a commit's firings make no interpreter call at all.
 """
 
 import random
-from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dictionary import TermDictionary
-from repro.persist.columnar import (
-    encode_columnar_snapshot,
-    parse_columnar_snapshot,
-)
 from repro import Delta
 from repro.datasets.bsbm import generate_bsbm
 from repro.datasets.subclass_chains import subclass_chain
 from repro.rdf import IRI, Literal
 from repro.reasoner import Slider, kernels
 from repro.reasoner.fragments import get_fragment
-from repro.reasoner.kernels import gallop_left, intersect_sorted
 from repro.reasoner.rules import (
     JoinRule,
     OutputBuffer,
@@ -38,8 +29,7 @@ from repro.reasoner.rules import (
     derive_all,
 )
 from repro.reasoner.vocabulary import Vocabulary
-from repro.store.backends import create_store
-from repro.store.backends.columnar import ColumnarReadStore
+from repro.store import HashDictStore
 
 FRAGMENTS = ("rhodf", "rdfs", "owl-horst")
 
@@ -47,40 +37,6 @@ FRAGMENTS = ("rhodf", "rdfs", "owl-horst")
 #: mix schema ids with plain instance ids.
 EXTRA_TERMS = 48
 EXTRA_LITERALS = 8
-
-
-class TestGallopPrimitives:
-    @given(
-        values=st.lists(st.integers(min_value=0, max_value=500), max_size=80),
-        needle=st.integers(min_value=-5, max_value=505),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_gallop_left_is_bisect_left(self, values, needle):
-        column = sorted(set(values))
-        assert gallop_left(column, needle, 0, len(column)) == bisect_left(
-            column, needle
-        )
-
-    @given(
-        values=st.lists(st.integers(min_value=0, max_value=200), max_size=60),
-        needle=st.integers(min_value=0, max_value=200),
-        lo=st.integers(min_value=0, max_value=60),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_gallop_left_respects_the_window(self, values, needle, lo):
-        column = sorted(set(values))
-        lo = min(lo, len(column))
-        assert gallop_left(column, needle, lo, len(column)) == bisect_left(
-            column, needle, lo, len(column)
-        )
-
-    @given(
-        a=st.sets(st.integers(min_value=0, max_value=300), max_size=80),
-        b=st.sets(st.integers(min_value=0, max_value=300), max_size=80),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_intersect_sorted_is_set_intersection(self, a, b):
-        assert intersect_sorted(sorted(a), sorted(b)) == sorted(a & b)
 
 
 def compiled_rules(fragment: str):
@@ -167,14 +123,6 @@ def directions(rule: JoinRule):
     )
 
 
-def columnar_image(dictionary, triples) -> ColumnarReadStore:
-    blob = encode_columnar_snapshot(
-        revision=1, fragment="rhodf", store_spec="hashdict", axiom_count=0,
-        terms=dictionary.snapshot_terms(), explicit=sorted(triples), inferred=[],
-    )
-    return ColumnarReadStore(parse_columnar_snapshot(blob))
-
-
 class TestKernelMatchesClassic:
     """Fuzz: plan.execute == _half_join, rule by rule, direction by direction."""
 
@@ -191,7 +139,7 @@ class TestKernelMatchesClassic:
     @pytest.mark.parametrize("fragment", FRAGMENTS + ("custom",))
     @pytest.mark.parametrize("seed", range(4))
     def test_every_kernel_path(self, monkeypatch, path, fragment, seed):
-        # "batch" lets every batch size reach the hash and merge joins;
+        # "batch" lets every batch size reach the hash join;
         # "probe" forces the positional probe loop.  Variable-predicate
         # directions probe with match() on both.  The selection
         # heuristic must never be load-bearing for correctness.
@@ -211,27 +159,24 @@ class TestKernelMatchesClassic:
                     stored.add(partner)
                     batch.append(new)
 
-        mutable = create_store("hashdict")
-        mutable.add_all(sorted(stored))
-        columnar = columnar_image(dictionary, stored)
+        store = HashDictStore()
+        store.add_all(sorted(stored))
         is_literal = dictionary.is_literal
         fired = 0
-        for store in (mutable, columnar):
-            for rule in rules:
-                for plan, new_side, store_side in directions(rule):
-                    classic_out = OutputBuffer()
-                    rule._half_join(
-                        store, batch, new_side, store_side, vocab, classic_out
-                    )
-                    kernel_out = OutputBuffer()
-                    plan.execute(store, batch, is_literal, kernel_out)
-                    classic = set(classic_out.take())
-                    assert set(kernel_out.take()) == classic, (
-                        f"kernel diverged: fragment={fragment} seed={seed} "
-                        f"path={path} rule={rule!r} store={type(store).__name__}"
-                    )
-                    fired += bool(classic)
-        columnar.close()
+        for rule in rules:
+            for plan, new_side, store_side in directions(rule):
+                classic_out = OutputBuffer()
+                rule._half_join(
+                    store, batch, new_side, store_side, vocab, classic_out
+                )
+                kernel_out = OutputBuffer()
+                plan.execute(store, batch, is_literal, kernel_out)
+                classic = set(classic_out.take())
+                assert set(kernel_out.take()) == classic, (
+                    f"kernel diverged: fragment={fragment} seed={seed} "
+                    f"path={path} rule={rule!r}"
+                )
+                fired += bool(classic)
         assert fired > len(rules) // 2
 
     def test_a_seven_triple_batch_is_handled(self):
@@ -239,7 +184,7 @@ class TestKernelMatchesClassic:
         rule = next(r for r in rules if r.name == "cax-sco")
         plan, new_side, store_side = directions(rule)[0]
         rng = random.Random(7)
-        store = create_store("hashdict")
+        store = HashDictStore()
         batch = []
         for _ in range(kernels.KERNEL_MIN_BATCH - 1):
             partner, new = joining_pair(plan, rng, len(dictionary))

@@ -13,7 +13,7 @@ import pytest
 from repro import Delta, Slider
 from repro.rdf import RDF, RDFS, Quad, Triple, Variable
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 G1 = EX.graph1
 G2 = EX.graph2
@@ -25,15 +25,15 @@ def typed(i: int) -> Triple:
     return Triple(EX[f"item{i}"], RDF.type, EX.Event)
 
 
-def make_engine(store="hashdict", **options):
+def make_engine(**options):
     options.setdefault("workers", 0)
     options.setdefault("timeout", None)
-    return Slider(fragment="rhodf", store=store, **options)
+    return Slider(fragment="rhodf", **options)
 
 
-@pytest.fixture(params=STORE_BACKENDS)
-def engine(request):
-    with make_engine(store=request.param) as reasoner:
+@pytest.fixture
+def engine():
+    with make_engine() as reasoner:
         yield reasoner
 
 
@@ -124,10 +124,9 @@ class TestGraphFilteredSubscriptions:
 
 
 class TestDifferentialIsolation:
-    """Interleaved graph-scoped tenants ≡ isolated engines (both backends)."""
+    """Interleaved graph-scoped tenants ≡ isolated engines."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_interleaved_equals_isolated(self, store):
+    def test_interleaved_equals_isolated(self):
         # Tenant data is disjoint (tenant-prefixed subjects); the shared
         # schema lives in the default graph in both settings.  A triple
         # asserted by two graphs keeps its *first* asserter's tag, so
@@ -141,7 +140,7 @@ class TestDifferentialIsolation:
                 Delta(retractions=[typed(12)]),
             ],
         }
-        with make_engine(store=store) as shared:
+        with make_engine() as shared:
             shared.apply(Delta(assertions=SCHEMA))
             for step in range(2):
                 for graph, deltas in scripts.items():
@@ -158,7 +157,7 @@ class TestDifferentialIsolation:
                 graph: sorted(shared.triples_in_graph(graph)) for graph in scripts
             }
         for graph, deltas in scripts.items():
-            with make_engine(store=store) as isolated:
+            with make_engine() as isolated:
                 isolated.apply(Delta(assertions=SCHEMA))
                 for d in deltas:
                     isolated.apply(

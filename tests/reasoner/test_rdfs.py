@@ -4,17 +4,15 @@ from repro.rdf import RDF, RDFS, Literal, Triple
 from repro.reasoner.fragments import get_fragment
 from repro.reasoner.fragments.rdfs import axiomatic_triples
 
-from ..conftest import EX, closure_all_backends, closure_with_slider
+from ..conftest import EX, closure_with_slider
 
 
 def rdfs_closure(triples) -> set[Triple]:
-    # Materialized once per registered store backend; results asserted
-    # identical before one is returned (backend-equivalence coverage).
-    return closure_all_backends(triples, "rdfs")
+    return closure_with_slider(triples, "rdfs")
 
 
 def rdfs_full_closure(triples) -> set[Triple]:
-    return closure_all_backends(triples, "rdfs-full")
+    return closure_with_slider(triples, "rdfs-full")
 
 
 class TestRdfs2Domain:

@@ -9,7 +9,7 @@ from repro import Delta
 from repro.rdf import OWL, RDF, RDFS, Triple
 from repro.reasoner import Slider
 
-from ..conftest import EX, STORE_BACKENDS, closure_with_slider, make_chain
+from ..conftest import EX, closure_with_slider, make_chain
 
 
 def fresh(**kwargs) -> Slider:
@@ -133,9 +133,8 @@ class TestTransitivityDeclarations:
 
     DECLARATION = Triple(EX.anc, RDF.type, OWL.TransitiveProperty)
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_retracting_the_declaration_retracts_its_closure(self, store):
-        with fresh(fragment="owl-horst", store=store) as r:
+    def test_retracting_the_declaration_retracts_its_closure(self):
+        with fresh(fragment="owl-horst") as r:
             r.apply(Delta([
                 self.DECLARATION,
                 Triple(EX.a, EX.anc, EX.b),
@@ -181,7 +180,7 @@ class TestTransitivityDeclarations:
 
 
 # --- property tests ------------------------------------------------------------
-# materialize(A); retract(B) ≡ closure(A \ B), on every fragment and backend.
+# materialize(A); retract(B) ≡ closure(A \ B), on every fragment.
 # The OWL-Horst cell draws transitivity/symmetry declarations, inverseOf and
 # sameAs — and retracts them like any other triple.
 
@@ -219,15 +218,14 @@ _pinned = os.environ.get("SLIDER_DIFF_SEED")
 _replay = seed(int(_pinned)) if _pinned else (lambda test: test)
 
 
-@pytest.mark.parametrize("store", STORE_BACKENDS)
 @pytest.mark.parametrize("fragment", sorted(_ONTOLOGIES))
 @_replay
 @given(st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_dred_equals_recomputation(fragment, store, data):
+def test_dred_equals_recomputation(fragment, data):
     triples = data.draw(_ONTOLOGIES[fragment])
     removed = data.draw(st.lists(st.sampled_from(triples), max_size=6))
-    with fresh(fragment=fragment, store=store) as r:
+    with fresh(fragment=fragment) as r:
         r.materialize(triples)
         r.retract(removed)
         incremental = set(r.graph)

@@ -10,7 +10,7 @@ import pytest
 from repro import Delta, Slider, Variable
 from repro.rdf import RDF, RDFS, Triple
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 X = Variable("x")
 Y = Variable("y")
@@ -69,11 +69,10 @@ class TestBindingDeltas:
             r.apply(Delta(assertions=[Triple(EX.tom, RDF.type, EX.Dog)]))
             assert events == []  # the binding was already live
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_subscription_tracks_report_diff(self, store):
+    def test_subscription_tracks_report_diff(self):
         """The notified bindings are exactly the report's graph diff
         projected through the pattern."""
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.materialize(SCHEMA)
             events = []
             r.subscribe(animal_pattern(), events.append)
@@ -268,21 +267,19 @@ OWNS_ANIMAL = [(Y, EX.hasPet, X), (X, RDF.type, EX.Animal)]
 
 
 class TestSupportIndex:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_solution_losing_two_supports_dies_once(self, store):
+    def test_solution_losing_two_supports_dies_once(self):
         pet = Triple(EX.alice, EX.hasPet, EX.tom)
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.materialize(SCHEMA + [pet, cat])
             events = run_against_reference(
                 r, OWNS_ANIMAL, [Delta(retractions=[pet, cat])]
             )
             assert [dict(b) for b in events[0].removed] == [{X: EX.tom, Y: EX.alice}]
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_solutions_sharing_a_support_die_together(self, store):
+    def test_solutions_sharing_a_support_die_together(self):
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.materialize(SCHEMA + [
                 cat,
                 Triple(EX.alice, EX.hasPet, EX.tom),
@@ -294,10 +291,9 @@ class TestSupportIndex:
             assert {b[Y] for b in events[0].removed} == {EX.alice, EX.bob}
             assert all(b[X] == EX.tom for b in events[0].removed)
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_remove_then_readd_across_revisions(self, store):
+    def test_remove_then_readd_across_revisions(self):
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.materialize(SCHEMA + [cat, Triple(EX.alice, EX.hasPet, EX.tom)])
             events = run_against_reference(
                 r,
@@ -323,9 +319,8 @@ class TestSupportIndex:
                 r, patterns, [Delta(retractions=[loop]), Delta(assertions=[loop])]
             )
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("seed", (11, 12, 13))
-    def test_seeded_scripts_match_the_reference(self, store, seed):
+    def test_seeded_scripts_match_the_reference(self, seed):
         import random
 
         rng = random.Random(seed)
@@ -344,7 +339,7 @@ class TestSupportIndex:
             live.difference_update(delta.retractions)
             live.update(delta.assertions)
             deltas.append(delta)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.materialize(SCHEMA)
             events = run_against_reference(r, OWNS_ANIMAL, deltas)
             assert any(e.removed for e in events) and any(e.added for e in events)

@@ -23,9 +23,9 @@ from repro.rdf import OWL, RDF, RDFS, Literal, Triple
 from repro.reasoner import Vocabulary, dred_retract
 from repro.reasoner.fragments import Fragment, available_fragments, get_fragment
 from repro.reasoner.rules import derive_all
-from repro.store import create_store
+from repro.store import HashDictStore
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 NODES = [EX[f"n{i}"] for i in range(4)]
 PROPERTIES = [EX.knows, EX.near]
@@ -43,12 +43,12 @@ OBJECTS = SUBJECTS + MARKERS + [Literal("v")]
 TERMS = list(dict.fromkeys(PREDICATES + OBJECTS + [RDFS.member]))
 
 
-def random_store(seed: int, backend: str):
+def random_store(seed: int):
     """A seeded random store (not a closure: every rule has work left)."""
     rng = random.Random(seed)
     dictionary = TermDictionary()
     vocab = Vocabulary(dictionary)
-    store = create_store(backend)
+    store = HashDictStore()
     triples = []
     for _ in range(60):
         predicate = rng.choice(PREDICATES)
@@ -70,11 +70,10 @@ def candidate_universe(dictionary):
 
 
 class TestSupportsEqualsFullEvaluation:
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
     @pytest.mark.parametrize("seed", (7, 8))
     @pytest.mark.parametrize("fragment", available_fragments())
-    def test_every_rule(self, fragment, seed, backend):
-        dictionary, vocab, store = random_store(seed, backend)
+    def test_every_rule(self, fragment, seed):
+        dictionary, vocab, store = random_store(seed)
         universe = candidate_universe(dictionary)
         derived_anything = False
         for rule in get_fragment(fragment).rules(vocab):
@@ -202,11 +201,10 @@ class TestScaleIndependence:
         assert small.dred_deleted == large.dred_deleted
         assert small.dred_rederived == large.dred_rederived
 
-    @pytest.mark.parametrize("backend", STORE_BACKENDS)
-    def test_store_lookups_do_not_grow_with_the_store(self, backend):
+    def test_store_lookups_do_not_grow_with_the_store(self):
         lookups = []
         for unrelated in (50, 400):
-            with Slider(fragment="rdfs", workers=0, timeout=None, store=backend) as r:
+            with Slider(fragment="rdfs", workers=0, timeout=None) as r:
                 r.apply(Delta(zoo(unrelated)))
                 counting = CountingStore(r.store)
                 _deleted, _rederived, probes = dred_retract(

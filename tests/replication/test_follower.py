@@ -8,24 +8,20 @@ tail resume) and across a leader compaction that forces the follower
 through a fresh snapshot bootstrap.
 """
 
-import pytest
-
 from repro.reasoner.engine import Slider
 from repro.replication import ChangeFeed, Follower
 from repro.server import ReasoningService
 from repro.server.http import serve
 
-from ..conftest import STORE_BACKENDS
 from ..differential.test_differential import SEEDS, generate_script
 
 #: Deterministic engine settings for both ends of the wire.
 DETERMINISTIC = dict(workers=0, timeout=None)
 
 
-def boot_leader(store, persist_dir=None, feed_retain=1024):
+def boot_leader(persist_dir=None, feed_retain=1024):
     reasoner = Slider(
         fragment="rhodf",
-        store=store,
         persist_dir=persist_dir,
         persist_fsync=False,
         **DETERMINISTIC,
@@ -42,10 +38,9 @@ def shutdown_leader(service, server):
     service.close()
 
 
-def new_follower(server, store="hashdict", persist_dir=None):
+def new_follower(server, persist_dir=None):
     return Follower(
         server.url,
-        store=store,
         persist_dir=persist_dir,
         persist_fsync=False,
         reconnect_delay=0.05,
@@ -84,13 +79,12 @@ def assert_converged(service, follower):
 
 
 class TestDifferentialReplication:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_identical_at_every_revision(self, tmp_path, store):
+    def test_identical_at_every_revision(self, tmp_path):
         """WAL-tailing follower tracks every revision of a random script."""
         script = generate_script(SEEDS[0])
-        service, server = boot_leader(store, persist_dir=tmp_path / "leader")
+        service, server = boot_leader(persist_dir=tmp_path / "leader")
         try:
-            follower = new_follower(server, store=store)
+            follower = new_follower(server)
             try:
                 for delta in script:
                     service.apply(delta.assertions, delta.retractions)
@@ -106,16 +100,15 @@ class TestDifferentialReplication:
         finally:
             shutdown_leader(service, server)
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_restart_resumes_from_local_state(self, tmp_path, store):
+    def test_restart_resumes_from_local_state(self, tmp_path):
         """Kill a durable follower mid-stream; its successor recovers
         locally and resumes the feed tail — no re-bootstrap."""
         script = generate_script(SEEDS[1])
         half = len(script) // 2
         state = tmp_path / "follower"
-        service, server = boot_leader(store, persist_dir=tmp_path / "leader")
+        service, server = boot_leader(persist_dir=tmp_path / "leader")
         try:
-            follower = new_follower(server, store=store, persist_dir=state)
+            follower = new_follower(server, persist_dir=state)
             for delta in script[:half]:
                 service.apply(delta.assertions, delta.retractions)
             assert follower.wait_for_revision(service.reasoner.revision, 30)
@@ -126,7 +119,7 @@ class TestDifferentialReplication:
             for delta in script[half:]:
                 service.apply(delta.assertions, delta.retractions)
 
-            revived = new_follower(server, store=store, persist_dir=state)
+            revived = new_follower(server, persist_dir=state)
             try:
                 assert revived.wait_for_revision(service.reasoner.revision, 30)
                 assert_converged(service, revived)
@@ -139,8 +132,7 @@ class TestDifferentialReplication:
         finally:
             shutdown_leader(service, server)
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_compaction_forces_rebootstrap(self, tmp_path, store):
+    def test_compaction_forces_rebootstrap(self, tmp_path):
         """Leader compaction evicts the replica's resume point: it must
         detect 410, re-bootstrap from the snapshot, and converge."""
         script = generate_script(SEEDS[0])
@@ -148,10 +140,10 @@ class TestDifferentialReplication:
         state = tmp_path / "follower"
         # A one-record ring: any disconnection outlives the retention.
         service, server = boot_leader(
-            store, persist_dir=tmp_path / "leader", feed_retain=1
+            persist_dir=tmp_path / "leader", feed_retain=1
         )
         try:
-            follower = new_follower(server, store=store, persist_dir=state)
+            follower = new_follower(server, persist_dir=state)
             for delta in script[:half]:
                 service.apply(delta.assertions, delta.retractions)
             assert follower.wait_for_revision(service.reasoner.revision, 30)
@@ -161,7 +153,7 @@ class TestDifferentialReplication:
                 service.apply(delta.assertions, delta.retractions)
             service.reasoner.snapshot()  # WAL truncated: resume point gone
 
-            revived = new_follower(server, store=store, persist_dir=state)
+            revived = new_follower(server, persist_dir=state)
             try:
                 assert revived.wait_for_revision(service.reasoner.revision, 30)
                 assert_converged(service, revived)
@@ -174,29 +166,12 @@ class TestDifferentialReplication:
         finally:
             shutdown_leader(service, server)
 
-    def test_cross_backend_replication(self, tmp_path):
-        """Snapshots and records are backend-independent: a sharded
-        follower replicates a hashdict leader bit-for-bit."""
-        script = generate_script(SEEDS[1])
-        service, server = boot_leader("hashdict", persist_dir=tmp_path / "leader")
-        try:
-            follower = new_follower(server, store="sharded:4")
-            try:
-                for delta in script:
-                    service.apply(delta.assertions, delta.retractions)
-                assert follower.wait_for_revision(service.reasoner.revision, 30)
-                assert_converged(service, follower)
-            finally:
-                follower.close()
-        finally:
-            shutdown_leader(service, server)
-
     def test_replaced_leader_resets_lineage(self, tmp_path):
         """A wiped-and-replaced leader stands *below* the follower's old
         watermark: the follower must re-bootstrap once onto the new
         lineage and then tail it — not loop on the stale-leader check."""
         script = generate_script(SEEDS[0])
-        service, server = boot_leader("hashdict", persist_dir=tmp_path / "a")
+        service, server = boot_leader(persist_dir=tmp_path / "a")
         port = server.port
         follower = None
         try:
@@ -246,7 +221,7 @@ class TestDifferentialReplication:
         """A non-durable leader has no WAL: a fresh follower must come
         up via snapshot bootstrap and then tail live commits."""
         script = generate_script(SEEDS[0])
-        service, server = boot_leader(None)
+        service, server = boot_leader()
         try:
             for delta in script[:3]:
                 service.apply(delta.assertions, delta.retractions)
@@ -273,15 +248,14 @@ class TestStatsReplay:
     counts — since both paths run the same commit pipeline.
     """
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_apply_at_rebuilds_identical_stats(self, store):
+    def test_apply_at_rebuilds_identical_stats(self):
         script = generate_script(SEEDS[0])
-        with Slider(fragment="rhodf", store=store, **DETERMINISTIC) as leader:
+        with Slider(fragment="rhodf", **DETERMINISTIC) as leader:
             revisions = [leader.apply(delta).revision for delta in script]
             expected_vector = leader.graph.store.stats_vector()
             expected_terms = term_stats(leader)
         assert expected_vector, "the script must leave non-trivial statistics"
-        with Slider(fragment="rhodf", store=store, **DETERMINISTIC) as replica:
+        with Slider(fragment="rhodf", **DETERMINISTIC) as replica:
             for revision, delta in zip(revisions, script):
                 replica.apply_at(revision, delta)
             assert replica.graph.store.stats_vector() == expected_vector

@@ -3,7 +3,7 @@
 Pins the PR's two concurrency acceptance criteria:
 
 * concurrent readers observe a *consistent committed revision* while an
-  apply is in flight — never a partial fixpoint — on both backends;
+  apply is in flight — never a partial fixpoint;
 * writes netted by the coalescer produce exactly the closure sequential
   applies produce (reusing the differential harness's delta scripts).
 """
@@ -16,7 +16,7 @@ from repro import Delta, Slider, Triple, Variable
 from repro.rdf import RDF, RDFS
 from repro.server import ReasoningService, ServiceClosedError
 
-from ..conftest import EX, STORE_BACKENDS, small_ontology
+from ..conftest import EX, small_ontology
 from ..differential.test_differential import generate_script
 
 
@@ -31,14 +31,13 @@ def chain_delta(start: int, count: int) -> Delta:
 
 
 class TestSnapshotIsolation:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_concurrent_readers_observe_committed_revisions_only(self, store):
+    def test_concurrent_readers_observe_committed_revisions_only(self):
         """Readers racing a heavy in-flight apply see only states that
         are the exact image of some committed revision."""
         deltas = [chain_delta(2 + 12 * i, 12) for i in range(5)]
         deltas.append(Delta(retractions=deltas[0].assertions[:3]))
         with ReasoningService(
-            fragment="rhodf", store=store, workers=2, buffer_size=20
+            fragment="rhodf", workers=2, buffer_size=20
         ) as service:
             expected: dict[int, frozenset] = {
                 service.revision: frozenset(service.view())
@@ -96,20 +95,19 @@ class TestCoalescing:
     """The pipeline's own contract (netting, paused bursts, close,
     failure isolation) lives in ``test_write_pipeline.py``."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_coalesced_script_matches_sequential_closure(self, store):
+    def test_coalesced_script_matches_sequential_closure(self):
         """Differential harness scripts through the coalescer == the same
         deltas applied sequentially, at the final revision."""
         script = generate_script(4242, steps=8)
         with Slider(
-            fragment="rhodf", workers=0, timeout=None, store=store
+            fragment="rhodf", workers=0, timeout=None
         ) as sequential:
             for delta in script:
                 sequential.apply(delta)
             reference = set(sequential.graph)
 
         with ReasoningService(
-            fragment="rhodf", store=store, workers=0, timeout=None
+            fragment="rhodf", workers=0, timeout=None
         ) as service:
             # Pairs of script deltas are forced into one coalesced
             # revision each — arrival order must decide the outcome.

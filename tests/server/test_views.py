@@ -3,7 +3,7 @@
 The property backing the serving layer's consistency model: the view
 derived incrementally from each revision's report is *identical* to a
 view rebuilt from the store at that revision — for adds, retractions,
-and re-derivations, over both backends — on every method of the read
+and re-derivations — on every method of the read
 protocol, across re-bases, while retained predecessors keep answering as
 they did.  ``advance()`` is O(delta) by counting index entries, not by
 clock.
@@ -19,11 +19,11 @@ from repro.rdf import RDF, RDFS
 from repro.server import ReadView, RevisionGoneError, ViewRegistry
 from repro.store.backends.hashdict import HashDictStore
 
-from ..conftest import EX, STORE_BACKENDS, make_chain, small_ontology
+from ..conftest import EX, make_chain, small_ontology
 
 
-def make_engine(store):
-    return Slider(fragment="rhodf", workers=0, timeout=None, store=store)
+def make_engine():
+    return Slider(fragment="rhodf", workers=0, timeout=None)
 
 
 DELTAS = [
@@ -38,19 +38,17 @@ DELTAS = [
 
 
 class TestReadView:
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_from_store_matches_store(self, store):
-        with make_engine(store) as r:
+    def test_from_store_matches_store(self):
+        with make_engine() as r:
             r.apply(Delta(assertions=small_ontology()))
             view = ReadView.from_store(r.revision, r.store)
             assert len(view) == len(r.store)
             assert set(view) == set(r.store)
             assert sorted(view.predicates()) == sorted(r.store.predicates())
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_advance_equals_rebuild_at_every_revision(self, store):
+    def test_advance_equals_rebuild_at_every_revision(self):
         """Incrementally advanced view == full rebuild, after each delta."""
-        with make_engine(store) as r:
+        with make_engine() as r:
             view = ReadView.from_store(r.revision, r.store)
             for delta in DELTAS:
                 report = r.apply(delta)
@@ -65,7 +63,7 @@ class TestReadView:
                     )
 
     def test_advance_does_not_mutate_predecessor(self):
-        with make_engine("hashdict") as r:
+        with make_engine() as r:
             r.apply(Delta(assertions=small_ontology()))
             old_view = ReadView.from_store(r.revision, r.store)
             old_triples = set(old_view)
@@ -79,7 +77,7 @@ class TestReadView:
             assert new_view.revision == old_view.revision + 1
 
     def test_read_protocol(self):
-        with make_engine("hashdict") as r:
+        with make_engine() as r:
             r.apply(Delta(assertions=small_ontology()))
             view = ReadView.from_store(r.revision, r.store)
             encoded = next(iter(r.store))
@@ -106,7 +104,7 @@ class TestReadView:
         from repro import Variable
         from repro.store.graph import Graph
 
-        with make_engine("hashdict") as r:
+        with make_engine() as r:
             r.apply(Delta(assertions=small_ontology()))
             graph = Graph(r.dictionary, ReadView.from_store(r.revision, r.store))
             x = Variable("x")
@@ -425,7 +423,7 @@ class TestPlannerPricesViewsFromCounts:
         from repro.store.planner import plan_bgp
 
         p, x = Variable("p"), Variable("x")
-        with make_engine("hashdict") as r:
+        with make_engine() as r:
             r.apply(Delta(assertions=small_ontology()))
             view = ReadView.from_store(r.revision, r.store)
             view = view.advance(r.apply(Delta(assertions=make_chain(8))))
@@ -440,7 +438,7 @@ class TestPlannerPricesViewsFromCounts:
 
 class TestViewRegistry:
     def test_pinning_and_eviction(self):
-        with make_engine("hashdict") as r:
+        with make_engine() as r:
             registry = ViewRegistry(
                 ReadView.from_store(r.revision, r.store), retain=2
             )

@@ -17,7 +17,6 @@ from repro.sharding import (
     ClusterError,
     ShardedReasoner,
 )
-from repro.store import create_store
 
 from ..conftest import EX, small_ontology
 from ..differential.test_differential import generate_script
@@ -44,14 +43,6 @@ class TestConstruction:
         assert "prp-trp joins two instance triples" in message
         assert "not their routing key" in message
         assert "outside the store" not in message
-
-    def test_store_instances_rejected(self):
-        with pytest.raises(ClusterError, match="spec"):
-            ShardedReasoner(shards=2, store=create_store("hashdict"))
-
-    def test_columnar_spec_rejected(self, tmp_path):
-        with pytest.raises(ClusterError, match="read-only"):
-            ShardedReasoner(shards=2, store=f"columnar:{tmp_path}/x.snap")
 
     def test_shard_count_validated(self):
         with pytest.raises(ValueError, match=">= 1"):

@@ -9,8 +9,8 @@ must agree at **every** revision on
   inferred added, removed, and the revision number itself,
 * subscription binding deltas (same events, same revisions),
 
-for N ∈ {2, 4}, both supported fragments, both routing policies, and
-both store backends.  Batched ``apply_many`` commits must equal the
+for N ∈ {2, 4}, both supported fragments and both routing policies.
+Batched ``apply_many`` commits must equal the
 single-node engine applying the coalescer-netted delta.
 """
 
@@ -20,7 +20,6 @@ from repro import Delta, Slider, Variable
 from repro.rdf import RDF
 from repro.sharding import ShardedReasoner
 
-from ..conftest import STORE_BACKENDS
 from ..differential.test_differential import SEEDS, generate_script
 
 FRAGMENTS = ("rhodf", "rdfs")  # the shardable fragments
@@ -72,17 +71,16 @@ class TestClusterMatchesSingleNode:
                 assert cluster.input_count == single.input_count
                 assert cluster.inferred_count == single.inferred_count
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
     @pytest.mark.parametrize("router", ("subject", "predicate"))
-    def test_backends_and_routers(self, router, store):
-        """Both store backends x both routing policies reach the same
-        per-revision truth (one fragment/width keeps the sweep fast)."""
+    def test_routers(self, router):
+        """Both routing policies reach the same per-revision truth (one
+        fragment/width keeps the sweep fast)."""
         seed = SEEDS[0]
         script = generate_script(seed)
         with Slider(
-            fragment="rhodf", workers=0, timeout=None, store=store
+            fragment="rhodf", workers=0, timeout=None
         ) as single, ShardedReasoner(
-            fragment="rhodf", shards=4, router=router, store=store
+            fragment="rhodf", shards=4, router=router
         ) as cluster:
             for delta in script:
                 single_report = single.apply(delta)

@@ -1,20 +1,20 @@
-"""The pluggable-backend layer: registry, protocol, sharding, concurrency."""
+"""The store layer: ``create_store``, the protocol, and the hash-dict
+store under concurrent writers and readers."""
 
 import random
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
-from repro.store import (
-    HashDictStore,
-    ShardedTripleStore,
-    TripleStore,
-    UnknownBackendError,
-    available_backends,
-    create_store,
-    register_backend,
-)
-from repro.store.backends import DEFAULT_SHARDS
+from repro import Graph, Slider
+from repro.baselines import BatchReasoner
+from repro.persist.columnar import encode_columnar_snapshot, parse_columnar_snapshot
+from repro.rdf import IRI
+from repro.server import ReadView
+from repro.store import HashDictStore, TripleStore, create_store
+from repro.store.backends import ColumnarReadStore
 
 
 def random_batch(seed: int, size: int = 400, predicates: int = 9) -> list:
@@ -25,153 +25,147 @@ def random_batch(seed: int, size: int = 400, predicates: int = 9) -> list:
     ]
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert "hashdict" in available_backends()
-        assert "sharded" in available_backends()
-
-    def test_default_is_hashdict(self):
-        assert isinstance(create_store(), HashDictStore)
-        assert isinstance(create_store(None), HashDictStore)
-
-    def test_spec_parsing(self):
-        assert isinstance(create_store("hashdict"), HashDictStore)
-        sharded = create_store("sharded")
-        assert isinstance(sharded, ShardedTripleStore)
-        assert sharded.shard_count == DEFAULT_SHARDS
-        assert create_store("sharded:16").shard_count == 16
+class TestCreateStore:
+    def test_default_is_a_fresh_hashdict(self):
+        first, second = create_store(), create_store(None)
+        assert isinstance(first, HashDictStore)
+        assert isinstance(second, HashDictStore)
+        assert first is not second
 
     def test_instance_passthrough(self):
         store = HashDictStore()
         assert create_store(store) is store
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(UnknownBackendError, match="registered"):
-            create_store("btree")
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda spec: Slider(store=spec),
+            lambda spec: Graph(store=spec),
+            lambda spec: BatchReasoner(store=spec),
+        ],
+        ids=["Slider", "Graph", "BatchReasoner"],
+    )
+    @pytest.mark.parametrize("spec", [f"sharded:{4}", "hashdict", "x"])
+    def test_spec_strings_are_refused_at_construction(self, build, spec):
+        with pytest.raises(TypeError) as info:
+            build(spec)
+        message = str(info.value)
+        assert repr(spec) in message
+        for removed in ("'hashdict'", "'sharded:N'", "'columnar:<path>'"):
+            assert removed in message
 
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            create_store("hashdict:4")
-        with pytest.raises(ValueError):
-            create_store("sharded:many")
-        with pytest.raises(ValueError):
-            ShardedTripleStore(0)
 
-    def test_third_party_registration(self):
-        sentinel = HashDictStore()
-        register_backend("test-stub", lambda parameter: sentinel)
-        try:
-            assert create_store("test-stub") is sentinel
-            assert "test-stub" in available_backends()
-        finally:
-            from repro.store.backends import _REGISTRY
-
-            del _REGISTRY["test-stub"]
-
-    def test_invalid_backend_names_rejected(self):
-        with pytest.raises(ValueError):
-            register_backend("", HashDictStore)
-        with pytest.raises(ValueError):
-            register_backend("with:colon", HashDictStore)
+def columnar_store(triples) -> ColumnarReadStore:
+    """A mapped read-only image of encoded ``triples`` (ids < 40)."""
+    blob = encode_columnar_snapshot(
+        revision=1, fragment="rhodf", axiom_count=0,
+        terms=[IRI(f"urn:term:{i}") for i in range(40)],
+        explicit=sorted(set(triples)), inferred=[],
+    )
+    return ColumnarReadStore(parse_columnar_snapshot(blob))
 
 
 class TestProtocol:
-    def test_backends_satisfy_protocol(self):
+    def test_hashdict_satisfies_protocol(self):
         assert isinstance(HashDictStore(), TripleStore)
-        assert isinstance(ShardedTripleStore(2), TripleStore)
+
+    def test_read_stores_carry_the_planner_surface(self):
+        """The permutation reads the planner calls without a fallback
+        are protocol members every store in the tree implements."""
+        batch = random_batch(seed=3)
+        store = HashDictStore()
+        store.add_all(batch)
+        for reader in (ReadView.from_store(0, store), columnar_store(batch)):
+            assert isinstance(reader, TripleStore)
+            for s, p, o in batch[:20]:
+                assert reader.predicate_stats(p) == store.predicate_stats(p)
+                assert reader.count_subject(s) == store.count_subject(s)
+                assert reader.count_object(o) == store.count_object(o)
+                assert sorted(reader.predicates_between(s, o)) == sorted(
+                    store.predicates_between(s, o)
+                )
+                assert sorted(reader.triples_for_subject(s)) == sorted(
+                    store.triples_for_subject(s)
+                )
+                assert sorted(reader.triples_for_object(o)) == sorted(
+                    store.triples_for_object(o)
+                )
 
 
-class TestShardedEquivalence:
-    @pytest.mark.parametrize("shards", [1, 2, 7])
-    def test_matches_hashdict_on_random_workload(self, shards):
-        batch = random_batch(seed=shards)
-        reference = HashDictStore()
-        sharded = ShardedTripleStore(shards)
-        assert reference.add_all(batch) == sharded.add_all(batch)
-        assert set(reference) == set(sharded)
-        assert len(reference) == len(sharded)
-        for predicate in reference.predicates():
-            assert sorted(reference.pairs_for_predicate(predicate)) == sorted(
-                sharded.pairs_for_predicate(predicate)
-            )
-        removals = batch[::3]
-        assert reference.remove_all(removals) == sharded.remove_all(removals)
-        assert set(reference) == set(sharded)
+class TestHashDictConcurrency:
+    """The rule thread pool (``workers>0``) writes one ``HashDictStore``
+    from several threads while readers probe it."""
 
-    def test_predicates_partition_disjointly(self):
-        sharded = ShardedTripleStore(4)
-        sharded.add_all(random_batch(seed=99))
-        seen = sharded.predicates()
-        assert len(seen) == len(set(seen))  # no predicate spans two shards
-
-    def test_stats_aggregate(self):
-        sharded = ShardedTripleStore(3)
-        batch = random_batch(seed=5)
-        sharded.add_all(batch)
-        stats = sharded.stats()
-        assert stats["triples"] == len(sharded) == len(set(batch))
-        assert stats["shards"] == 3
-        assert stats["largest_shard"] <= stats["triples"]
-
-    def test_single_triple_batch(self):
-        sharded = ShardedTripleStore(2)
-        assert sharded.add_all([(1, 2, 3)]) == [(1, 2, 3)]
-        assert sharded.add_all([(1, 2, 3)]) == []
-        assert sharded.add_all([]) == []
-        assert sharded.remove_all([]) == []
-
-
-class TestShardedConcurrency:
     def test_concurrent_writers_land_every_triple_exactly_once(self):
         """N writers race disjoint slices plus a shared overlap; the union
-        must land exactly once (the dedup contract under striping)."""
-        sharded = ShardedTripleStore(4)
+        must land exactly once (the dedup contract the distributors
+        depend on)."""
+        store = HashDictStore()
         overlap = random_batch(seed=1, size=100)
         slices = [random_batch(seed=10 + i, size=300) for i in range(4)]
-        new_counts = []
-        barrier = threading.Barrier(4)
+        reported: list[list] = []
+        barrier = threading.Barrier(len(slices), timeout=30)
 
         def writer(chunk):
             barrier.wait()
-            added = sharded.add_all(chunk + overlap)
-            new_counts.append(len(added))
+            for start in range(0, len(chunk), 25):  # many lock handoffs
+                reported.append(store.add_all(chunk[start:start + 25] + overlap))
 
         threads = [threading.Thread(target=writer, args=(s,)) for s in slices]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
         expected = set(overlap)
         for s in slices:
             expected |= set(s)
-        assert set(sharded) == expected
-        assert len(sharded) == len(expected)
+        assert set(store) == expected
+        assert len(store) == len(expected)
         # Every triple was reported "new" by exactly one writer.
-        unique_inputs = [set(s) | set(overlap) for s in slices]
-        total_reported = sum(new_counts)
-        assert total_reported <= sum(len(u) for u in unique_inputs)
-        assert total_reported >= len(expected)
+        counts = Counter(t for added in reported for t in added)
+        assert set(counts) == expected
+        assert set(counts.values()) == {1}
 
     def test_reads_during_writes_are_consistent_snapshots(self):
-        sharded = ShardedTripleStore(3)
+        """Each ``add_all`` is atomic to readers: every snapshot a reader
+        takes is the union of some prefix of the written batches."""
+        store = HashDictStore()
+        batches = [random_batch(seed=seed, size=50) for seed in range(20)]
+        prefixes = [set()]
+        for batch in batches:
+            prefixes.append(prefixes[-1] | set(batch))
+        by_size = {len(prefix): prefix for prefix in prefixes}
         stop = threading.Event()
         errors: list = []
 
         def reader():
             try:
-                while not stop.is_set():
-                    for triple in list(sharded):
-                        assert len(triple) == 3
-                    sharded.stats()
+                while True:  # at least one snapshot, however fast the writer
+                    seen = set(store)
+                    assert by_size.get(len(seen)) == seen
+                    assert store.stats()["triples"] >= len(seen)
+                    if stop.is_set():
+                        break
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
         thread = threading.Thread(target=reader)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
         thread.start()
         try:
-            for seed in range(20):
-                sharded.add_all(random_batch(seed=seed, size=50))
+            for batch in batches:
+                store.add_all(batch)
         finally:
             stop.set()
-            thread.join()
+            thread.join(timeout=60)
+            sys.setswitchinterval(switch)
+        assert not thread.is_alive()
         assert not errors
+        assert set(store) == prefixes[-1]

@@ -14,7 +14,7 @@ from repro.persist.columnar import (
     parse_columnar_snapshot,
 )
 from repro.rdf import IRI
-from repro.store.backends import create_store
+from repro.store import HashDictStore
 from repro.store.backends.columnar import ColumnarReadStore
 
 UNIVERSE = 10
@@ -35,7 +35,7 @@ def columnar_store(triples) -> ColumnarReadStore:
 
 
 def reference_store(triples):
-    store = create_store("hashdict")
+    store = HashDictStore()
     store.add_all(sorted(triples))
     return store
 
@@ -86,19 +86,6 @@ class TestReadEquivalence:
         )
         columnar.close()
 
-    @given(triples=triple_sets, predicate=ids)
-    @settings(max_examples=60, deadline=None)
-    def test_pos_partition_is_the_sorted_predicate_span(self, triples, predicate):
-        columnar = columnar_store(triples)
-        o_col, s_col, lo, hi = columnar.pos_partition(predicate)
-        span = [(o_col[i], s_col[i]) for i in range(lo, hi)]
-        assert span == sorted(span)  # sorted by object, then subject
-        expected = sorted(
-            (o, s) for s, p, o in triples if p == predicate
-        )
-        assert span == expected
-        columnar.close()
-
 
 class TestImmutabilityAndLifecycle:
     def test_writes_refuse(self):
@@ -122,14 +109,14 @@ class TestImmutabilityAndLifecycle:
         store.close()  # must not raise BufferError: views released first
         assert len(store) == 0
 
-    def test_registry_spec_opens_a_file(self, tmp_path):
+    def test_open_serves_both_partitions(self, tmp_path):
         path = tmp_path / "image.slider"
         path.write_bytes(encode_columnar_snapshot(
             revision=3, fragment="rhodf", store_spec="hashdict", axiom_count=0,
             terms=[IRI("http://store.example/t0"), IRI("http://store.example/t1")],
             explicit=[(0, 1, 0)], inferred=[(1, 1, 1)],
         ))
-        store = create_store(f"columnar:{path}")
+        store = ColumnarReadStore.open(path)
         assert isinstance(store, ColumnarReadStore)
         assert set(store) == {(0, 1, 0), (1, 1, 1)}
         assert store.stats()["revision"] == 3

@@ -1,27 +1,24 @@
-"""The sparse named-graph column of both mutable backends.
+"""The sparse named-graph column of the hash-dict store.
 
 The quad protocol (``set_graphs`` / ``graph_of`` / ``graph_counts`` /
 ``triples_in_graph`` / ``graph_assignments``) is an optional extension
 probed by ``getattr`` — these tests pin its contract directly at the
-store layer: absent triples are never tagged, removal clears the tag,
-and the sharded store merges per-shard columns exactly like the
-single-lock one.
+store layer: absent triples are never tagged and removal clears the
+tag.
 """
 
 import pytest
 
-from repro.store.backends import create_store
-
-BACKENDS = ("hashdict", "sharded:4")
+from repro.store import HashDictStore
 
 
 def t(i: int, p: int = 1) -> tuple[int, int, int]:
     return (i, p, i + 100)
 
 
-@pytest.fixture(params=BACKENDS)
-def store(request):
-    return create_store(request.param)
+@pytest.fixture
+def store():
+    return HashDictStore()
 
 
 class TestGraphColumn:
@@ -87,8 +84,6 @@ class TestGraphColumn:
         assert store.graph_assignments() == {}
 
     def test_multiple_graphs_and_predicate_spread(self, store):
-        # Different predicates exercise different shards on the
-        # sharded backend; the merged column must agree regardless.
         triples = [t(i, p=i % 5) for i in range(20)]
         store.add_all(triples)
         store.set_graphs(triples[:10], 1)

@@ -1,19 +1,10 @@
-"""Property-based tests: every backend behaves exactly like a set of triples.
+"""Property-based tests: the hash-dict store behaves exactly like a set
+of triples (the distributors' deduplication contract included)."""
 
-Parametrized over all registered storage backends, so the single-lock
-hashdict store and the lock-striped sharded store prove the identical
-set semantics (the distributors' deduplication contract included).
-"""
-
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.store import create_store
-
-#: One spec per registered backend (sharded at a small, awkward stripe
-#: count so predicate partitions actually spread across shards).
-BACKENDS = ("hashdict", "sharded:3")
+from repro.store import HashDictStore
 
 encoded_triples = st.tuples(
     st.integers(min_value=0, max_value=30),
@@ -22,10 +13,9 @@ encoded_triples = st.tuples(
 )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(triples=st.lists(encoded_triples, max_size=200))
-def test_store_equals_model_set(backend, triples):
-    store = create_store(backend)
+def test_store_equals_model_set(triples):
+    store = HashDictStore()
     model: set = set()
     for triple in triples:
         was_new = store.add(triple)
@@ -35,10 +25,9 @@ def test_store_equals_model_set(backend, triples):
     assert len(store) == len(model)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(triples=st.lists(encoded_triples, max_size=200))
-def test_add_all_new_equals_set_difference(backend, triples):
-    store = create_store(backend)
+def test_add_all_new_equals_set_difference(triples):
+    store = HashDictStore()
     half = len(triples) // 2
     first, second = triples[:half], triples[half:]
     store.add_all(first)
@@ -48,17 +37,14 @@ def test_add_all_new_equals_set_difference(backend, triples):
     assert len(new) == len(set(new))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(triples=st.lists(encoded_triples, max_size=200))
-def test_add_all_preserves_input_order(backend, triples):
-    """The new-triples list keeps batch order on every backend (sharded
-    reassembles across stripes)."""
-    store = create_store(backend)
+def test_add_all_preserves_input_order(triples):
+    """The new-triples list keeps batch order."""
+    store = HashDictStore()
     new = store.add_all(triples)
     assert new == list(dict.fromkeys(triples))  # first occurrences, in order
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     triples=st.lists(encoded_triples, max_size=150),
     s=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
@@ -66,8 +52,8 @@ def test_add_all_preserves_input_order(backend, triples):
     o=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
 )
 @settings(max_examples=200)
-def test_match_equals_filtered_model(backend, triples, s, p, o):
-    store = create_store(backend)
+def test_match_equals_filtered_model(triples, s, p, o):
+    store = HashDictStore()
     store.add_all(triples)
     expected = {
         t
@@ -79,10 +65,9 @@ def test_match_equals_filtered_model(backend, triples, s, p, o):
     assert set(store.match(s, p, o)) == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(triples=st.lists(encoded_triples, max_size=150))
-def test_index_consistency(backend, triples):
-    store = create_store(backend)
+def test_index_consistency(triples):
+    store = HashDictStore()
     store.add_all(triples)
     model = set(triples)
     predicates = store.predicates()
@@ -97,13 +82,12 @@ def test_index_consistency(backend, triples):
             assert s in store.subjects(predicate, o)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @given(
     triples=st.lists(encoded_triples, max_size=150),
     removals=st.lists(encoded_triples, max_size=150),
 )
-def test_remove_all_equals_set_difference(backend, triples, removals):
-    store = create_store(backend)
+def test_remove_all_equals_set_difference(triples, removals):
+    store = HashDictStore()
     store.add_all(triples)
     removed = store.remove_all(removals)
     model = set(triples)
@@ -114,11 +98,9 @@ def test_remove_all_equals_set_difference(backend, triples, removals):
 class StoreMachine(RuleBasedStateMachine):
     """Stateful model-check: interleaved adds, lookups and clears."""
 
-    backend = "hashdict"
-
     def __init__(self):
         super().__init__()
-        self.store = create_store(self.backend)
+        self.store = HashDictStore()
         self.model: set = set()
 
     @rule(triple=encoded_triples)
@@ -152,9 +134,4 @@ class StoreMachine(RuleBasedStateMachine):
         assert stats["predicates"] == len({p for _, p, _ in self.model})
 
 
-class ShardedStoreMachine(StoreMachine):
-    backend = "sharded:3"
-
-
 TestStoreMachine = StoreMachine.TestCase
-TestShardedStoreMachine = ShardedStoreMachine.TestCase

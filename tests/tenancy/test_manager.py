@@ -2,7 +2,7 @@
 
 Carries the PR's differential acceptance proof: N tenants interleaved
 through one manager reach exactly the closures N isolated engines
-reach, on both store backends.
+reach.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.tenancy import (
     UnknownTenantError,
 )
 
-from ..conftest import EX, STORE_BACKENDS
+from ..conftest import EX
 
 SCHEMA = [
     Triple(EX.Event, RDFS.subClassOf, EX.Thing),
@@ -81,10 +81,9 @@ class TestIsolationAndWrites:
 
 
 class TestDifferentialProof:
-    """N interleaved tenants ≡ N isolated engines (both backends)."""
+    """N interleaved tenants ≡ N isolated engines."""
 
-    @pytest.mark.parametrize("store", STORE_BACKENDS)
-    def test_interleaved_equals_isolated(self, store):
+    def test_interleaved_equals_isolated(self):
         scripts = {
             "acme": [
                 Delta(assertions=SCHEMA + [typed("acme", i) for i in range(4)]),
@@ -102,7 +101,7 @@ class TestDifferentialProof:
             ],
         }
         rounds = max(len(s) for s in scripts.values())
-        with make_manager(store=store) as manager:
+        with make_manager() as manager:
             for step in range(rounds):
                 for tenant, deltas in scripts.items():
                     if step < len(deltas):
@@ -120,7 +119,7 @@ class TestDifferentialProof:
         for tenant, deltas in scripts.items():
             graph = IRI(f"urn:tenant:{tenant}")
             with Slider(
-                fragment="rhodf", store=store, workers=0, timeout=None
+                fragment="rhodf", workers=0, timeout=None
             ) as isolated:
                 for delta in deltas:
                     isolated.apply(
