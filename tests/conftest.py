@@ -14,6 +14,21 @@ from repro.reasoner import Slider
 
 EX = Namespace("http://example.org/")
 
+#: The two ways a commit's rule firings execute.  ``inline`` fires every
+#: buffer on the committing thread; ``pooled`` gives each routed triple
+#: its own firing on a two-thread pool, so worker threads write the one
+#: store concurrently with each other and with the committer.
+EXECUTION_MODES = {
+    "inline": {"workers": 0},
+    "pooled": {"workers": 2, "buffer_size": 1},
+}
+
+#: Parametrize a test's ``execution`` argument (engine keyword options)
+#: over :data:`EXECUTION_MODES`.
+each_execution_mode = pytest.mark.parametrize(
+    "execution", list(EXECUTION_MODES.values()), ids=list(EXECUTION_MODES)
+)
+
 
 @pytest.fixture
 def ex():

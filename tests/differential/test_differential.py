@@ -9,7 +9,8 @@ are executed three ways and must agree at *every* revision:
 3. **crash-replay** — run the same prefix durably, kill the engine
    (no ``close``), recover from snapshot + changelog, compare.
 
-The harness sweeps all three rule fragments (ρdf, RDFS, OWL-Horst).
+The harness sweeps all three rule fragments (ρdf, RDFS, OWL-Horst),
+with rule firings run inline or on a thread pool.
 The OWL-Horst cells run scripts that also assert — and retract —
 ``owl:TransitiveProperty`` / ``owl:SymmetricProperty`` declarations,
 ``owl:inverseOf`` and ``owl:sameAs``.
@@ -27,7 +28,7 @@ from repro import Delta, Slider
 from repro.baselines import BatchReasoner
 from repro.rdf import Literal, OWL, RDF, RDFS, Triple
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 from ..persist.test_recovery import kill
 
 FRAGMENTS = ("rhodf", "rdfs", "owl-horst")
@@ -160,10 +161,11 @@ def assert_every_revision(fragment: str, seed: int, **engine) -> None:
 class TestIncrementalMatchesBatch:
     """Incremental closure == from-scratch closure at every revision."""
 
+    @each_execution_mode
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
-    def test_every_revision(self, fragment, seed):
-        assert_every_revision(fragment, seed, workers=0)
+    def test_every_revision(self, execution, fragment, seed):
+        assert_every_revision(fragment, seed, **execution)
 
     @pytest.mark.parametrize("seed", SEEDS[:2])
     @pytest.mark.parametrize("fragment", ("rdfs", "owl-horst"))
@@ -193,12 +195,13 @@ class TestIncrementalMatchesBatch:
 class TestCrashReplayMatchesUninterrupted:
     """Kill + recover at any revision == never having crashed."""
 
+    @each_execution_mode
     @pytest.mark.parametrize("seed", SEEDS[:2])
-    def test_recover_at_every_revision(self, tmp_path, seed):
+    def test_recover_at_every_revision(self, execution, tmp_path, seed):
         script = generate_script(seed)
         # Uninterrupted reference: closure snapshot at every revision.
         closures: list[set[Triple]] = []
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             for delta in script:
                 r.apply(delta)
                 closures.append(set(r.graph))
@@ -206,14 +209,14 @@ class TestCrashReplayMatchesUninterrupted:
         for upto in range(1, len(script) + 1):
             state = tmp_path / f"s{seed}-{upto}"
             victim = Slider(
-                fragment="rhodf", workers=0, timeout=None,
+                fragment="rhodf", timeout=None, **execution,
                 persist_dir=state,
             )
             for delta in script[:upto]:
                 victim.apply(delta)
             kill(victim)  # kill: no close
             with Slider(
-                fragment="rhodf", workers=0, timeout=None,
+                fragment="rhodf", timeout=None, **execution,
                 persist_dir=state,
             ) as revived:
                 assert revived.revision == upto
@@ -242,11 +245,12 @@ class TestColumnarFormatDifferential:
                 assert set(image.explicit) | set(image.inferred) == set(r.store)
                 image.close()
 
-    def test_sealed_crash_replay_matches_uninterrupted(self, tmp_path):
+    @each_execution_mode
+    def test_sealed_crash_replay_matches_uninterrupted(self, execution, tmp_path):
         """Kill + recover through a columnar seal == never having crashed."""
         seed = SEEDS[0]
         script = generate_script(seed)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             for delta in script:
                 r.apply(delta)
             reference = set(r.graph)
@@ -254,7 +258,7 @@ class TestColumnarFormatDifferential:
 
         state = tmp_path / "v2-state"
         victim = Slider(
-            fragment="rhodf", workers=0, timeout=None,
+            fragment="rhodf", timeout=None, **execution,
             persist_dir=state,
         )
         for delta in script:
@@ -263,7 +267,7 @@ class TestColumnarFormatDifferential:
         extra = victim.revision - revision
         kill(victim)
         with Slider(
-            fragment="rhodf", workers=0, timeout=None,
+            fragment="rhodf", timeout=None, **execution,
             persist_dir=state,
         ) as revived:
             assert revived.revision == revision + extra

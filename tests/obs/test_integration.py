@@ -15,19 +15,20 @@ from repro.obs import validate_exposition
 from repro.rdf import RDF, Triple
 from repro.server import ReasoningService
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 
 THREADS = 6
 WRITES_PER_THREAD = 20
 
 
-def test_racing_writers_instrument_exactly():
+@each_execution_mode
+def test_racing_writers_instrument_exactly(execution):
     submitted_before = _obs.COALESCER_SUBMITTED.value()
     commits_before = _obs.ENGINE_COMMITS.value()
     errors: list[BaseException] = []
 
     with ReasoningService(
-        fragment="rhodf", workers=0, timeout=None
+        fragment="rhodf", timeout=None, **execution
     ) as service:
 
         def writer(worker: int) -> None:

@@ -32,7 +32,7 @@ from repro.persist.columnar import (
 from repro.rdf import BNode, IRI, Literal
 from repro.store import HashDictStore
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 
 GOLDEN_V1 = Path(__file__).parent / "fixtures" / "golden-v1.slider"
 
@@ -56,9 +56,9 @@ GOLDEN_STATE = dict(
 )
 
 
-def engine_image(extra_deltas=()):
+def engine_image(extra_deltas=(), workers=0, **engine):
     """(image blob, expected state) for one engine run."""
-    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+    with Slider(fragment="rhodf", workers=workers, timeout=None, **engine) as r:
         r.apply(Delta(assertions=small_ontology() + make_chain(6)))
         r.apply(Delta(retractions=[small_ontology()[0]]))
         for delta in extra_deltas:
@@ -73,8 +73,9 @@ def engine_image(extra_deltas=()):
 
 
 class TestImageIdentity:
-    def test_image_parses_to_the_engine_state(self):
-        blob, expected = engine_image()
+    @each_execution_mode
+    def test_image_parses_to_the_engine_state(self, execution):
+        blob, expected = engine_image(**execution)
         image = parse_snapshot(blob)
         assert isinstance(image, ColumnarSnapshot)
         assert (image.revision, image.fragment, image.store_spec) == (
@@ -88,8 +89,9 @@ class TestImageIdentity:
         assert set(image.explicit) | set(image.inferred) == expected["store"]
         image.close()
 
-    def test_restore_is_identical(self):
-        blob, expected = engine_image()
+    @each_execution_mode
+    def test_restore_is_identical(self, execution):
+        blob, expected = engine_image(**execution)
         dictionary, target = TermDictionary(), HashDictStore()
         explicit = parse_snapshot(blob).restore(dictionary, target)
         assert dictionary.snapshot_terms() == expected["terms"]  # ids bit-for-bit

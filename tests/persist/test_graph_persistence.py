@@ -18,7 +18,7 @@ from repro.persist.journal import JOURNAL_MAGIC, JournalRecord
 from repro.persist.snapshot import load_snapshot, parse_snapshot
 from repro.rdf import RDF, Triple
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 
 G1 = EX.tenantA
 G2 = EX.tenantB
@@ -69,15 +69,16 @@ class TestJournalGraphRecords:
 
 
 class TestRecoveryRoundTrip:
-    def test_journal_replay_restores_graph_column(self, tmp_path):
-        engine = make_engine(tmp_path)
+    @each_execution_mode
+    def test_journal_replay_restores_graph_column(self, execution, tmp_path):
+        engine = make_engine(tmp_path, **execution)
         engine.apply(Delta(assertions=[typed(1), typed(2)], graph=G1))
         engine.apply(Delta(assertions=[typed(3)], graph=G2))
         engine.apply(Delta(assertions=[typed(4)]))
         engine.apply(Delta(retractions=[typed(2)], graph=G1))
         expected = engine.graph_counts()
         kill(engine)
-        with make_engine(tmp_path) as recovered:
+        with make_engine(tmp_path, **execution) as recovered:
             assert recovered.recovery.replayed_records == 4
             assert recovered.graph_counts() == expected == {G1: 1, G2: 1}
             assert recovered.triples_in_graph(G1) == [typed(1)]

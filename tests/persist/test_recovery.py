@@ -13,7 +13,7 @@ from repro import CountWindow, Delta, Slider, WindowedReasoner
 from repro.persist import read_journal
 from repro.rdf import RDF, Triple, Variable
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 
 
 def typed(i: int) -> Triple:
@@ -47,9 +47,9 @@ DELTAS = [
 ]
 
 
-def run_uninterrupted():
+def run_uninterrupted(workers=0, **engine):
     """Reference run: same deltas, no persistence, no close-commit."""
-    with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+    with Slider(fragment="rhodf", workers=workers, timeout=None, **engine) as r:
         closures = []
         for delta in DELTAS:
             r.apply(delta)
@@ -58,31 +58,33 @@ def run_uninterrupted():
 
 
 class TestKillRecover:
-    def test_kill_after_each_revision_recovers_identically(self, tmp_path):
-        reference = run_uninterrupted()
+    @each_execution_mode
+    def test_kill_after_each_revision_recovers_identically(self, execution, tmp_path):
+        reference = run_uninterrupted(**execution)
         for upto in range(1, len(DELTAS) + 1):
             state = tmp_path / f"state-{upto}"
-            victim = make_engine(state)
+            victim = make_engine(state, **execution)
             for delta in DELTAS[:upto]:
                 victim.apply(delta)
             kill(victim)  # killed: no close(), no final flush-commit
 
-            with make_engine(state) as revived:
+            with make_engine(state, **execution) as revived:
                 revision, closure, input_count, inferred_count = reference[upto - 1]
                 assert revived.revision == revision
                 assert set(revived.graph) == closure
                 assert revived.input_count == input_count
                 assert revived.inferred_count == inferred_count
 
-    def test_replay_refires_reports_deterministically(self, tmp_path):
+    @each_execution_mode
+    def test_replay_refires_reports_deterministically(self, execution, tmp_path):
         original_reports = []
         state = tmp_path / "state"
-        victim = make_engine(state)
+        victim = make_engine(state, **execution)
         for delta in DELTAS:
             original_reports.append(victim.apply(delta))
         kill(victim)
 
-        with make_engine(state) as revived:
+        with make_engine(state, **execution) as revived:
             assert revived.recovery is not None
             replayed = revived.recovery.reports
             assert len(replayed) == len(original_reports)
@@ -420,25 +422,27 @@ class TestStatsDurability:
     ids, which the deterministic dictionary rebuild preserves.
     """
 
-    def test_stats_survive_kill_recover(self, tmp_path):
+    @each_execution_mode
+    def test_stats_survive_kill_recover(self, execution, tmp_path):
         state = tmp_path / "state"
-        victim = make_engine(state)
+        victim = make_engine(state, **execution)
         for delta in DELTAS:
             victim.apply(delta)
         expected = victim.graph.store.stats_vector()
         assert expected, "the script must leave non-trivial statistics"
         kill(victim)
-        with make_engine(state) as revived:
+        with make_engine(state, **execution) as revived:
             assert revived.graph.store.stats_vector() == expected
 
-    def test_stats_survive_snapshot_compaction(self, tmp_path):
+    @each_execution_mode
+    def test_stats_survive_snapshot_compaction(self, execution, tmp_path):
         state = tmp_path / "state"
-        with make_engine(state, compact_journal_bytes=None) as r:
+        with make_engine(state, compact_journal_bytes=None, **execution) as r:
             for delta in DELTAS[:3]:
                 r.apply(delta)
             r.snapshot()
             for delta in DELTAS[3:]:  # journal tail on top of the seal
                 r.apply(delta)
             expected = r.graph.store.stats_vector()
-        with make_engine(state) as revived:
+        with make_engine(state, **execution) as revived:
             assert revived.graph.store.stats_vector() == expected

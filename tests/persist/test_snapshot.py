@@ -21,7 +21,7 @@ from repro.dictionary import TermDictionary
 from repro.rdf import BNode, IRI, Literal, RDF, Triple
 from repro.store import HashDictStore
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 from .test_columnar import GOLDEN_V1
 
 
@@ -32,8 +32,9 @@ def durable_engine(tmp_path, **options):
 
 
 class TestRoundTrip:
-    def test_partitions_dictionary_and_revision_bit_for_bit(self, tmp_path):
-        with durable_engine(tmp_path) as reasoner:
+    @each_execution_mode
+    def test_partitions_dictionary_and_revision_bit_for_bit(self, execution, tmp_path):
+        with durable_engine(tmp_path, **execution) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology() + make_chain(6)))
             reasoner.apply(Delta(retractions=[small_ontology()[0]]))
             path = reasoner.snapshot()
@@ -51,8 +52,9 @@ class TestRoundTrip:
         assert set(snapshot.explicit) | set(snapshot.inferred) == expected_store
         assert set(snapshot.explicit).isdisjoint(snapshot.inferred)
 
-    def test_restore_into_fresh_substrate_is_identical(self, tmp_path):
-        with durable_engine(tmp_path) as reasoner:
+    @each_execution_mode
+    def test_restore_into_fresh_substrate_is_identical(self, execution, tmp_path):
+        with durable_engine(tmp_path, **execution) as reasoner:
             reasoner.apply(Delta(assertions=small_ontology()))
             path = reasoner.snapshot()
             expected_terms = reasoner.dictionary.snapshot_terms()

@@ -17,6 +17,8 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro import Delta, Slider
 from repro.dictionary import TermDictionary
 from repro.cli import main
@@ -221,45 +223,48 @@ class TestGoldenClusterRoot:
 class TestLegacyStoreSpec:
     """Images sealed while ``store=`` still took backend specs carry the
     spec in their header; it is informational, so a directory sealed
-    by a ``sharded:N`` engine opens unchanged on the one store left."""
+    by a ``sharded:N``, ``columnar:<path>`` or third-party backend
+    engine opens unchanged on the one store left."""
 
-    LEGACY_SPEC = f"sharded:{4}"
+    @pytest.fixture(params=[f"sharded:{4}", "columnar:/srv/old.slider", "acme-store"])
+    def legacy_spec(self, request):
+        return request.param
 
-    def legacy_dir(self, path) -> Path:
+    def legacy_dir(self, path, spec) -> Path:
         build_engine_dir(path)
         image = path / SNAPSHOT_FILENAME
         sealed = load_snapshot(image)
         blob = encode_columnar_snapshot(
             revision=sealed.revision, fragment=sealed.fragment,
-            store_spec=self.LEGACY_SPEC, axiom_count=sealed.axiom_count,
+            store_spec=spec, axiom_count=sealed.axiom_count,
             terms=list(sealed.terms), explicit=list(sealed.explicit),
             inferred=list(sealed.inferred),
         )
         sealed.close()
         atomic_write(image, blob)
-        assert load_snapshot(image).store_spec == self.LEGACY_SPEC
+        assert load_snapshot(image).store_spec == spec
         return path
 
-    def test_engine_recovers_the_same_closure_and_revision(self, tmp_path):
-        state = self.legacy_dir(tmp_path / "state")
+    def test_engine_recovers_the_same_closure_and_revision(self, tmp_path, legacy_spec):
+        state = self.legacy_dir(tmp_path / "state", legacy_spec)
         with Slider(fragment="rhodf", workers=0, timeout=None, persist_dir=state) as r:
             assert r.recovery.snapshot_revision == SEALED_REVISION
             assert r.revision == FINAL_REVISION
             assert set(r.graph) == closure_with_batch(NET_EXPLICIT, "rhodf")
 
-    def test_cli_recover_reports_the_same_state(self, tmp_path, capsys):
-        state = self.legacy_dir(tmp_path / "state")
+    def test_cli_recover_reports_the_same_state(self, tmp_path, capsys, legacy_spec):
+        state = self.legacy_dir(tmp_path / "state", legacy_spec)
         closure = closure_with_batch(NET_EXPLICIT, "rhodf")
         assert main(["recover", "--persist", str(state)]) == 0
         out = capsys.readouterr().out
         assert f"recovered revision {FINAL_REVISION}" in out
         assert f"= {len(closure)} triples at revision {FINAL_REVISION}" in out
 
-    def test_cluster_manifest_naming_a_spec_recovers(self, tmp_path):
+    def test_cluster_manifest_naming_a_spec_recovers(self, tmp_path, legacy_spec):
         root = fixture_copy("golden-v1-cluster", tmp_path)
         manifest = root / "cluster.json"
         meta = json.loads(manifest.read_text("utf-8"))
-        meta["store"] = self.LEGACY_SPEC
+        meta["store"] = legacy_spec
         manifest.write_text(json.dumps(meta), "utf-8")
         with ShardedReasoner(fragment="rhodf", shards=2, persist_dir=root) as cluster:
             assert cluster.revision == FINAL_REVISION

@@ -32,7 +32,7 @@ from repro.rdf import Variable
 from repro.store import Graph, solve, solve_naive
 from repro.store.backends.columnar import ColumnarReadStore
 
-from ..conftest import EX, random_ontology
+from ..conftest import EX, each_execution_mode, random_ontology
 
 FRAGMENTS = ("rhodf", "rdfs")
 
@@ -136,10 +136,11 @@ def _sweep(graph: Graph, closure, rng: random.Random, context: str) -> None:
 class TestPlannerMatchesNaive:
     """solve == solve_naive on the mutable store, as multisets."""
 
+    @each_execution_mode
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("fragment", FRAGMENTS)
-    def test_random_bgps(self, fragment, seed):
-        with Slider(fragment=fragment, workers=0, timeout=None) as r:
+    def test_random_bgps(self, execution, fragment, seed):
+        with Slider(fragment=fragment, timeout=None, **execution) as r:
             r.apply(Delta(assertions=random_ontology(seed)))
             closure = list(r.graph)
             assert closure, "closure must be non-empty for the oracle to bite"
@@ -188,9 +189,10 @@ class TestSeededSolveMatchesNaive:
     layer's evaluation mode), including carry variables no pattern binds
     and heterogeneous seed shapes."""
 
-    def test_seeded_bindings(self):
+    @each_execution_mode
+    def test_seeded_bindings(self, execution):
         carry = Variable("carry")
-        with Slider(fragment="rdfs", workers=0, timeout=None) as r:
+        with Slider(fragment="rdfs", timeout=None, **execution) as r:
             r.apply(Delta(assertions=random_ontology(4242)))
             graph = r.graph
             closure = list(graph)

@@ -29,7 +29,7 @@ from repro import Slider
 from repro.rdf import RDF, RDFS, Variable
 from repro.store import Graph, solve_naive
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 from ..differential.test_differential import generate_script, script_for
 from ..reasoner.test_subscriptions import assert_index_is_exact
 
@@ -93,12 +93,13 @@ def check_revision(subscription, graph, revision, previous) -> set:
 class TestMaintainedEqualsResolve:
     """Subscriptions registered on an empty engine, checked per revision."""
 
+    @each_execution_mode
     @pytest.mark.parametrize("fragment", FRAGMENTS)
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=8, deadline=None)
-    def test_every_revision(self, fragment, seed):
+    def test_every_revision(self, execution, fragment, seed):
         script = script_for(fragment, seed)
-        with Slider(fragment=fragment, workers=0, timeout=None) as r:
+        with Slider(fragment=fragment, timeout=None, **execution) as r:
             subscriptions = [r.subscribe(patterns) for patterns in PATTERN_SETS]
             previous = {id(s): as_set(s.solutions) for s in subscriptions}
             for delta in script:
@@ -109,13 +110,14 @@ class TestMaintainedEqualsResolve:
                         previous[id(subscription)],
                     )
 
+    @each_execution_mode
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=6, deadline=None)
-    def test_mid_script_subscribe(self, seed):
+    def test_mid_script_subscribe(self, execution, seed):
         """Registering on a populated graph seeds the exact solution set,
         then stays consistent through the remaining revisions."""
         script = generate_script(seed, steps=8)
-        with Slider(fragment="rdfs", workers=0, timeout=None) as r:
+        with Slider(fragment="rdfs", timeout=None, **execution) as r:
             for delta in script[:4]:
                 r.apply(delta)
             subscription = r.subscribe(

@@ -12,6 +12,9 @@ and stops once it has what it was asked for.  The contract:
   ``solve`` stays multiset-identical to ``solve_naive`` on the store
   and on a :class:`~repro.server.ReadView` with a non-empty overlay and
   tombstones.
+
+The bounded-query tests run on the store, on a columnar image of its
+closure and on an overlaid read view.
 """
 
 import random
@@ -26,8 +29,8 @@ from repro.store import Graph, ask, construct, select, solve, solve_naive
 from repro.store.planner import executor
 from repro.store.planner.executor import BLOCK_ROWS, solution_blocks
 
-from ..conftest import EX, random_ontology
-from .test_differential_oracle import _sweep, as_multiset, bounded_random_bgp
+from ..conftest import EX, each_execution_mode, random_ontology
+from .test_differential_oracle import _sweep, as_multiset, bounded_random_bgp, columnar_graph
 
 X, Y, C = Variable("x"), Variable("y"), Variable("c")
 
@@ -56,14 +59,21 @@ def overlaid_view(engine: Slider, later: list[Delta]) -> ReadView:
     return view
 
 
-@pytest.fixture(params=("hashdict", "view"))
+@pytest.fixture(params=("hashdict", "columnar", "view"))
 def graph(request):
-    """The social graph on the store, and on an overlaid read view."""
+    """The social graph on the store, on a columnar image of its
+    closure, and on an overlaid read view."""
     with Slider(fragment="rhodf", workers=0, timeout=None) as engine:
         triples = social_triples()
-        if request.param != "view":
+        if request.param == "hashdict":
             engine.apply(Delta(assertions=triples))
             yield engine.graph
+            return
+        if request.param == "columnar":
+            engine.apply(Delta(assertions=triples))
+            columnar = columnar_graph(engine.graph)
+            yield columnar
+            columnar.store.close()
             return
         half = len(triples) // 2
         engine.apply(Delta(assertions=triples[:half] + [Triple(EX.ghost, RDF.type, EX.Person)]))
@@ -169,9 +179,10 @@ class TestBlocks:
 class TestAskMatchesNaive:
     """``ask`` ≡ ``bool(solve_naive)`` on the differential generator."""
 
+    @each_execution_mode
     @pytest.mark.parametrize("fragment", ("rhodf", "rdfs"))
-    def test_random_bgps(self, fragment):
-        with Slider(fragment=fragment, workers=0, timeout=None) as engine:
+    def test_random_bgps(self, execution, fragment):
+        with Slider(fragment=fragment, timeout=None, **execution) as engine:
             engine.apply(Delta(assertions=random_ontology(1618)))
             graph = engine.graph
             closure = list(graph)

@@ -13,7 +13,7 @@ import pytest
 from repro import Delta, Slider
 from repro.rdf import RDF, RDFS, Quad, Triple, Variable
 
-from ..conftest import EX
+from ..conftest import EX, EXECUTION_MODES, each_execution_mode
 
 G1 = EX.graph1
 G2 = EX.graph2
@@ -31,9 +31,9 @@ def make_engine(**options):
     return Slider(fragment="rhodf", **options)
 
 
-@pytest.fixture
-def engine():
-    with make_engine() as reasoner:
+@pytest.fixture(params=list(EXECUTION_MODES))
+def engine(request):
+    with make_engine(**EXECUTION_MODES[request.param]) as reasoner:
         yield reasoner
 
 
@@ -126,7 +126,8 @@ class TestGraphFilteredSubscriptions:
 class TestDifferentialIsolation:
     """Interleaved graph-scoped tenants ≡ isolated engines."""
 
-    def test_interleaved_equals_isolated(self):
+    @each_execution_mode
+    def test_interleaved_equals_isolated(self, execution):
         # Tenant data is disjoint (tenant-prefixed subjects); the shared
         # schema lives in the default graph in both settings.  A triple
         # asserted by two graphs keeps its *first* asserter's tag, so
@@ -140,7 +141,7 @@ class TestDifferentialIsolation:
                 Delta(retractions=[typed(12)]),
             ],
         }
-        with make_engine() as shared:
+        with make_engine(**execution) as shared:
             shared.apply(Delta(assertions=SCHEMA))
             for step in range(2):
                 for graph, deltas in scripts.items():
@@ -157,7 +158,7 @@ class TestDifferentialIsolation:
                 graph: sorted(shared.triples_in_graph(graph)) for graph in scripts
             }
         for graph, deltas in scripts.items():
-            with make_engine() as isolated:
+            with make_engine(**execution) as isolated:
                 isolated.apply(Delta(assertions=SCHEMA))
                 for d in deltas:
                     isolated.apply(

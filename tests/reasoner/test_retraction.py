@@ -9,7 +9,7 @@ from repro import Delta
 from repro.rdf import OWL, RDF, RDFS, Triple
 from repro.reasoner import Slider
 
-from ..conftest import EX, closure_with_slider, make_chain
+from ..conftest import EX, closure_with_slider, each_execution_mode, make_chain
 
 
 def fresh(**kwargs) -> Slider:
@@ -133,8 +133,9 @@ class TestTransitivityDeclarations:
 
     DECLARATION = Triple(EX.anc, RDF.type, OWL.TransitiveProperty)
 
-    def test_retracting_the_declaration_retracts_its_closure(self):
-        with fresh(fragment="owl-horst") as r:
+    @each_execution_mode
+    def test_retracting_the_declaration_retracts_its_closure(self, execution):
+        with fresh(fragment="owl-horst", **execution) as r:
             r.apply(Delta([
                 self.DECLARATION,
                 Triple(EX.a, EX.anc, EX.b),
@@ -218,14 +219,15 @@ _pinned = os.environ.get("SLIDER_DIFF_SEED")
 _replay = seed(int(_pinned)) if _pinned else (lambda test: test)
 
 
+@each_execution_mode
 @pytest.mark.parametrize("fragment", sorted(_ONTOLOGIES))
 @_replay
 @given(st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_dred_equals_recomputation(fragment, data):
+def test_dred_equals_recomputation(execution, fragment, data):
     triples = data.draw(_ONTOLOGIES[fragment])
     removed = data.draw(st.lists(st.sampled_from(triples), max_size=6))
-    with fresh(fragment=fragment) as r:
+    with fresh(fragment=fragment, **execution) as r:
         r.materialize(triples)
         r.retract(removed)
         incremental = set(r.graph)

@@ -10,7 +10,7 @@ import pytest
 from repro import Delta, Slider, Variable
 from repro.rdf import RDF, RDFS, Triple
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 
 X = Variable("x")
 Y = Variable("y")
@@ -69,10 +69,11 @@ class TestBindingDeltas:
             r.apply(Delta(assertions=[Triple(EX.tom, RDF.type, EX.Dog)]))
             assert events == []  # the binding was already live
 
-    def test_subscription_tracks_report_diff(self):
+    @each_execution_mode
+    def test_subscription_tracks_report_diff(self, execution):
         """The notified bindings are exactly the report's graph diff
         projected through the pattern."""
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.materialize(SCHEMA)
             events = []
             r.subscribe(animal_pattern(), events.append)
@@ -267,19 +268,21 @@ OWNS_ANIMAL = [(Y, EX.hasPet, X), (X, RDF.type, EX.Animal)]
 
 
 class TestSupportIndex:
-    def test_solution_losing_two_supports_dies_once(self):
+    @each_execution_mode
+    def test_solution_losing_two_supports_dies_once(self, execution):
         pet = Triple(EX.alice, EX.hasPet, EX.tom)
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.materialize(SCHEMA + [pet, cat])
             events = run_against_reference(
                 r, OWNS_ANIMAL, [Delta(retractions=[pet, cat])]
             )
             assert [dict(b) for b in events[0].removed] == [{X: EX.tom, Y: EX.alice}]
 
-    def test_solutions_sharing_a_support_die_together(self):
+    @each_execution_mode
+    def test_solutions_sharing_a_support_die_together(self, execution):
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.materialize(SCHEMA + [
                 cat,
                 Triple(EX.alice, EX.hasPet, EX.tom),
@@ -291,9 +294,10 @@ class TestSupportIndex:
             assert {b[Y] for b in events[0].removed} == {EX.alice, EX.bob}
             assert all(b[X] == EX.tom for b in events[0].removed)
 
-    def test_remove_then_readd_across_revisions(self):
+    @each_execution_mode
+    def test_remove_then_readd_across_revisions(self, execution):
         cat = Triple(EX.tom, RDF.type, EX.Cat)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.materialize(SCHEMA + [cat, Triple(EX.alice, EX.hasPet, EX.tom)])
             events = run_against_reference(
                 r,
@@ -319,8 +323,9 @@ class TestSupportIndex:
                 r, patterns, [Delta(retractions=[loop]), Delta(assertions=[loop])]
             )
 
+    @each_execution_mode
     @pytest.mark.parametrize("seed", (11, 12, 13))
-    def test_seeded_scripts_match_the_reference(self, seed):
+    def test_seeded_scripts_match_the_reference(self, execution, seed):
         import random
 
         rng = random.Random(seed)
@@ -339,7 +344,7 @@ class TestSupportIndex:
             live.difference_update(delta.retractions)
             live.update(delta.assertions)
             deltas.append(delta)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.materialize(SCHEMA)
             events = run_against_reference(r, OWNS_ANIMAL, deltas)
             assert any(e.removed for e in events) and any(e.added for e in events)

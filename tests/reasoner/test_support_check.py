@@ -25,7 +25,7 @@ from repro.reasoner.fragments import Fragment, available_fragments, get_fragment
 from repro.reasoner.rules import derive_all
 from repro.store import HashDictStore
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 
 NODES = [EX[f"n{i}"] for i in range(4)]
 PROPERTIES = [EX.knows, EX.near]
@@ -70,7 +70,7 @@ def candidate_universe(dictionary):
 
 
 class TestSupportsEqualsFullEvaluation:
-    @pytest.mark.parametrize("seed", (7, 8))
+    @pytest.mark.parametrize("seed", (7, 8, 9, 10))
     @pytest.mark.parametrize("fragment", available_fragments())
     def test_every_rule(self, fragment, seed):
         dictionary, vocab, store = random_store(seed)
@@ -189,11 +189,12 @@ class TestScaleIndependence:
 
     RETRACTED = Triple(EX.tom, RDF.type, EX.Cat)
 
+    @each_execution_mode
     @pytest.mark.parametrize("fragment", ("rhodf", "rdfs", "owl-horst"))
-    def test_probes_do_not_grow_with_the_store(self, fragment):
+    def test_probes_do_not_grow_with_the_store(self, execution, fragment):
         reports = []
         for unrelated in (50, 400):
-            with Slider(fragment=fragment, workers=0, timeout=None) as r:
+            with Slider(fragment=fragment, timeout=None, **execution) as r:
                 r.apply(Delta(zoo(unrelated)))
                 reports.append(r.apply(Delta(retractions=[self.RETRACTED])))
         small, large = reports

@@ -12,7 +12,7 @@ import pytest
 from repro import Delta, InferenceReport, Slider, Ticket, Transaction
 from repro.rdf import RDF, RDFS, Triple
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 
 
 def typed(i: int) -> Triple:
@@ -106,19 +106,20 @@ class TestApply:
 class TestMixedTransactionClosure:
     """Acceptance: mixed tx closure == the equivalent sequential calls."""
 
-    def test_matches_sequential_add_and_retract(self):
+    @each_execution_mode
+    def test_matches_sequential_add_and_retract(self, execution):
         ontology = small_ontology() + make_chain(8)
         stale = [ontology[0], ontology[3]]
         fresh = [Triple(EX.extra, RDF.type, EX.Cat), typed(1)]
 
-        with Slider(fragment="rhodf", workers=0, timeout=None) as seq:
+        with Slider(fragment="rhodf", timeout=None, **execution) as seq:
             seq.materialize(ontology)
             seq.retract(stale)
             seq.add(fresh)
             seq.flush()
             sequential = set(seq.graph)
 
-        with Slider(fragment="rhodf", workers=0, timeout=None) as txr:
+        with Slider(fragment="rhodf", timeout=None, **execution) as txr:
             txr.materialize(ontology)
             with txr.transaction() as tx:
                 tx.add(fresh)
@@ -148,8 +149,9 @@ class TestMixedTransactionClosure:
 class TestReportMatchesGraphDiff:
     """Acceptance: report added/removed == observed store diff."""
 
-    def test_consecutive_revisions(self):
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+    @each_execution_mode
+    def test_consecutive_revisions(self, execution):
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.apply(Delta(assertions=small_ontology()))
             snapshots = [set(r.graph)]
             reports = []
@@ -196,9 +198,10 @@ class TestNeverCommittedRetraction:
     the closure.
     """
 
-    def test_netted_then_retracted_is_noop(self):
+    @each_execution_mode
+    def test_netted_then_retracted_is_noop(self, execution):
         ghost = typed(99)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.apply(Delta(assertions=SCHEMA))
             before = set(r.graph)
             # Revision n: the assertion is cancelled by net-normalization,
@@ -211,9 +214,10 @@ class TestNeverCommittedRetraction:
             assert report.dred_deleted == 0
             assert set(r.graph) == before
 
-    def test_unknown_retraction_inside_live_delta(self):
+    @each_execution_mode
+    def test_unknown_retraction_inside_live_delta(self, execution):
         ghost = typed(98)
-        with Slider(fragment="rhodf", workers=0, timeout=None) as r:
+        with Slider(fragment="rhodf", timeout=None, **execution) as r:
             r.apply(Delta(assertions=SCHEMA))
             report = r.apply(
                 Delta(

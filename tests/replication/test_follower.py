@@ -13,6 +13,7 @@ from repro.replication import ChangeFeed, Follower
 from repro.server import ReasoningService
 from repro.server.http import serve
 
+from ..conftest import each_execution_mode
 from ..differential.test_differential import SEEDS, generate_script
 
 #: Deterministic engine settings for both ends of the wire.
@@ -38,13 +39,14 @@ def shutdown_leader(service, server):
     service.close()
 
 
-def new_follower(server, persist_dir=None):
+def new_follower(server, persist_dir=None, **engine):
+    """A started follower; ``engine`` overrides its deterministic settings."""
     return Follower(
         server.url,
         persist_dir=persist_dir,
         persist_fsync=False,
         reconnect_delay=0.05,
-        **DETERMINISTIC,
+        **{**DETERMINISTIC, **engine},
     ).start()
 
 
@@ -79,12 +81,13 @@ def assert_converged(service, follower):
 
 
 class TestDifferentialReplication:
-    def test_identical_at_every_revision(self, tmp_path):
+    @each_execution_mode
+    def test_identical_at_every_revision(self, execution, tmp_path):
         """WAL-tailing follower tracks every revision of a random script."""
         script = generate_script(SEEDS[0])
         service, server = boot_leader(persist_dir=tmp_path / "leader")
         try:
-            follower = new_follower(server)
+            follower = new_follower(server, **execution)
             try:
                 for delta in script:
                     service.apply(delta.assertions, delta.retractions)
@@ -100,7 +103,8 @@ class TestDifferentialReplication:
         finally:
             shutdown_leader(service, server)
 
-    def test_restart_resumes_from_local_state(self, tmp_path):
+    @each_execution_mode
+    def test_restart_resumes_from_local_state(self, execution, tmp_path):
         """Kill a durable follower mid-stream; its successor recovers
         locally and resumes the feed tail — no re-bootstrap."""
         script = generate_script(SEEDS[1])
@@ -108,7 +112,7 @@ class TestDifferentialReplication:
         state = tmp_path / "follower"
         service, server = boot_leader(persist_dir=tmp_path / "leader")
         try:
-            follower = new_follower(server, persist_dir=state)
+            follower = new_follower(server, persist_dir=state, **execution)
             for delta in script[:half]:
                 service.apply(delta.assertions, delta.retractions)
             assert follower.wait_for_revision(service.reasoner.revision, 30)
@@ -119,7 +123,7 @@ class TestDifferentialReplication:
             for delta in script[half:]:
                 service.apply(delta.assertions, delta.retractions)
 
-            revived = new_follower(server, persist_dir=state)
+            revived = new_follower(server, persist_dir=state, **execution)
             try:
                 assert revived.wait_for_revision(service.reasoner.revision, 30)
                 assert_converged(service, revived)
@@ -132,7 +136,8 @@ class TestDifferentialReplication:
         finally:
             shutdown_leader(service, server)
 
-    def test_compaction_forces_rebootstrap(self, tmp_path):
+    @each_execution_mode
+    def test_compaction_forces_rebootstrap(self, execution, tmp_path):
         """Leader compaction evicts the replica's resume point: it must
         detect 410, re-bootstrap from the snapshot, and converge."""
         script = generate_script(SEEDS[0])
@@ -143,7 +148,7 @@ class TestDifferentialReplication:
             persist_dir=tmp_path / "leader", feed_retain=1
         )
         try:
-            follower = new_follower(server, persist_dir=state)
+            follower = new_follower(server, persist_dir=state, **execution)
             for delta in script[:half]:
                 service.apply(delta.assertions, delta.retractions)
             assert follower.wait_for_revision(service.reasoner.revision, 30)
@@ -153,7 +158,7 @@ class TestDifferentialReplication:
                 service.apply(delta.assertions, delta.retractions)
             service.reasoner.snapshot()  # WAL truncated: resume point gone
 
-            revived = new_follower(server, persist_dir=state)
+            revived = new_follower(server, persist_dir=state, **execution)
             try:
                 assert revived.wait_for_revision(service.reasoner.revision, 30)
                 assert_converged(service, revived)
@@ -248,14 +253,15 @@ class TestStatsReplay:
     counts — since both paths run the same commit pipeline.
     """
 
-    def test_apply_at_rebuilds_identical_stats(self):
+    @each_execution_mode
+    def test_apply_at_rebuilds_identical_stats(self, execution):
         script = generate_script(SEEDS[0])
         with Slider(fragment="rhodf", **DETERMINISTIC) as leader:
             revisions = [leader.apply(delta).revision for delta in script]
             expected_vector = leader.graph.store.stats_vector()
             expected_terms = term_stats(leader)
         assert expected_vector, "the script must leave non-trivial statistics"
-        with Slider(fragment="rhodf", **DETERMINISTIC) as replica:
+        with Slider(fragment="rhodf", **{**DETERMINISTIC, **execution}) as replica:
             for revision, delta in zip(revisions, script):
                 replica.apply_at(revision, delta)
             assert replica.graph.store.stats_vector() == expected_vector

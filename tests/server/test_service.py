@@ -16,7 +16,7 @@ from repro import Delta, Slider, Triple, Variable
 from repro.rdf import RDF, RDFS
 from repro.server import ReasoningService, ServiceClosedError
 
-from ..conftest import EX, small_ontology
+from ..conftest import EX, each_execution_mode, small_ontology
 from ..differential.test_differential import generate_script
 
 
@@ -95,19 +95,20 @@ class TestCoalescing:
     """The pipeline's own contract (netting, paused bursts, close,
     failure isolation) lives in ``test_write_pipeline.py``."""
 
-    def test_coalesced_script_matches_sequential_closure(self):
+    @each_execution_mode
+    def test_coalesced_script_matches_sequential_closure(self, execution):
         """Differential harness scripts through the coalescer == the same
         deltas applied sequentially, at the final revision."""
         script = generate_script(4242, steps=8)
         with Slider(
-            fragment="rhodf", workers=0, timeout=None
+            fragment="rhodf", timeout=None, **execution
         ) as sequential:
             for delta in script:
                 sequential.apply(delta)
             reference = set(sequential.graph)
 
         with ReasoningService(
-            fragment="rhodf", workers=0, timeout=None
+            fragment="rhodf", timeout=None, **execution
         ) as service:
             # Pairs of script deltas are forced into one coalesced
             # revision each — arrival order must decide the outcome.

@@ -19,11 +19,11 @@ from repro.rdf import RDF, RDFS
 from repro.server import ReadView, RevisionGoneError, ViewRegistry
 from repro.store.backends.hashdict import HashDictStore
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 
 
-def make_engine():
-    return Slider(fragment="rhodf", workers=0, timeout=None)
+def make_engine(workers=0, **options):
+    return Slider(fragment="rhodf", workers=workers, timeout=None, **options)
 
 
 DELTAS = [
@@ -38,17 +38,19 @@ DELTAS = [
 
 
 class TestReadView:
-    def test_from_store_matches_store(self):
-        with make_engine() as r:
+    @each_execution_mode
+    def test_from_store_matches_store(self, execution):
+        with make_engine(**execution) as r:
             r.apply(Delta(assertions=small_ontology()))
             view = ReadView.from_store(r.revision, r.store)
             assert len(view) == len(r.store)
             assert set(view) == set(r.store)
             assert sorted(view.predicates()) == sorted(r.store.predicates())
 
-    def test_advance_equals_rebuild_at_every_revision(self):
+    @each_execution_mode
+    def test_advance_equals_rebuild_at_every_revision(self, execution):
         """Incrementally advanced view == full rebuild, after each delta."""
-        with make_engine() as r:
+        with make_engine(**execution) as r:
             view = ReadView.from_store(r.revision, r.store)
             for delta in DELTAS:
                 report = r.apply(delta)

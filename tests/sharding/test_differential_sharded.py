@@ -20,6 +20,7 @@ from repro import Delta, Slider, Variable
 from repro.rdf import RDF
 from repro.sharding import ShardedReasoner
 
+from ..conftest import each_execution_mode
 from ..differential.test_differential import SEEDS, generate_script
 
 FRAGMENTS = ("rhodf", "rdfs")  # the shardable fragments
@@ -71,16 +72,18 @@ class TestClusterMatchesSingleNode:
                 assert cluster.input_count == single.input_count
                 assert cluster.inferred_count == single.inferred_count
 
+    @each_execution_mode
     @pytest.mark.parametrize("router", ("subject", "predicate"))
-    def test_routers(self, router):
-        """Both routing policies reach the same per-revision truth (one
-        fragment/width keeps the sweep fast)."""
+    def test_routers(self, execution, router):
+        """Both routing policies, with the shard engines firing inline or
+        on a pool, reach the same per-revision truth (one fragment/width
+        keeps the sweep fast)."""
         seed = SEEDS[0]
         script = generate_script(seed)
         with Slider(
             fragment="rhodf", workers=0, timeout=None
         ) as single, ShardedReasoner(
-            fragment="rhodf", shards=4, router=router
+            fragment="rhodf", shards=4, router=router, **execution
         ) as cluster:
             for delta in script:
                 single_report = single.apply(delta)

@@ -1,5 +1,5 @@
 """The store layer: ``create_store``, the protocol, and the hash-dict
-store under concurrent writers and readers."""
+store under concurrent writers, removers and readers."""
 
 import random
 import sys
@@ -12,7 +12,7 @@ from repro import Graph, Slider
 from repro.baselines import BatchReasoner
 from repro.persist.columnar import encode_columnar_snapshot, parse_columnar_snapshot
 from repro.rdf import IRI
-from repro.server import ReadView
+from repro.server import ReadView, ReasoningService
 from repro.store import HashDictStore, TripleStore, create_store
 from repro.store.backends import ColumnarReadStore
 
@@ -42,10 +42,13 @@ class TestCreateStore:
             lambda spec: Slider(store=spec),
             lambda spec: Graph(store=spec),
             lambda spec: BatchReasoner(store=spec),
+            lambda spec: ReasoningService(store=spec),
         ],
-        ids=["Slider", "Graph", "BatchReasoner"],
+        ids=["Slider", "Graph", "BatchReasoner", "ReasoningService"],
     )
-    @pytest.mark.parametrize("spec", [f"sharded:{4}", "hashdict", "x"])
+    @pytest.mark.parametrize(
+        "spec", [f"sharded:{4}", "hashdict", "columnar:/srv/image.slider", "x"]
+    )
     def test_spec_strings_are_refused_at_construction(self, build, spec):
         with pytest.raises(TypeError) as info:
             build(spec)
@@ -65,31 +68,49 @@ def columnar_store(triples) -> ColumnarReadStore:
     return ColumnarReadStore(parse_columnar_snapshot(blob))
 
 
+#: The read-only stores in the tree, each built over a hash-dict store
+#: holding ``batch``.
+READERS = {
+    "view": lambda store, batch: ReadView.from_store(0, store),
+    "columnar": lambda store, batch: columnar_store(batch),
+}
+
+#: The permutation reads the planner calls without a fallback, each
+#: normalised to a comparable value for one probe ``(s, p, o)``.
+PERMUTATION_READS = {
+    "predicate_stats": lambda r, s, p, o: r.predicate_stats(p),
+    "count_subject": lambda r, s, p, o: r.count_subject(s),
+    "count_object": lambda r, s, p, o: r.count_object(o),
+    "predicates_between": lambda r, s, p, o: sorted(r.predicates_between(s, o)),
+    "triples_for_subject": lambda r, s, p, o: sorted(r.triples_for_subject(s)),
+    "triples_for_object": lambda r, s, p, o: sorted(r.triples_for_object(o)),
+}
+
+
 class TestProtocol:
     def test_hashdict_satisfies_protocol(self):
         assert isinstance(HashDictStore(), TripleStore)
 
-    def test_read_stores_carry_the_planner_surface(self):
-        """The permutation reads the planner calls without a fallback
-        are protocol members every store in the tree implements."""
+    @pytest.mark.parametrize("reader", READERS)
+    def test_read_stores_satisfy_protocol(self, reader):
         batch = random_batch(seed=3)
         store = HashDictStore()
         store.add_all(batch)
-        for reader in (ReadView.from_store(0, store), columnar_store(batch)):
-            assert isinstance(reader, TripleStore)
-            for s, p, o in batch[:20]:
-                assert reader.predicate_stats(p) == store.predicate_stats(p)
-                assert reader.count_subject(s) == store.count_subject(s)
-                assert reader.count_object(o) == store.count_object(o)
-                assert sorted(reader.predicates_between(s, o)) == sorted(
-                    store.predicates_between(s, o)
-                )
-                assert sorted(reader.triples_for_subject(s)) == sorted(
-                    store.triples_for_subject(s)
-                )
-                assert sorted(reader.triples_for_object(o)) == sorted(
-                    store.triples_for_object(o)
-                )
+        assert isinstance(READERS[reader](store, batch), TripleStore)
+
+    @pytest.mark.parametrize("read", PERMUTATION_READS)
+    @pytest.mark.parametrize("reader", READERS)
+    def test_permutation_reads_match_hashdict(self, reader, read):
+        """Every read store answers each planner read like the hash-dict
+        store holding the same triples, for present and absent terms."""
+        batch = random_batch(seed=3, size=120)
+        store = HashDictStore()
+        store.add_all(batch)
+        other = READERS[reader](store, batch)
+        answer = PERMUTATION_READS[read]
+        for s in range(40):
+            probe = (s, s % 9, (s * 7) % 40)
+            assert answer(other, *probe) == answer(store, *probe), probe
 
 
 class TestHashDictConcurrency:
@@ -169,3 +190,51 @@ class TestHashDictConcurrency:
         assert not thread.is_alive()
         assert not errors
         assert set(store) == prefixes[-1]
+
+    def test_racing_adds_and_removes_keep_indexes_and_statistics_exact(self):
+        """Writers adding and a remover deleting disjoint triples at the
+        same time leave every permutation index and every planner
+        statistic exactly as a sequential fill of the survivors would."""
+        doomed = sorted(set(random_batch(seed=2, size=300, predicates=4)))
+        slices = [
+            [t for t in random_batch(seed=20 + i, size=300) if t not in doomed]
+            for i in range(3)
+        ]
+        store = HashDictStore()
+        store.add_all(doomed)
+        barrier = threading.Barrier(len(slices) + 1, timeout=30)
+
+        def writer(chunk):
+            barrier.wait()
+            for start in range(0, len(chunk), 20):
+                store.add_all(chunk[start:start + 20])
+
+        def remover():
+            barrier.wait()
+            for start in range(0, len(doomed), 20):
+                store.remove_all(doomed[start:start + 20])
+
+        threads = [threading.Thread(target=writer, args=(s,)) for s in slices]
+        threads.append(threading.Thread(target=remover))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        reference = HashDictStore()
+        for chunk in slices:
+            reference.add_all(chunk)
+        assert set(store) == set(reference)
+        assert store.stats_vector() == reference.stats_vector()
+        for s in range(40):
+            probe = (s, s % 9, (s * 7) % 40)
+            for read, answer in PERMUTATION_READS.items():
+                assert answer(store, *probe) == answer(reference, *probe), (read, probe)
+            for p in range(9):
+                assert sorted(store.objects(p, s)) == sorted(reference.objects(p, s))
+                assert sorted(store.subjects(p, s)) == sorted(reference.subjects(p, s))

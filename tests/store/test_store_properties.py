@@ -1,10 +1,20 @@
 """Property-based tests: the hash-dict store behaves exactly like a set
-of triples (the distributors' deduplication contract included)."""
+of triples (the distributors' deduplication contract included), and a
+read view over it answers the same reads."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.server import ReadView
 from repro.store import HashDictStore
+
+#: The read surfaces over one filled store: the store itself, and the
+#: serving layer's view of it.
+READERS = {
+    "hashdict": lambda store: store,
+    "view": lambda store: ReadView.from_store(0, store),
+}
 
 encoded_triples = st.tuples(
     st.integers(min_value=0, max_value=30),
@@ -45,6 +55,7 @@ def test_add_all_preserves_input_order(triples):
     assert new == list(dict.fromkeys(triples))  # first occurrences, in order
 
 
+@pytest.mark.parametrize("reader", READERS)
 @given(
     triples=st.lists(encoded_triples, max_size=150),
     s=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
@@ -52,9 +63,10 @@ def test_add_all_preserves_input_order(triples):
     o=st.one_of(st.none(), st.integers(min_value=0, max_value=30)),
 )
 @settings(max_examples=200)
-def test_match_equals_filtered_model(triples, s, p, o):
+def test_match_equals_filtered_model(reader, triples, s, p, o):
     store = HashDictStore()
     store.add_all(triples)
+    store = READERS[reader](store)
     expected = {
         t
         for t in set(triples)
@@ -65,10 +77,12 @@ def test_match_equals_filtered_model(triples, s, p, o):
     assert set(store.match(s, p, o)) == expected
 
 
+@pytest.mark.parametrize("reader", READERS)
 @given(triples=st.lists(encoded_triples, max_size=150))
-def test_index_consistency(triples):
+def test_index_consistency(reader, triples):
     store = HashDictStore()
     store.add_all(triples)
+    store = READERS[reader](store)
     model = set(triples)
     predicates = store.predicates()
     assert sorted(predicates) == sorted({p for _, p, _ in model})

@@ -19,7 +19,7 @@ from repro.tenancy import (
     UnknownTenantError,
 )
 
-from ..conftest import EX
+from ..conftest import EX, each_execution_mode
 
 SCHEMA = [
     Triple(EX.Event, RDFS.subClassOf, EX.Thing),
@@ -83,7 +83,8 @@ class TestIsolationAndWrites:
 class TestDifferentialProof:
     """N interleaved tenants ≡ N isolated engines."""
 
-    def test_interleaved_equals_isolated(self):
+    @each_execution_mode
+    def test_interleaved_equals_isolated(self, execution):
         scripts = {
             "acme": [
                 Delta(assertions=SCHEMA + [typed("acme", i) for i in range(4)]),
@@ -101,7 +102,7 @@ class TestDifferentialProof:
             ],
         }
         rounds = max(len(s) for s in scripts.values())
-        with make_manager() as manager:
+        with make_manager(**execution) as manager:
             for step in range(rounds):
                 for tenant, deltas in scripts.items():
                     if step < len(deltas):
@@ -119,7 +120,7 @@ class TestDifferentialProof:
         for tenant, deltas in scripts.items():
             graph = IRI(f"urn:tenant:{tenant}")
             with Slider(
-                fragment="rhodf", workers=0, timeout=None
+                fragment="rhodf", timeout=None, **execution
             ) as isolated:
                 for delta in deltas:
                     isolated.apply(

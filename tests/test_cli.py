@@ -36,6 +36,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["snapshot", "--persist", "d", "--format", "v1"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reason", "file.nt"],
+            ["explain", "file.nt", "--query", "?x a ?c"],
+            ["serve"],
+            ["demo"],
+            ["snapshot", "--persist", "d"],
+            ["recover", "--persist", "d"],
+            ["bench"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_store_is_not_an_option(self, argv, capsys):
+        build_parser().parse_args(argv)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--store", "hashdict"])
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.host == "127.0.0.1"
