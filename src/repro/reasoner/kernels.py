@@ -28,9 +28,10 @@ firing is index probes and tuple indexing only:
 
 Every plan applies the same RDF well-formedness guards as
 ``Rule._emit``, so the derived closure is identical triple-for-triple
-to the binding-dict interpreter, which remains for goal-directed
-(:meth:`Rule.supports`) and whole-store (``derive_all``) evaluation
-and for plan-less custom rules.
+to the binding-dict reference, which remains for whole-store
+(``derive_all``) evaluation and plan-less custom rules.  Goal-directed
+evaluation (:meth:`Rule.supports`) runs on the planner's join core,
+:mod:`repro.store.planner.executor`.
 
 Snapshotting the partner partition at firing start is as complete as
 live probing: a partner inserted mid-pass is routed to this rule

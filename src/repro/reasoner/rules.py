@@ -33,13 +33,13 @@ Firings never interpret the patterns: each built-in rule body compiles
 once into a positional plan (:mod:`repro.reasoner.kernels`) that
 filters, probes and projects by tuple position.  The binding-dict
 interpreter — :meth:`Pattern.matches` / :meth:`Pattern.instantiate` —
-serves the goal-directed and whole-store questions below.
+serves whole-store ``derive_all`` and plan-less custom rules.
 
 Because head and body are data, a rule can also be asked the
 goal-directed question DRed re-derivation needs —
 :meth:`Rule.supports`: "is there one body instantiation of *this* triple
-in the store?" — answered with index probes bound by the head, never by
-evaluating the body over the whole store.
+in the store?" — answered by the planner's join core: the head triple
+seeds a row, and index probes bound by it look for one witness.
 
 Rules advertise their *input predicates* (the constant predicate ids of
 their body patterns; ``None`` means universal — the rule must see every
@@ -55,6 +55,8 @@ from typing import Sequence
 
 from ..dictionary.encoder import EncodedTriple
 from ..store.backends.base import TripleStore
+from ..store.planner.executor import has_row, match_rows
+from ..store.planner.plan import slot_states
 from .kernels import compile_half_join, compile_projection
 from .vocabulary import Vocabulary
 
@@ -326,26 +328,32 @@ class Rule:
             out.emit(triple)
 
     # --- goal-directed evaluation ------------------------------------------
+    _witness: tuple | None = None
+
     def supports(
         self, store: TripleStore, triple: EncodedTriple, vocab: Vocabulary
     ) -> bool:
         """Is ``triple`` one-step derivable by this rule from ``store``?
 
         The head-bound counterpart of :func:`derive_all`, and equivalent
-        to ``triple in derive_all(rule, store, vocab)``: unify ``triple``
-        with the head, then look for *one* instantiation of the body
-        under that binding.  Cost is bounded by the fan-in of the bound
+        to ``triple in derive_all(rule, store, vocab)``: match ``triple``
+        against the head, then look for *one* instantiation of the body
+        extending that row.  Cost is bounded by the fan-in of the bound
         body patterns (two index probes for a typical join rule),
         independent of the store's size.  Subclasses whose ``head`` and
         ``body`` are their true semantics need no override.
         """
-        binding = self.head.matches(triple, {})
-        if binding is None:
+        witness = self._witness
+        if witness is None:
+            witness = self._witness = _compile_witness(self.head, self.body)
+        head, body = witness
+        rows = match_rows(head, (triple,))
+        if not rows:
             return False
         is_literal = vocab.dictionary.is_literal
         if is_literal(triple[0]) or is_literal(triple[1]):
             return False  # same well-formedness guards as _emit
-        return _has_witness(store, self.body, binding)
+        return has_row(store, body, rows)
 
     # --- head guards -----------------------------------------------------
     def _emit(
@@ -374,30 +382,20 @@ class Rule:
         return f"<Rule {self.name}: {body} → {self.head!r}>"
 
 
-def _has_witness(
-    store: TripleStore, patterns: Sequence[Pattern], binding: dict[str, int]
-) -> bool:
-    """Does some extension of ``binding`` instantiate every pattern?
-
-    Backtracking search, most-bound pattern first (ties in body order),
-    returning on the first witness.  A fully bound pattern is a
-    membership probe; a partially bound one is an index lookup whose
-    matches each extend the binding for the remaining patterns.
-    """
-    if not patterns:
-        return True
-    keys = [pattern.lookup_key(binding) for pattern in patterns]
-    best = min(range(len(keys)), key=lambda index: keys[index].count(None))
-    rest = [pattern for index, pattern in enumerate(patterns) if index != best]
-    key = keys[best]
-    if None not in key:
-        return key in store and _has_witness(store, rest, binding)
-    pattern = patterns[best]
-    for partner in store.match(*key):
-        extended = pattern.matches(partner, binding)
-        if extended is not None and _has_witness(store, rest, extended):
-            return True
-    return False
+def _compile_witness(head: Pattern, body: Sequence[Pattern]) -> tuple:
+    """The support check's id-level ``(head states, body steps)``: the body
+    most-bound pattern first (fewest unbound variable positions), ties in
+    body order — fixed once the head's variables are bound."""
+    slots: dict = {}
+    head_states = slot_states(head, slots, Var)
+    remaining, steps = list(body), []
+    while remaining:
+        best = min(
+            remaining, key=lambda p: sum(isinstance(t, Var) and t not in slots for t in p)
+        )
+        remaining.remove(best)
+        steps.append(slot_states(best, slots, Var))
+    return head_states, tuple(steps)
 
 
 class SingleRule(Rule):

@@ -10,8 +10,8 @@ each committed revision's :class:`~repro.reasoner.delta.InferenceReport`
 * **additions** — the BGP is compiled once, at registration, into an
   :class:`~repro.store.planner.IncrementalBGPPlan`: one pre-ordered
   join plan per pattern position a delta triple can enter through.
-  Every added triple is unified against each pattern *in encoded
-  integer space*; each hit seeds that pattern's rest-plan, so work
+  Each pattern matches the added triples *in encoded integer space*;
+  each hit is a row that seeds that pattern's rest-plan, so work
   scales with the delta and the plan, not with the graph — and no plan
   is recomputed per revision;
 * **removals** — a maintained solution dies iff one of its (fully

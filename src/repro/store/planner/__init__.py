@@ -9,8 +9,9 @@ the relational treatment of the same problem:
   backends' O(1) per-predicate statistics (``predicate_stats``), each
   join step bound to the cheapest index permutation (PSO / POS / SPO /
   OSP / membership / scan) for its bound-position shape;
-* :mod:`~repro.store.planner.executor` — run a plan entirely in encoded
-  integer space, decoding only the final bindings, with optional
+* :mod:`~repro.store.planner.executor` — the one join core (queries,
+  subscription deltas, DRed's support check): slot-indexed rows of ids,
+  decoded only at the edge, with optional
   per-step actual-row counters for ``explain``; ``solution_blocks``
   hands the same executor its first step's rows a block at a time for
   callers that stop early (``limit``, ``ASK``);

@@ -1,19 +1,23 @@
-"""Plan execution in encoded integer space.
+"""Plan execution in encoded integer space: the one join core.
 
-The executor runs a :class:`~repro.store.planner.plan.QueryPlan` against
-a :class:`~repro.store.graph.Graph`'s *encoded* store: every join step
-probes the permutation index the plan chose, working solutions map
-variables to integer ids, and terms are decoded exactly once — for the
-final bindings.  This is where the planner's speed comes from as much
-as from join ordering: the naive evaluator decodes every candidate
-triple and compares term objects at every step.
+Every conjunction of triple patterns over a store's read half runs here
+— ``solve`` / ``select`` / ``ask``, a standing subscription's delta
+seeds and DRed's head-bound :meth:`~repro.reasoner.rules.Rule.supports`
+— except the rule firings (:mod:`repro.reasoner.kernels`).  A plan
+gives each variable a slot (:func:`~repro.store.planner.plan.slot_states`)
+and a row is a tuple of ids: a step probes the index its access path
+names and extends a row by concatenation (``row + (o,)``); a bound or
+repeated variable is a comparison of positions.  Given triples enter
+through :func:`match_rows`, and :func:`decode_rows` turns ids into
+terms exactly once, at the edge — the naive evaluator instead decodes
+every candidate triple and compares term objects at every step.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterator, Sequence
 
-from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
 from .plan import BOUND, CONST, FREE, QueryPlan, plan_bgp
@@ -23,18 +27,17 @@ __all__ = [
     "solution_blocks",
     "execute_plan",
     "execute_encoded",
+    "extend_rows",
+    "match_rows",
+    "has_row",
+    "decode_rows",
+    "resolve_states",
     "BLOCK_ROWS",
 ]
 
 #: First-step rows :func:`solution_blocks` hands the remaining join steps
 #: (and the decoder) at a time.
 BLOCK_ROWS = 64
-
-#: Reserved working-solution key carrying seed variables whose terms are
-#: unseen by the dictionary (they cannot be encoded, but a seed variable
-#: that occurs in no pattern is unconstrained and must survive to the
-#: output, matching the naive evaluator).
-_CARRY = object()
 
 
 def solve_planned(
@@ -43,8 +46,6 @@ def solve_planned(
     bindings: Sequence[Binding] | None = None,
 ) -> list[Binding]:
     """Drop-in planner-backed equivalent of :func:`repro.store.query.solve`."""
-    if not patterns:
-        return [dict(b) for b in bindings] if bindings else [{}]
     if not bindings:
         return execute_plan(graph, plan_bgp(graph, patterns))
     # Plans assume a uniform bound-variable set; heterogeneous seeds
@@ -68,21 +69,18 @@ def solution_blocks(
     is evaluated whole, then its rows go through the remaining steps
     :data:`BLOCK_ROWS` at a time, so join and decode work follow the
     solutions actually consumed.  The concatenated blocks are exactly
-    :func:`solve_planned`'s answer; ``decode=False`` yields encoded
-    solutions (variable -> id) and skips the dictionary.
+    :func:`solve_planned`'s answer; ``decode=False`` yields the encoded
+    rows (tuples of ids in slot order) and skips the dictionary.
 
     The work itself stays in the eager :func:`execute_encoded` /
     :func:`execute_plan` — only the hand-over of blocks is lazy.
     """
-    if not patterns:
-        yield [{}]
-        return
     plan = plan_bgp(graph, patterns)
     head, rest = (
-        QueryPlan(plan.patterns, steps, plan.variables, plan.planned_size)
+        QueryPlan(plan.patterns, steps, plan.variables, plan.planned_size, plan.slots)
         for steps in (plan.steps[:1], plan.steps[1:])
     )
-    rows = execute_encoded(graph, head, [{}])
+    rows = execute_encoded(graph, head, [()])
     for start in range(0, len(rows), BLOCK_ROWS):
         block = rows[start : start + BLOCK_ROWS]
         if decode:
@@ -96,189 +94,211 @@ def execute_plan(
     plan: QueryPlan,
     bindings: Sequence[Binding] | None = None,
     step_counters: list[int] | None = None,
-    encoded_seeds: list[dict] | None = None,
+    encoded_seeds: list[tuple] | None = None,
 ) -> list[Binding]:
     """Execute a plan over term-level seeds; return term-level bindings.
 
-    ``encoded_seeds`` hands in already-encoded partial solutions instead
-    (the blocks of :func:`solution_blocks`).
+    Each seed supplies the plan's ``bound`` variables; one that occurs
+    in no pattern is unconstrained, so its term rides in the row as
+    given (it may be unknown to the dictionary), matching the naive
+    evaluator.  ``encoded_seeds`` hands in encoded rows instead (the
+    blocks of :func:`solution_blocks`).
     """
-    lookup = graph.dictionary.lookup
-    seeds: list[dict] = []
+    carried: frozenset = frozenset()
     if encoded_seeds is not None:
-        seeds = encoded_seeds
+        rows = encoded_seeds
     elif bindings:
+        lookup = graph.dictionary.lookup
+        carried = frozenset(
+            slot for slot, variable in enumerate(plan.bound) if variable not in plan.variables
+        )
+        rows = []
         for seed in bindings:
-            encoded: dict = {}
-            carry: dict = {}
-            dead = False
-            for variable, term in seed.items():
-                if variable in plan.variables:
-                    term_id = lookup(term)
-                    if term_id is None:
-                        dead = True  # constrained to a term no triple holds
-                        break
-                    encoded[variable] = term_id
-                else:
-                    carry[variable] = term
-            if dead:
-                continue
-            if carry:
-                encoded[_CARRY] = carry
-            seeds.append(encoded)
-        if not seeds:
-            if step_counters is not None:
-                step_counters.extend(0 for _ in plan.steps)
-            return []
+            row = tuple(
+                seed[variable] if slot in carried else lookup(seed[variable])
+                for slot, variable in enumerate(plan.bound)
+            )
+            if None not in row:  # else constrained to a term no triple holds
+                rows.append(row)
     else:
-        seeds = [{}]
-    solutions = execute_encoded(graph, plan, seeds, step_counters=step_counters)
-    decode = graph.dictionary.decode
-    results: list[Binding] = []
-    for solution in solutions:
-        binding: Binding = {}
-        for variable, value in solution.items():
-            if variable is _CARRY:
-                binding.update(value)
-            else:
-                binding[variable] = decode(value)
-        results.append(binding)
-    return results
+        rows = [()]
+    rows = execute_encoded(graph, plan, rows, step_counters=step_counters)
+    return decode_rows(graph, plan.slots, rows, carried)
 
 
 def execute_encoded(
     graph: Graph,
     plan: QueryPlan,
-    seeds: list[dict],
+    seeds: list[tuple],
     step_counters: list[int] | None = None,
-) -> list[dict]:
-    """Run the join pipeline over encoded seed bindings (var -> id)."""
+) -> list[tuple]:
+    """Run the join pipeline over encoded seed rows; return encoded rows."""
     store = graph.store
     lookup = graph.dictionary.lookup
-    solutions = seeds
+    rows = seeds
     for step in plan.steps:
-        if not solutions:
-            if step_counters is not None:
-                step_counters.append(0)
-            continue
-        states, failed = _resolve_states(step.states, lookup)
-        solutions = [] if failed else _apply_step(store, states, solutions)
+        if rows:
+            states = resolve_states(step.states, lookup)
+            rows = [] if states is None else extend_rows(store, states, rows)
         if step_counters is not None:
-            step_counters.append(len(solutions))
-    return solutions
+            step_counters.append(len(rows))
+    return rows
 
 
-def _resolve_states(states, lookup):
-    """Resolve constant terms to ids; report failure on unseen constants."""
+def decode_rows(
+    graph: Graph, slots: Sequence, rows: list[tuple], carried: frozenset = frozenset()
+) -> list[Binding]:
+    """Term-level bindings of encoded rows: the one place ids become terms.
+
+    ``carried`` names slots whose values are terms already.
+    """
+    decode = graph.dictionary.decode
+    # A plain loop: dict(zip(slots, map(decode, row))) measures about
+    # twice as slow on these short rows.
+    layout = [(slot, variable, slot not in carried) for slot, variable in enumerate(slots)]
+    bindings = []
+    for row in rows:
+        binding = {}
+        for slot, variable, encoded in layout:
+            binding[variable] = decode(row[slot]) if encoded else row[slot]
+        bindings.append(binding)
+    return bindings
+
+
+def resolve_states(states, lookup):
+    """A step's states with constants resolved to ids — per execution, so a
+    plan compiled before a term was interned matches it later; ``None``
+    when a constant is unseen (no match)."""
     resolved = []
     for tag, payload in states:
         if tag == CONST:
-            term_id = lookup(payload)
-            if term_id is None:
-                return (), True
-            resolved.append((CONST, term_id))
-        else:
-            resolved.append((tag, payload))
-    return tuple(resolved), False
+            payload = lookup(payload)
+            if payload is None:
+                return None
+        resolved.append((tag, payload))
+    return tuple(resolved)
 
 
-def _apply_step(store, states, solutions: list[dict]) -> list[dict]:
+def match_rows(states, triples, row: tuple = ()) -> list[tuple]:
+    """The rows ``triples`` extend ``row`` to under one step's states.
+
+    A constant position must equal its id, a bound one the row's slot,
+    a repeated fresh variable its first occurrence; each surviving
+    triple appends its fresh positions.  This seeds a subscription's
+    rows from a delta's added triples and a support check's row from
+    the head triple, and is the generic extension of a join step.
+    """
+    batch = triples
+    fresh: dict = {}
+    for position, (tag, value) in enumerate(states):
+        if tag == FREE:
+            first = fresh.setdefault(value, position)
+            if first != position:
+                batch = [t for t in batch if t[position] == t[first]]
+            continue
+        if tag == BOUND:
+            value = row[value]
+        batch = [t for t in batch if t[position] == value]
+    positions = tuple(fresh.values())
+    if not positions:
+        return [row for _ in batch]
+    if len(positions) == 1:
+        (position,) = positions
+        return [row + (t[position],) for t in batch]
+    take = itemgetter(*positions)
+    return [row + take(t) for t in batch]
+
+
+def extend_rows(store, states, rows: list[tuple]) -> list[tuple]:
+    """One join step: every row extended by each stored triple it matches.
+
+    ``states`` are resolved (constants are ids); the access path follows
+    from which positions are known.
+    """
     (s_tag, s_val), (p_tag, p_val), (o_tag, o_val) = states
-    out: list[dict] = []
+    s_const, p_const, o_const = s_tag == CONST, p_tag == CONST, o_tag == CONST
+    out: list[tuple] = []
 
     if p_tag != FREE:
         if s_tag != FREE and o_tag != FREE:
-            for solution in solutions:
-                s = s_val if s_tag == CONST else solution[s_val]
-                p = p_val if p_tag == CONST else solution[p_val]
-                o = o_val if o_tag == CONST else solution[o_val]
+            for row in rows:
+                s = s_val if s_const else row[s_val]
+                p = p_val if p_const else row[p_val]
+                o = o_val if o_const else row[o_val]
                 if (s, p, o) in store:
-                    out.append(solution)
+                    out.append(row)
             return out
         if s_tag != FREE:  # bind the object from the PSO permutation
             objects = store.objects
-            for solution in solutions:
-                s = s_val if s_tag == CONST else solution[s_val]
-                p = p_val if p_tag == CONST else solution[p_val]
-                for o in objects(p, s):
-                    extended = dict(solution)
-                    extended[o_val] = o
-                    out.append(extended)
+            for row in rows:
+                s = s_val if s_const else row[s_val]
+                p = p_val if p_const else row[p_val]
+                out.extend([row + (o,) for o in objects(p, s)])
             return out
         if o_tag != FREE:  # bind the subject from the POS permutation
             subjects = store.subjects
-            for solution in solutions:
-                p = p_val if p_tag == CONST else solution[p_val]
-                o = o_val if o_tag == CONST else solution[o_val]
-                for s in subjects(p, o):
-                    extended = dict(solution)
-                    extended[s_val] = s
-                    out.append(extended)
+            for row in rows:
+                p = p_val if p_const else row[p_val]
+                o = o_val if o_const else row[o_val]
+                out.extend([row + (s,) for s in subjects(p, o)])
             return out
         # Predicate known, both ends free: walk the predicate partition.
         pairs = store.pairs_for_predicate
-        same_variable = s_val == o_val
-        for solution in solutions:
-            p = p_val if p_tag == CONST else solution[p_val]
-            for s, o in pairs(p):
-                if same_variable:
-                    if s != o:
-                        continue
-                    extended = dict(solution)
-                    extended[s_val] = s
-                else:
-                    extended = dict(solution)
-                    extended[s_val] = s
-                    extended[o_val] = o
-                out.append(extended)
+        for row in rows:
+            p = p_val if p_const else row[p_val]
+            if s_val == o_val:
+                out.extend([row + (s,) for s, o in pairs(p) if s == o])
+            else:
+                out.extend([row + pair for pair in pairs(p)])
         return out
 
     # Free predicate variable: use the SPO / OSP permutations.
     if s_tag != FREE and o_tag != FREE:
-        for solution in solutions:
-            s = s_val if s_tag == CONST else solution[s_val]
-            o = o_val if o_tag == CONST else solution[o_val]
-            for p in store.predicates_between(s, o):
-                extended = dict(solution)
-                extended[p_val] = p
-                out.append(extended)
+        for row in rows:
+            s = s_val if s_const else row[s_val]
+            o = o_val if o_const else row[o_val]
+            out.extend([row + (p,) for p in store.predicates_between(s, o)])
         return out
     if s_tag != FREE:
-        for solution in solutions:
-            s = s_val if s_tag == CONST else solution[s_val]
-            _extend_free(solutions=out, base=solution,
-                         triples=store.triples_for_subject(s), states=states)
+        for row in rows:
+            s = s_val if s_const else row[s_val]
+            out.extend(match_rows(states, store.triples_for_subject(s), row))
         return out
     if o_tag != FREE:
-        for solution in solutions:
-            o = o_val if o_tag == CONST else solution[o_val]
-            _extend_free(solutions=out, base=solution,
-                         triples=store.triples_for_object(o), states=states)
+        for row in rows:
+            o = o_val if o_const else row[o_val]
+            out.extend(match_rows(states, store.triples_for_object(o), row))
         return out
     # Nothing known: full scan.
     all_triples = store.match()
-    for solution in solutions:
-        _extend_free(solutions=out, base=solution, triples=all_triples, states=states)
+    for row in rows:
+        out.extend(match_rows(states, all_triples, row))
     return out
 
 
-def _extend_free(solutions: list[dict], base: dict, triples, states) -> None:
-    """Generic extension: bind every FREE position, honouring repeats."""
-    for triple in triples:
-        extended = dict(base)
-        consistent = True
-        for (tag, payload), value in zip(states, triple):
-            if tag != FREE:
-                continue
-            previous = extended.get(payload)
-            if previous is None:
-                extended[payload] = value
-            elif previous != value:
-                consistent = False
-                break
-        if consistent:
-            solutions.append(extended)
+def has_row(store, steps: Sequence, rows: list[tuple], start: int = 0) -> bool:
+    """Does some row survive ``steps[start:]``?
+
+    Depth first, one row at a time, returning on the first witness —
+    the existence probe behind DRed's support check.
+    """
+    if start == len(steps):
+        return bool(rows)
+    states = steps[start]
+    if start == len(steps) - 1:
+        return any(_extends(store, states, row) for row in rows)
+    for row in rows:
+        if has_row(store, steps, extend_rows(store, states, [row]), start + 1):
+            return True
+    return False
 
 
-def _pattern_variables(pattern: TriplePattern) -> set:
-    return {term for term in pattern if isinstance(term, Variable)}
+def _extends(store, states, row: tuple) -> bool:
+    """Does ``row`` extend through a last step?  Without a repeated fresh
+    variable, any stored triple matching the known positions does, so
+    one ``match`` answers without building the extensions."""
+    fresh = [value for tag, value in states if tag == FREE]
+    if len(set(fresh)) < len(fresh):
+        return bool(extend_rows(store, states, [row]))
+    key = [None if tag == FREE else row[value] if tag == BOUND else value for tag, value in states]
+    return bool(store.match(*key))

@@ -28,8 +28,8 @@ from typing import Sequence
 from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
-from .executor import execute_encoded, execute_plan
-from .plan import plan_bgp
+from .executor import decode_rows, execute_encoded, execute_plan, match_rows, resolve_states
+from .plan import plan_bgp, slot_states
 
 __all__ = ["IncrementalBGPPlan"]
 
@@ -44,8 +44,7 @@ class IncrementalBGPPlan:
 
     __slots__ = (
         "patterns",
-        "_slots",
-        "_rest_patterns",
+        "_entries",
         "_full_plan",
         "_rest_plans",
         "_planned_size",
@@ -53,19 +52,10 @@ class IncrementalBGPPlan:
 
     def __init__(self, patterns: Sequence[TriplePattern]):
         self.patterns: tuple[TriplePattern, ...] = tuple(tuple(p) for p in patterns)
-        # Per pattern: ('v', Variable) / ('c', term) slot tags, plus the
-        # written-order rest of the BGP it seeds.
-        self._slots = tuple(
-            tuple(
-                ("v", term) if isinstance(term, Variable) else ("c", term)
-                for term in pattern
-            )
-            for pattern in self.patterns
-        )
-        self._rest_patterns = tuple(
-            self.patterns[:index] + self.patterns[index + 1 :]
-            for index in range(len(self.patterns))
-        )
+        # Per pattern: its states as the step a delta triple enters
+        # through (every variable a fresh slot, in first-occurrence
+        # order); the rows it seeds enter that pattern's rest plan.
+        self._entries = tuple(slot_states(pattern, {}) for pattern in self.patterns)
         self._full_plan = None
         self._rest_plans: tuple | None = None
         self._planned_size = -1
@@ -77,12 +67,10 @@ class IncrementalBGPPlan:
         self._rest_plans = tuple(
             plan_bgp(
                 graph,
-                rest,
-                bound=frozenset(
-                    term for term in self.patterns[index] if isinstance(term, Variable)
-                ),
+                self.patterns[:index] + self.patterns[index + 1 :],
+                bound=[term for term in pattern if isinstance(term, Variable)],
             )
-            for index, rest in enumerate(self._rest_patterns)
+            for index, pattern in enumerate(self.patterns)
         )
         self._planned_size = len(graph.store)
 
@@ -116,58 +104,16 @@ class IncrementalBGPPlan:
             return []
         self._ensure_fresh(graph)
         lookup = graph.dictionary.lookup
-        decode = graph.dictionary.decode
         results: list[Binding] = []
-        for index, slots in enumerate(self._slots):
-            const_ids = self._resolve_constants(slots, lookup)
-            if const_ids is None:
+        for entry, rest_plan in zip(self._entries, self._rest_plans):
+            states = resolve_states(entry, lookup)
+            if states is None:
                 continue  # a constant this pattern needs is unseen: no match
-            seeds = []
-            for triple in added_encoded:
-                binding = self._unify_ids(slots, const_ids, triple)
-                if binding is not None:
-                    seeds.append(binding)
-            if not seeds:
-                continue
-            rest_plan = self._rest_plans[index]
-            if rest_plan.patterns:
-                matched = execute_encoded(graph, rest_plan, seeds)
-            else:
-                matched = seeds
-            for solution in matched:
-                results.append(
-                    {variable: decode(value) for variable, value in solution.items()}
-                )
+            rows = match_rows(states, added_encoded)
+            if rows and rest_plan.steps:
+                rows = execute_encoded(graph, rest_plan, rows)
+            results.extend(decode_rows(graph, rest_plan.slots, rows))
         return results
-
-    # --- encoded-space helpers --------------------------------------------
-    @staticmethod
-    def _resolve_constants(slots, lookup):
-        const_ids = []
-        for tag, term in slots:
-            if tag == "c":
-                term_id = lookup(term)
-                if term_id is None:
-                    return None
-                const_ids.append(term_id)
-            else:
-                const_ids.append(None)
-        return const_ids
-
-    @staticmethod
-    def _unify_ids(slots, const_ids, triple):
-        binding: dict = {}
-        for (tag, term), const_id, value in zip(slots, const_ids, triple):
-            if tag == "c":
-                if const_id != value:
-                    return None
-            else:
-                previous = binding.get(term)
-                if previous is None:
-                    binding[term] = value
-                elif previous != value:
-                    return None
-        return binding
 
     def __repr__(self):
         return (

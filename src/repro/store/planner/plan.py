@@ -36,12 +36,13 @@ from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
 
-__all__ = ["PlanStep", "QueryPlan", "plan_bgp", "explain_plan", "pattern_text"]
+__all__ = ["PlanStep", "QueryPlan", "plan_bgp", "explain_plan", "pattern_text", "slot_states"]
 
-#: Position-state tags used in :attr:`PlanStep.states`.
+#: Position-state tags used in :attr:`PlanStep.states`; the payload is
+#: the constant term or the variable's row slot.
 CONST = "c"  #: constant term (id resolved at execution start)
-BOUND = "b"  #: variable bound by a seed or an earlier step
-FREE = "f"  #: variable this step binds
+BOUND = "b"  #: variable bound by a seed or an earlier step: read its slot
+FREE = "f"  #: variable this step binds: its value is appended at its slot
 
 #: Access-path names, keyed by (predicate known, subject known, object known).
 _ACCESS = {
@@ -83,9 +84,11 @@ class PlanStep:
 
 
 class QueryPlan:
-    """An ordered sequence of :class:`PlanStep` for one BGP."""
+    """An ordered sequence of :class:`PlanStep` for one BGP.  ``slots``
+    names each position of a result row: the seed variables ``bound``
+    first, then each step's fresh variables in binding order."""
 
-    __slots__ = ("patterns", "steps", "variables", "planned_size")
+    __slots__ = ("patterns", "steps", "variables", "planned_size", "slots", "bound")
 
     def __init__(
         self,
@@ -93,11 +96,15 @@ class QueryPlan:
         steps: tuple[PlanStep, ...],
         variables: frozenset,
         planned_size: int,
+        slots: tuple = (),
+        bound: tuple = (),
     ):
         self.patterns = patterns
         self.steps = steps
         self.variables = variables
         self.planned_size = planned_size
+        self.slots = slots
+        self.bound = bound
 
     def describe(self) -> list[dict]:
         """The explain rows (estimated side; actuals come from execution)."""
@@ -133,6 +140,21 @@ def _term_text(term) -> str:
 
 def _variables(pattern: TriplePattern) -> set:
     return {term for term in pattern if isinstance(term, Variable)}
+
+
+def slot_states(pattern, slots: dict, variable: type = Variable) -> tuple:
+    """A pattern's positional states against ``slots`` (variable -> row
+    slot), which gains its new variables in first-occurrence order.  Rules
+    pass their own ``variable`` type, :class:`~repro.reasoner.rules.Var`."""
+    width = len(slots)
+    states = []
+    for term in pattern:
+        if isinstance(term, variable):
+            slot = slots.setdefault(term, len(slots))
+            states.append((BOUND if slot < width else FREE, slot))
+        else:
+            states.append((CONST, term))
+    return tuple(states)
 
 
 def _estimate(
@@ -194,12 +216,14 @@ def plan_bgp(
 ) -> QueryPlan:
     """Compile a BGP into an ordered, index-annotated :class:`QueryPlan`.
 
-    ``bound`` names variables a seed binding supplies (the subscription
-    layer plans the *rest* of a BGP with the delta pattern's variables
-    pre-bound).
+    ``bound`` names variables a seed binding supplies, in the slot order
+    of the seed rows (the subscription layer plans the *rest* of a BGP
+    with the delta pattern's variables pre-bound).
     """
     patterns = tuple(tuple(p) for p in patterns)
-    bound_now: set = set(bound) if bound else set()
+    seeded = tuple(dict.fromkeys(bound)) if bound else ()
+    slots = dict(zip(seeded, range(len(seeded))))
+    bound_now = set(seeded)  # slots' keys as a set: set & set reuses stored hashes
     size = len(graph.store)
     predicate_count = len(graph.store.predicates())
     mean_partition = size / predicate_count if predicate_count else 1.0
@@ -229,12 +253,7 @@ def plan_bgp(
         remaining.remove(best_index)
         pattern = patterns[best_index]
         estimate = _estimate(graph, pattern, bound_now, size, mean_partition)
-        states = tuple(
-            (CONST, term)
-            if not isinstance(term, Variable)
-            else ((BOUND, term) if term in bound_now else (FREE, term))
-            for term in pattern
-        )
+        states = slot_states(pattern, slots)
         known = tuple(state[0] != FREE for state in states)
         access = _ACCESS[(known[1], known[0], known[2])]
         # Record the *cumulative* estimate — intermediate solutions alive
@@ -244,7 +263,9 @@ def plan_bgp(
         steps.append(PlanStep(best_index, pattern, states, access, cumulative))
         bound_now |= _variables(pattern)
 
-    return QueryPlan(patterns, tuple(steps), frozenset(all_variables), size)
+    return QueryPlan(
+        patterns, tuple(steps), frozenset(all_variables), size, tuple(slots), seeded
+    )
 
 
 def explain_plan(
@@ -260,10 +281,7 @@ def explain_plan(
     """
     from .executor import execute_plan
 
-    seed_variables: set = set()
-    if bindings:
-        for seed in bindings:
-            seed_variables |= set(seed)
+    seed_variables = [variable for seed in bindings or () for variable in seed]
     plan = plan_bgp(graph, patterns, bound=seed_variables)
     counters: list[int] = []
     solutions = execute_plan(graph, plan, bindings=bindings, step_counters=counters)

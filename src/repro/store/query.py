@@ -49,8 +49,8 @@ def unify(
 
     Returns the (extended copy of the) binding on success, ``None`` on
     mismatch.  Repeated variables must agree, both within the pattern
-    and with any pre-existing binding.  This is the primitive the
-    subscription layer seeds its delta evaluation with.
+    and with any pre-existing binding.  A term-level convenience: the
+    engine matches encoded triples with the planner's ``match_rows``.
     """
     result: Binding = dict(binding) if binding else {}
     for pattern_term, value in zip(pattern, triple):

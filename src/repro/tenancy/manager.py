@@ -106,9 +106,13 @@ class TenantScope:
         the shared service hands out; counts against the tenant's
         ``max_subscriptions`` quota like any standing query.
         """
-        return SubscriptionChannel(
+        channel = SubscriptionChannel(
             lambda push: self.manager.subscribe(self.name, patterns, push)
         )
+        with self.manager._lock:  # ended by TenantManager.close, as in the service
+            self.manager._channels = [c for c in self.manager._channels if not c.closed]
+            self.manager._channels.append(channel)
+        return channel
 
 
 class TenantManager:
@@ -153,6 +157,7 @@ class TenantManager:
         )
         self._lock = threading.Lock()
         self._tenants: dict[str, TenantScope] = {}
+        self._channels: list[SubscriptionChannel] = []
         self._closed = False
 
     def _load_or_default(self) -> TenantRegistry:
@@ -384,7 +389,7 @@ class TenantManager:
 
     # --- lifecycle ----------------------------------------------------------
     def close(self, timeout: float = 30.0) -> None:
-        """Drain queued writes, then close every tenant engine."""
+        """Drain queued writes, end streams, then close every tenant engine."""
         with self._lock:
             if self._closed:
                 return
@@ -392,6 +397,9 @@ class TenantManager:
         self.writes.close(timeout)
         with self._lock:
             tenants, self._tenants = dict(self._tenants), {}
+            channels, self._channels = self._channels, []
+        for channel in channels:
+            channel.close()
         for tenant in tenants.values():
             tenant.engine.close()
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 import random
+import threading
+import time
 from collections import Counter
 
 import pytest
@@ -28,6 +30,25 @@ EXECUTION_MODES = {
 each_execution_mode = pytest.mark.parametrize(
     "execution", list(EXECUTION_MODES.values()), ids=list(EXECUTION_MODES)
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def no_leaked_threads(request):
+    """Fail a module that leaves a thread it started running.
+
+    Engines, pools, sweepers, servers and feed readers must all be
+    stopped by the module that starts them; a short grace period lets a
+    thread that was told to stop finish its last iteration.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = [t for t in threading.enumerate() if t not in before and t.is_alive()]
+    for thread in leaked:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    leaked = sorted(t.name for t in leaked if t.is_alive())
+    if leaked:
+        pytest.fail(f"{request.node.nodeid} leaked threads: {leaked}", pytrace=False)
 
 
 @pytest.fixture

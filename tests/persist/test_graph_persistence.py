@@ -19,6 +19,7 @@ from repro.persist.snapshot import load_snapshot, parse_snapshot
 from repro.rdf import RDF, Triple
 
 from ..conftest import EX, each_execution_mode
+from .test_recovery import kill
 
 G1 = EX.tenantA
 G2 = EX.tenantB
@@ -32,11 +33,6 @@ def make_engine(state_dir, **options):
     options.setdefault("workers", 0)
     options.setdefault("timeout", None)
     return Slider(fragment="rhodf", persist_dir=state_dir, **options)
-
-
-def kill(engine) -> None:
-    """Release handles without flushing (see test_recovery.kill)."""
-    engine._persist.close()
 
 
 class TestJournalGraphRecords:

@@ -24,11 +24,17 @@ def kill(engine) -> None:
     """Simulate process death for an in-process engine.
 
     No flush, no final commit — exactly what ``kill -9`` skips — but the
-    OS-level handles (journal fd, directory flock) are released the way
-    process teardown would release them, so a successor can open the
-    directory.  Subprocess-based kill coverage lives in the verify run;
-    in-process tests use this to keep the suite fast.
+    OS-level handles (journal fd, directory flock) are released and the
+    engine's threads (timeout sweeper, rule pool) stop the way process
+    teardown would stop them, so a successor can open the directory and
+    nothing outlives the test.  Subprocess-based kill coverage lives in
+    the verify run; in-process tests use this to keep the suite fast.
     """
+    engine._sweeper_stop.set()
+    if engine._sweeper is not None:
+        engine._sweeper.join(5)
+        assert not engine._sweeper.is_alive()
+    engine._executor.shutdown(wait=True)
     engine._persist.close()
 
 

@@ -168,7 +168,7 @@ class TestBlocks:
 
     def test_encoded_blocks_skip_the_dictionary(self, graph):
         (block,) = solution_blocks(graph, [(EX.p0, EX.knows, Y)], decode=False)
-        assert all(isinstance(value, int) for row in block for value in row.values())
+        assert all(isinstance(value, int) for row in block for value in row)
 
     def test_unknown_constant_yields_nothing(self, graph):
         patterns = [(X, RDF.type, EX.NeverSeen), (X, EX.knows, Y)]

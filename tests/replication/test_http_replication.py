@@ -1,6 +1,8 @@
 """The replication HTTP surface: /feed, /snapshot, /readyz, role gating."""
 
+import contextlib
 import json
+import socket
 import threading
 import time
 from http.client import HTTPConnection
@@ -52,13 +54,27 @@ class FeedReader:
         self.events: list[dict] = []
         self.hello = threading.Event()
         self._seen = threading.Condition()
+        self._conn = HTTPConnection("127.0.0.1", port, timeout=20)
+        self._conn.connect()
+        # The connection hands its socket to the response and forgets it.
+        self._sock = self._conn.sock
         self._thread = threading.Thread(
-            target=self._run, args=(port, params), daemon=True
+            target=self._run, args=(params,), daemon=True
         )
         self._thread.start()
 
-    def _run(self, port: int, params: str) -> None:
-        conn = HTTPConnection("127.0.0.1", port, timeout=20)
+    def __enter__(self) -> "FeedReader":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Hang up and wait for the reading thread to see the end of stream."""
+        with contextlib.suppress(OSError):  # the server hung up first
+            self._sock.shutdown(socket.SHUT_RDWR)
+        self._thread.join(10)
+        assert not self._thread.is_alive()
+
+    def _run(self, params: str) -> None:
+        conn = self._conn
         try:
             conn.request("GET", f"/feed{params}")
             response = conn.getresponse()
@@ -66,7 +82,10 @@ class FeedReader:
             current: dict = {}
             data: list[str] = []
             while True:
-                line = response.readline().decode("utf-8").rstrip("\r\n")
+                raw = response.readline()
+                if not raw:
+                    return  # the stream ended
+                line = raw.decode("utf-8").rstrip("\r\n")
                 if line.startswith("event:"):
                     current["event"] = line[6:].strip()
                 elif line.startswith("id:"):
@@ -104,25 +123,25 @@ class TestFeedEndpoint:
     def test_hello_commit_and_watermark(self, leader):
         service, feed, server = leader
         base = service.reasoner.revision
-        reader = FeedReader(server.port, f"?from={base}")
-        assert reader.hello.wait(10)
-        hello = json.loads(reader.wait_for("hello")["data"])
-        assert hello["revision"] == base
-        assert hello["fragment"] == "rhodf"
+        with FeedReader(server.port, f"?from={base}") as reader:
+            assert reader.hello.wait(10)
+            hello = json.loads(reader.wait_for("hello")["data"])
+            assert hello["revision"] == base
+            assert hello["fragment"] == "rhodf"
 
-        service.apply([triple(1)])
-        commit = reader.wait_for("commit")
-        assert commit is not None and commit["id"] == base + 1
-        from repro.replication.feed import FeedRecord
+            service.apply([triple(1)])
+            commit = reader.wait_for("commit")
+            assert commit is not None and commit["id"] == base + 1
+            from repro.replication.feed import FeedRecord
 
-        record = FeedRecord.parse(commit["data"])
-        assert record.revision == base + 1
-        assert record.assertions == (triple(1),)
+            record = FeedRecord.parse(commit["data"])
+            assert record.revision == base + 1
+            assert record.assertions == (triple(1),)
 
-        service.reasoner.flush()  # empty revision: watermark, no record
-        watermark = reader.wait_for("watermark")
-        assert watermark is not None
-        assert json.loads(watermark["data"])["revision"] == base + 2
+            service.reasoner.flush()  # empty revision: watermark, no record
+            watermark = reader.wait_for("watermark")
+            assert watermark is not None
+            assert json.loads(watermark["data"])["revision"] == base + 2
 
     def test_resume_from_compacted_revision_is_410(self, leader):
         service, feed, server = leader

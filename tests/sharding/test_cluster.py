@@ -20,12 +20,15 @@ from repro.sharding import (
 
 from ..conftest import EX, small_ontology
 from ..differential.test_differential import generate_script
+from ..persist.test_recovery import kill
 
 
 def kill_cluster(cluster: ShardedReasoner) -> None:
-    """Simulate a crash: release every shard's journal lock, no flush."""
+    """Simulate a crash: kill every shard (see ``kill``) and stop the
+    shard pool, no flush."""
+    cluster._pool.shutdown(wait=True)
     for engine in cluster.engines:
-        engine._persist.close()
+        kill(engine)
 
 
 class TestConstruction:

@@ -76,6 +76,27 @@ def manifest_revision(state) -> int:
     return json.loads((state / CLUSTER_META_FILENAME).read_text("utf-8"))["revision"]
 
 
+def state_files(directory) -> dict:
+    """Every file under ``directory``: relative path → bytes."""
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in directory.rglob("*")
+        if path.is_file()
+    }
+
+
+def restore(directory, files: dict) -> None:
+    """Put ``directory`` back to ``files`` (see :func:`state_files`),
+    deleting files a run added and rewriting only those it changed."""
+    for path in directory.rglob("*"):
+        if path.is_file() and path.relative_to(directory) not in files:
+            path.unlink()
+    for name, data in files.items():
+        path = directory / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+
+
 class TestCrashMatrix:
     def test_kill_across_checkpoints_revives_exactly(self, tmp_path, monkeypatch):
         # Records here are ~190 bytes: a checkpoint every third commit
@@ -122,9 +143,13 @@ class TestCrashMatrix:
         last_start = len(blob) - len(last.encode())
         assert last.revision == previous[0] + 1
 
+        # One working copy: each cut restores what the previous cut's
+        # recovery and commits rewrote, then tears the log on disk.
+        original = state_files(state)
+        copy = tmp_path / "cut"
+        shutil.copytree(state, copy)
         for cut in range(last_start, len(blob)):
-            copy = tmp_path / f"cut-{cut}"
-            shutil.copytree(state, copy)
+            restore(copy, original)
             (copy / CLUSTER_LOG_FILENAME).write_bytes(blob[:cut])
             with durable(copy) as revived:
                 info = revived.recovery
@@ -138,7 +163,6 @@ class TestCrashMatrix:
                 (record,) = log_records(copy)
                 assert record.revision == previous[0] + 2
                 assert record.vector == tuple(revived.revision_vector)
-            shutil.rmtree(copy)
 
     def test_crash_between_manifest_replace_and_log_truncate(self, tmp_path, monkeypatch):
         state = tmp_path / "state"
