@@ -45,6 +45,13 @@ _KIND_LITERAL = 3
 
 _BNODE_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _VARIABLE_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Characters RFC 3987 forbids in an IRI reference: <>"{}|^` and every
+# code point up to and including space.
+_IRI_FORBIDDEN_RE = re.compile(r'[<>"{}|^`\x00-\x20]')
+
+# Triple and Quad name a constructor parameter ``object``, shadowing the
+# builtin; their __init__ reaches object.__setattr__ through this alias.
+_object_setattr = object.__setattr__
 
 
 class IRI:
@@ -61,7 +68,7 @@ class IRI:
             raise TypeError(f"IRI value must be str, got {type(value).__name__}")
         if not value:
             raise ValueError("IRI value must be non-empty")
-        if any(c in value for c in "<>\"{}|^`") or any(ord(c) <= 0x20 for c in value):
+        if _IRI_FORBIDDEN_RE.search(value) is not None:
             raise ValueError(f"IRI contains characters forbidden by RFC 3987: {value!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash((_KIND_IRI, value)))
@@ -326,11 +333,10 @@ class Triple:
             raise TypeError(f"triple predicate must be IRI, got {type(predicate).__name__}")
         if not isinstance(object, (IRI, BNode, Literal)):
             raise TypeError(f"triple object must be IRI, BNode or Literal, got {type(object).__name__}")
-        __o = object  # keep the builtin name shadow local
-        super(Triple, self).__setattr__("subject", subject)
-        super(Triple, self).__setattr__("predicate", predicate)
-        super(Triple, self).__setattr__("object", __o)
-        super(Triple, self).__setattr__("_hash", hash((subject, predicate, __o)))
+        _object_setattr(self, "subject", subject)
+        _object_setattr(self, "predicate", predicate)
+        _object_setattr(self, "object", object)
+        _object_setattr(self, "_hash", hash((subject, predicate, object)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Triple is immutable")
@@ -396,12 +402,11 @@ class Quad:
             raise TypeError(f"quad object must be IRI, BNode or Literal, got {type(object).__name__}")
         if graph is not None and not isinstance(graph, (IRI, BNode)):
             raise TypeError(f"quad graph must be IRI, BNode or None, got {type(graph).__name__}")
-        __o = object  # keep the builtin name shadow local
-        super(Quad, self).__setattr__("subject", subject)
-        super(Quad, self).__setattr__("predicate", predicate)
-        super(Quad, self).__setattr__("object", __o)
-        super(Quad, self).__setattr__("graph", graph)
-        super(Quad, self).__setattr__("_hash", hash((subject, predicate, __o, graph)))
+        _object_setattr(self, "subject", subject)
+        _object_setattr(self, "predicate", predicate)
+        _object_setattr(self, "object", object)
+        _object_setattr(self, "graph", graph)
+        _object_setattr(self, "_hash", hash((subject, predicate, object, graph)))
 
     @classmethod
     def from_triple(cls, triple: Triple, graph=None) -> "Quad":

@@ -168,6 +168,10 @@ class RecoveryInfo:
         )
 
 
+def _closed_hook(triples: Sequence[EncodedTriple]) -> None:
+    """Dispatch and change-log hook of a closed engine: drops the batch."""
+
+
 class _InlineExecutor:
     """Synchronous executor: runs tasks in submission order, iteratively.
 
@@ -1069,6 +1073,7 @@ class Slider:
             self._executor.shutdown(wait=True)
             if self._persist is not None:
                 self._persist.close()
+            self._unhook()
 
     def __enter__(self) -> "Slider":
         return self
@@ -1082,6 +1087,7 @@ class Slider:
             self._executor.shutdown(wait=False)
             if self._persist is not None:
                 self._persist.close()
+            self._unhook()
 
     # --- inspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -1277,6 +1283,15 @@ class Slider:
             except Exception as error:  # a subscriber must never poison a commit
                 subscription.error = error
         self._subscriptions = alive
+
+    def _unhook(self) -> None:
+        """Replace the bound-method hooks the distributors and the input
+        manager hold with a no-op.  Those hooks point back at the engine,
+        so while they stand a closed engine, its store and its dictionary
+        wait for a full garbage collection; without them reference
+        counting frees it.  Reads that need no hook keep working."""
+        for hooked in (*self.distributors, self.input_manager):
+            hooked.dispatch = hooked.on_new = _closed_hook
 
     def _check_open(self) -> None:
         if self._closed:

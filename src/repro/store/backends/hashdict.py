@@ -16,8 +16,18 @@ and extends it with the two permutations the cost-based query planner
 binds to when a pattern leaves the predicate free:
 
 * ``_spo[s][p] -> set of o``  (subject-first, for ``(s, ?p, ?o)``)
-* ``_osp[o][s] -> set of p``  (object-first, for ``(?s, ?p, o)`` and
+* ``_osp[o][p] -> set of s``  (object-first, for ``(?s, ?p, o)`` and
   the fully predicate-free ``(s, ?p, o)`` probe)
+
+The permutations add no leaf sets of their own: ``_spo[s][p]`` *is*
+the set object ``_pso[p][s]``, and ``_osp[o][p]`` *is* ``_pos[p][o]``.
+Each leaf is created once, when its ``(p, s)`` or ``(p, o)`` pair first
+appears, and unlinked from both maps when it empties.  Sets and dicts
+are the containers Python's cyclic garbage collector tracks, and a full
+collection walks every live one, however small the chunk whose
+allocations triggered it.  Sharing the leaves keeps the store at one set
+per distinct ``(p, s)`` and per distinct ``(p, o)`` pair, plus one dict
+per index key.
 
 Per-predicate cardinality counters are maintained incrementally on the
 write path, so :meth:`count_predicate` and :meth:`predicate_stats` are
@@ -87,12 +97,17 @@ class HashDictStore:
         subject, predicate, obj = triple
         subject_index = self._pso.get(predicate)
         if subject_index is None:
-            subject_index = {}
-            self._pso[predicate] = subject_index
+            subject_index = self._pso[predicate] = {}
             self._pos[predicate] = {}
         objects = subject_index.get(subject)
         if objects is None:
-            subject_index[subject] = {obj}
+            # A new (p, s) leaf, shared by _pso[p][s] and _spo[s][p].
+            objects = subject_index[subject] = {obj}
+            by_predicate = self._spo.get(subject)
+            if by_predicate is None:
+                self._spo[subject] = {predicate: objects}
+            else:
+                by_predicate[predicate] = objects
         elif obj in objects:
             return False
         else:
@@ -100,11 +115,15 @@ class HashDictStore:
         object_index = self._pos[predicate]
         subjects = object_index.get(obj)
         if subjects is None:
-            object_index[obj] = {subject}
+            # A new (p, o) leaf, shared by _pos[p][o] and _osp[o][p].
+            subjects = object_index[obj] = {subject}
+            by_predicate = self._osp.get(obj)
+            if by_predicate is None:
+                self._osp[obj] = {predicate: subjects}
+            else:
+                by_predicate[predicate] = subjects
         else:
             subjects.add(subject)
-        self._spo.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
-        self._osp.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
         self._predicate_counts[predicate] = self._predicate_counts.get(predicate, 0) + 1
         self._size += 1
         return True
@@ -134,28 +153,22 @@ class HashDictStore:
         objects.remove(obj)
         if not objects:
             del subject_index[subject]
+            by_predicate = self._spo[subject]
+            del by_predicate[predicate]
+            if not by_predicate:
+                del self._spo[subject]
         object_index = self._pos[predicate]
         subjects = object_index[obj]
         subjects.remove(subject)
         if not subjects:
             del object_index[obj]
+            by_predicate = self._osp[obj]
+            del by_predicate[predicate]
+            if not by_predicate:
+                del self._osp[obj]
         if not subject_index:
             del self._pso[predicate]
             del self._pos[predicate]
-        spo_predicates = self._spo[subject]
-        spo_objects = spo_predicates[predicate]
-        spo_objects.remove(obj)
-        if not spo_objects:
-            del spo_predicates[predicate]
-            if not spo_predicates:
-                del self._spo[subject]
-        osp_subjects = self._osp[obj]
-        osp_predicates = osp_subjects[subject]
-        osp_predicates.remove(predicate)
-        if not osp_predicates:
-            del osp_subjects[subject]
-            if not osp_subjects:
-                del self._osp[obj]
         remaining = self._predicate_counts[predicate] - 1
         if remaining:
             self._predicate_counts[predicate] = remaining
@@ -308,13 +321,13 @@ class HashDictStore:
     def triples_for_object(self, obj: int) -> list[EncodedTriple]:
         """All triples with the given object, via the OSP permutation."""
         with self.lock.read():
-            subject_index = self._osp.get(obj)
-            if subject_index is None:
+            predicate_index = self._osp.get(obj)
+            if predicate_index is None:
                 return []
             return [
                 (subject, predicate, obj)
-                for subject, predicates in subject_index.items()
-                for predicate in predicates
+                for predicate, subjects in predicate_index.items()
+                for subject in subjects
             ]
 
     def count_subject(self, subject: int) -> int:
@@ -328,18 +341,26 @@ class HashDictStore:
     def count_object(self, obj: int) -> int:
         """Number of triples with the given object."""
         with self.lock.read():
-            subject_index = self._osp.get(obj)
-            if subject_index is None:
+            predicate_index = self._osp.get(obj)
+            if predicate_index is None:
                 return 0
-            return sum(len(predicates) for predicates in subject_index.values())
+            return sum(len(subjects) for subjects in predicate_index.values())
 
     def predicates_between(self, subject: int, obj: int) -> list[int]:
         """All predicates p with (subject, p, obj) in the store (OSP probe)."""
         with self.lock.read():
-            subject_index = self._osp.get(obj)
-            if subject_index is None:
-                return []
-            return list(subject_index.get(subject, ()))
+            return self._predicates_between_unlocked(subject, obj)
+
+    def _predicates_between_unlocked(self, subject: int, obj: int) -> list[int]:
+        # Scan whichever end has fewer predicates; each step is one
+        # membership test in a shared leaf.
+        objects_by_predicate = self._spo.get(subject)
+        subjects_by_predicate = self._osp.get(obj)
+        if objects_by_predicate is None or subjects_by_predicate is None:
+            return []
+        if len(objects_by_predicate) <= len(subjects_by_predicate):
+            return [p for p, objects in objects_by_predicate.items() if obj in objects]
+        return [p for p, subjects in subjects_by_predicate.items() if subject in subjects]
 
     def predicate_stats(self, predicate: int) -> tuple[int, int, int]:
         """``(cardinality, distinct subjects, distinct objects)`` for one
@@ -387,11 +408,9 @@ class HashDictStore:
             if predicate is not None:
                 return self._match_with_predicate(subject, predicate, obj)
             if subject is not None and obj is not None:
-                subject_index = self._osp.get(obj)
-                if subject_index is None:
-                    return []
                 return [
-                    (subject, p, obj) for p in subject_index.get(subject, ())
+                    (subject, p, obj)
+                    for p in self._predicates_between_unlocked(subject, obj)
                 ]
             if subject is not None:
                 predicate_index = self._spo.get(subject)
@@ -403,13 +422,13 @@ class HashDictStore:
                     for o in objects
                 ]
             if obj is not None:
-                subject_index = self._osp.get(obj)
-                if subject_index is None:
+                predicate_index = self._osp.get(obj)
+                if predicate_index is None:
                     return []
                 return [
                     (s, p, obj)
-                    for s, predicates in subject_index.items()
-                    for p in predicates
+                    for p, subjects in predicate_index.items()
+                    for s in subjects
                 ]
             results: list[EncodedTriple] = []
             for known_predicate in self._pso:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import threading
@@ -49,6 +50,19 @@ def no_leaked_threads(request):
     leaked = sorted(t.name for t in leaked if t.is_alive())
     if leaked:
         pytest.fail(f"{request.node.nodeid} leaked threads: {leaked}", pytrace=False)
+
+
+@pytest.fixture
+def gc_disabled():
+    """Run the test with the cyclic garbage collector off, so only
+    reference counting frees objects (the collector's state is restored
+    afterwards)."""
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
 
 
 @pytest.fixture

@@ -33,6 +33,17 @@ class TestIRI:
         with pytest.raises(ValueError):
             IRI(bad)
 
+    @pytest.mark.parametrize(
+        "c", [chr(code) for code in range(0x80)] + ["\u00e9", "\u2028", "\U0001F600"]
+    )
+    def test_forbidden_characters_exhaustively(self, c):
+        forbidden = c in '<>"{}|^`' or ord(c) <= 0x20
+        if forbidden:
+            with pytest.raises(ValueError):
+                IRI("a" + c + "b")
+        else:
+            assert IRI("a" + c + "b").value == "a" + c + "b"
+
     def test_rejects_non_string(self):
         with pytest.raises(TypeError):
             IRI(42)

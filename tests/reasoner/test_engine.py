@@ -1,13 +1,16 @@
 """Tests for the Slider engine: incrementality, flush, counters, errors."""
 
+import weakref
+
 import pytest
 
-from repro.rdf import RDF, RDFS, Triple
+from repro import Delta
+from repro.rdf import RDF, RDFS, Triple, Variable
 from repro.reasoner import Slider, SliderError
 from repro.reasoner.fragments import Fragment
 from repro.reasoner.trace import Trace
 
-from ..conftest import EX, make_chain, small_ontology
+from ..conftest import EX, each_execution_mode, make_chain, small_ontology
 
 
 def inline_slider(**kwargs) -> Slider:
@@ -168,6 +171,38 @@ class TestLifecycle:
             Slider(timeout=-0.5)
         with pytest.raises(ValueError):
             Slider(buffer_size=0)
+
+
+class TestClosedEngineIsFreed:
+    """A closed engine, with its store and dictionary, is freed by
+    reference counting alone: nothing it built still points back at it,
+    so it does not wait for a full garbage collection."""
+
+    @each_execution_mode
+    def test_store_dies_with_the_last_reference(self, gc_disabled, execution):
+        reasoner = Slider(timeout=None, **execution)
+        reasoner.subscribe([(Variable("x"), RDF.type, EX.Animal)])
+        reasoner.apply(Delta(assertions=small_ontology()))
+        reasoner.close()
+        # Reads keep working after close.
+        assert Triple(EX.tom, RDF.type, EX.Animal) in reasoner.graph
+        assert reasoner.input_count == len(small_ontology())
+        assert reasoner.inferred_count > 0
+        assert reasoner.counters()
+        engine, store = weakref.ref(reasoner), weakref.ref(reasoner.store)
+        del reasoner
+        assert engine() is None
+        assert store() is None
+
+    @each_execution_mode
+    def test_an_engine_left_by_an_exception_is_freed_too(self, gc_disabled, execution):
+        with pytest.raises(RuntimeError, match="leaving"):
+            with Slider(timeout=None, **execution) as reasoner:
+                reasoner.apply(Delta(assertions=make_chain(5)))
+                store = weakref.ref(reasoner.store)
+                raise RuntimeError("leaving")
+        del reasoner
+        assert store() is None
 
 
 class TestCountersAndIntrospection:

@@ -1,5 +1,7 @@
 """Unit tests for the vertically-partitioned triple store."""
 
+import gc
+import random
 import threading
 
 import pytest
@@ -252,3 +254,59 @@ class TestRemove:
         for predicate in {p for _, p, _ in model}:
             pairs = set(store.pairs_for_predicate(predicate))
             assert pairs == {(s, o) for s, p, o in model if p == predicate}
+
+
+def _tracked(kind=None) -> int:
+    """Objects the cyclic garbage collector tracks (of one type, or all)."""
+    objects = gc.get_objects()
+    if kind is None:
+        return len(objects)
+    return sum(type(obj) is kind for obj in objects)
+
+
+class TestIndexLayout:
+    """What stored triples cost the cyclic garbage collector.  The
+    subject- and object-first permutations share the predicate
+    partition's leaf sets, so the store holds exactly one set per
+    distinct (p, s) and per distinct (p, o) pair, plus one dict per
+    index key.  A full collection scans every one of them."""
+
+    @staticmethod
+    def _triples(count: int) -> list[tuple[int, int, int]]:
+        rng = random.Random(11)
+        return [
+            (rng.randrange(400), rng.randrange(6), rng.randrange(900))
+            for _ in range(count)
+        ]
+
+    @staticmethod
+    def _leaves(store) -> int:
+        """Σ over predicates of (distinct subjects + distinct objects)."""
+        return sum(subjects + objects for _, _, subjects, objects in store.stats_vector())
+
+    def test_tracked_objects_are_bounded_by_the_distinct_pairs(self, gc_disabled):
+        triples = self._triples(3000)
+        store = HashDictStore()
+        sets_before, objects_before = _tracked(set), _tracked()
+        store.add_all(triples)
+        new_sets, new_objects = _tracked(set) - sets_before, _tracked() - objects_before
+        leaves = self._leaves(store)
+        # One dict per subject (SPO), per object (OSP), and two per
+        # predicate (the PSO and POS partitions).
+        keys = (
+            len({s for s, _, _ in triples})
+            + len({o for _, _, o in triples})
+            + 2 * len(store.stats_vector())
+        )
+        assert new_sets == leaves
+        assert new_objects <= leaves + keys + 8
+
+    def test_removal_unlinks_the_shared_leaves(self, gc_disabled):
+        triples = self._triples(3000)
+        store = HashDictStore()
+        sets_before = _tracked(set)
+        store.add_all(triples)
+        store.remove_all(triples[::2])
+        assert _tracked(set) - sets_before == self._leaves(store)
+        store.remove_all(triples)
+        assert _tracked(set) == sets_before

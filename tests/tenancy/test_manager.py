@@ -5,6 +5,8 @@ through one manager reach exactly the closures N isolated engines
 reach.
 """
 
+import weakref
+
 import pytest
 
 from repro import Delta, Slider
@@ -277,3 +279,19 @@ class TestPersistence:
             assert (tmp_path / "acme").exists()
         finally:
             manager.close()
+
+
+class TestRemovedTenantIsFreed:
+    @each_execution_mode
+    def test_engine_is_freed_by_reference_counting(self, gc_disabled, execution):
+        # A removed tenant's engine, store and dictionary must not stay
+        # resident until the next full garbage collection.
+        with make_manager(**execution) as manager:
+            manager.apply("acme", assertions=SCHEMA + [typed("acme", 1)])
+            manager.apply("beta", assertions=[typed("beta", 1)])
+            engine = weakref.ref(manager.engine("acme"))
+            store = weakref.ref(manager.engine("acme").store)
+            manager.remove("acme")
+            assert engine() is None
+            assert store() is None
+            assert manager.triples("beta") == [typed("beta", 1)]
