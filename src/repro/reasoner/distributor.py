@@ -4,8 +4,12 @@ Each rule has a distributor with three tasks: collect the triples the
 rule inferred, add them to the triple store, and dispatch the *new* ones
 (duplicates are dropped by the store's hash indexes) to the buffers of
 dependent rules.  The dependent-buffer list comes from the rules
-dependency graph at initialization; actual dispatch is by predicate, so
-a triple only reaches the dependents whose input signature matches.
+dependency graph at initialization — it is the paper's Figure 2, self
+edges included; actual dispatch is by predicate, so a triple only
+reaches the dependents whose input signature matches.  A
+closed-inheritance rule's distributor also skips the rule itself for
+its own conclusions, other than the edges it must still join (see
+:func:`~repro.reasoner.dependency.closed_inheritance`).
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ class Distributor:
 
     ``dispatch`` is provided by the engine: it routes a batch of
     *already-stored, known-new* triples to every matching buffer and
-    schedules any rule firings that result.  ``dependents`` is kept for
-    introspection (it is the paper's per-distributor buffer list).
+    schedules any rule firings that result; for a closed-inheritance
+    rule the engine passes one that leaves the rule's own closed output
+    out.  ``dependents`` is kept for introspection (it is the paper's
+    per-distributor buffer list, Figure 2).
     """
 
     def __init__(

@@ -26,6 +26,10 @@ buffer, and every routed triple is eventually part of a firing.  For any
 rule body pair (t₁, t₂), whichever triple is routed last is processed by
 a firing that runs strictly after both are stored — so the two-sided join
 of :meth:`~repro.reasoner.rules.JoinRule.apply` finds the other side.
+The one triple a buffer is spared is a closed-inheritance rule's own
+conclusion (rdfs9's ``<x type d>``), which over a transitively closed
+hierarchy can only re-derive what the rule already derived; the
+:mod:`~repro.reasoner.rules` docstring gives the argument.
 :meth:`Slider.flush` drains all buffers and waits for quiescence, after
 which the store holds the full fixpoint (tests verify equality with the
 batch baselines' closure).
@@ -72,6 +76,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -87,7 +92,12 @@ from ..store.query import TriplePattern
 from .adaptive import AdaptiveBufferController
 from .buffers import TripleBuffer
 from .delta import ChangeLog, Delta, InferenceReport, Ticket, Transaction, net_deltas
-from .dependency import DependencyGraph, build_routing_table
+from .dependency import (
+    DependencyGraph,
+    build_routing_table,
+    closed_inheritance,
+    own_output_routing,
+)
 from .distributor import Distributor
 from .fragments import Fragment, get_fragment
 from .input_manager import InputManager
@@ -341,6 +351,12 @@ class Slider:
             self._routing, self._universal = {}, tuple(range(len(self.rules)))
         else:
             self._routing, self._universal = build_routing_table(self.rules)
+        # A closed-inheritance rule's distributor routes by a table
+        # without that rule, bar its edge predicate (see dependency.py).
+        own_tables = {
+            index: own_output_routing(self._routing, self._universal, index, relation)
+            for index, relation in closed_inheritance(self.rules).items()
+        }
         # Lazy activation for universal rules: while a rule's constant
         # body predicates have no stored triples, only triples carrying
         # one of those predicates are delivered to it (they activate the
@@ -384,12 +400,16 @@ class Slider:
             Distributor(
                 module,
                 self.store,
-                dispatch=self._dispatch,
+                dispatch=(
+                    partial(self._dispatch, table=own_tables[index])
+                    if index in own_tables
+                    else self._dispatch
+                ),
                 dependents=self.dependency_graph.successors(module.rule.name),
                 trace=self.trace,
                 on_new=self._record_inferred,
             )
-            for module in self.modules
+            for index, module in enumerate(self.modules)
         ]
         self.input_manager = InputManager(
             self.dictionary,
@@ -1306,13 +1326,23 @@ class Slider:
             cause = self._errors[0]
             raise SliderError(f"rule module failed: {cause!r}") from cause
 
-    def _dispatch(self, triples: Sequence[EncodedTriple]) -> None:
+    def _dispatch(
+        self,
+        triples: Sequence[EncodedTriple],
+        table: tuple[dict[int, tuple[int, ...]], tuple[int, ...]] | None = None,
+    ) -> None:
         """Route new stored triples to every matching rule buffer.
 
         Dispatch is the concatenation of the predicate routing table and
         the universal-input rules (paper Figure 2's "Universal Input").
+        ``table`` replaces both for a closed-inheritance rule's own
+        conclusions, which skip that rule unless they carry its edge
+        predicate.
         """
-        routing = self._routing
+        if table is None:
+            routing, universal = self._routing, self._universal
+        else:
+            routing, universal = table
         if routing:
             per_rule: dict[int, list[EncodedTriple]] = {}
             for triple in triples:
@@ -1323,7 +1353,7 @@ class Slider:
             for index, batch in per_rule.items():
                 self._deliver(index, batch)
         activations = self._activation
-        for index in self._universal:
+        for index in universal:
             activation = activations[index]
             if activation is not None:
                 if not any(self.store.has_predicate(p) for p in activation):

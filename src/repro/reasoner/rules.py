@@ -22,6 +22,17 @@ before routing it to buffers, this two-sided delta join is complete: for
 any pair of triples satisfying the body, whichever member is routed last
 finds the other already in the store.
 
+One routing exception keeps that argument intact.  A *closed-inheritance*
+rule — ``(a R b) ∧ D(a) → D(b)``, such as cax-sco, in a fragment whose
+transitivity rule (scm-sco) keeps R closed — is not routed its own
+conclusions, unless they are R edges themselves
+(:func:`~repro.reasoner.dependency.closed_inheritance`).  Any ``D(e)``
+it would have derived from its own ``D(b)`` and ``(b R e)`` it derives
+anyway: follow its derivations back to the first ``D(a)`` another
+producer inserted.  That triple was routed to the rule, the
+transitivity rule stores ``(a R e)``, every R edge is routed to the
+rule, and whichever of the two is routed last finds the other.
+
 Evaluation is batch-native: the primitive is :meth:`Rule.apply_into`,
 which emits one firing's derivations into a caller-owned (and reusable)
 :class:`OutputBuffer` instead of allocating per-firing lists and dedup

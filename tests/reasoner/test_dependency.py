@@ -3,8 +3,14 @@
 import pytest
 
 from repro.dictionary import TermDictionary
+from repro.rdf import OWL
 from repro.reasoner import DependencyGraph, Vocabulary, build_routing_table
+from repro.reasoner.dependency import closed_inheritance, own_output_routing
 from repro.reasoner.fragments import get_fragment
+from repro.reasoner.fragments.owl_horst import TransitivityRule
+from repro.reasoner.rules import JoinRule, Pattern, Var
+
+from ..conftest import EX
 
 
 @pytest.fixture
@@ -112,3 +118,138 @@ class TestRoutingTable:
     def test_unknown_predicate_routes_nowhere(self, rhodf_rules):
         routing, universal = build_routing_table(rhodf_rules)
         assert routing.get(999_999) is None
+
+
+def closed_names(rules) -> set[str]:
+    return {rules[index].name for index in closed_inheritance(rules)}
+
+
+class TestClosedInheritance:
+    """Which rules skip their own conclusions — read off the bodies."""
+
+    @pytest.mark.parametrize("fragment", ["rdfs", "rdfs-full", "owl-horst"])
+    def test_rdfs_fragments(self, fragment):
+        vocab = Vocabulary(TermDictionary())
+        rules = get_fragment(fragment).rules(vocab)
+        closed = closed_inheritance(rules)
+        by_name = {rules[index].name: relation for index, relation in closed.items()}
+        assert by_name == {
+            "rdfs7": vocab.sub_property_of,
+            "rdfs9": vocab.sub_class_of,
+            "scm-dom2": vocab.sub_property_of,
+            "scm-rng2": vocab.sub_property_of,
+        }
+
+    def test_rhodf(self, rhodf_rules):
+        assert closed_names(rhodf_rules) == {"prp-spo1", "cax-sco", "scm-dom2", "scm-rng2"}
+
+    def test_needs_the_transitivity_rule(self):
+        """Without rdfs11 the subClassOf edges are not closed, so rdfs9
+        must read its own output; rdfs5 still closes subPropertyOf."""
+        rules = [
+            rule
+            for rule in get_fragment("rdfs").rules(Vocabulary(TermDictionary()))
+            if rule.name != "rdfs11"
+        ]
+        assert closed_names(rules) == {"rdfs7", "scm-dom2", "scm-rng2"}
+        without_both = [rule for rule in rules if rule.name != "rdfs5"]
+        assert closed_names(without_both) == set()
+
+    def test_not_for_rhodf_without_scm_sco(self, rhodf_rules):
+        rules = [rule for rule in rhodf_rules if rule.name != "scm-sco"]
+        assert "cax-sco" not in closed_names(rules)
+
+    def test_transitivity_rules_keep_their_output(self):
+        vocab = Vocabulary(TermDictionary())
+        for fragment in ("rhodf", "rdfs", "owl-horst"):
+            names = closed_names(get_fragment(fragment).rules(vocab))
+            assert not names & {"rdfs5", "rdfs11", "scm-sco", "scm-spo", "eq-trans", "prp-trp"}
+
+    def test_transitivity_with_swapped_body_is_recognised(self):
+        vocab = Vocabulary(TermDictionary())
+        c, d, e, x = Var("c"), Var("d"), Var("e"), Var("x")
+        sco = vocab.sub_class_of
+        rules = [
+            JoinRule("sco-swapped", Pattern(d, sco, e), Pattern(c, sco, d), Pattern(c, sco, e)),
+            JoinRule("inherit", Pattern(c, sco, d), Pattern(x, vocab.type, c),
+                     head=Pattern(x, vocab.type, d)),
+        ]
+        assert closed_names(rules) == {"inherit"}
+
+    def test_equality_and_equivalence_rules_excluded(self):
+        """eq-rep-s/o's data side has a free variable predicate, so it
+        rewrites sameAs edges too; cax-eqc1/2 inherit over
+        equivalentClass, which no rule keeps transitively closed."""
+        dictionary = TermDictionary()
+        vocab = Vocabulary(dictionary)
+        rules = get_fragment("owl-horst").rules(vocab)
+        equivalent = dictionary.encode(OWL.equivalentClass)
+        c1, c2, x = Var("c1"), Var("c2"), Var("x")
+        rules += [
+            JoinRule("cax-eqc1", Pattern(c1, equivalent, c2), Pattern(x, vocab.type, c1),
+                     head=Pattern(x, vocab.type, c2)),
+            JoinRule("cax-eqc2", Pattern(c1, equivalent, c2), Pattern(x, vocab.type, c2),
+                     head=Pattern(x, vocab.type, c1)),
+        ]
+        names = closed_names(rules)
+        assert not names & {"eq-rep-s", "eq-rep-o", "cax-eqc1", "cax-eqc2"}
+        assert any(isinstance(rule, TransitivityRule) for rule in rules)
+        assert "prp-trp" not in names
+
+    def test_head_must_be_the_inherited_pattern(self):
+        vocab = Vocabulary(TermDictionary())
+        c, d, x = Var("c"), Var("d"), Var("x")
+        sco, type_ = vocab.sub_class_of, vocab.type
+        transitive = JoinRule(
+            "sco", Pattern(c, sco, d), Pattern(d, sco, Var("e")), Pattern(c, sco, Var("e"))
+        )
+        not_inheritance = [
+            # The head keeps the shared variable: not D[c := d].
+            JoinRule("same", Pattern(c, sco, d), Pattern(x, type_, c), Pattern(x, type_, c)),
+            # The head moves a different slot.
+            JoinRule("flip", Pattern(c, sco, d), Pattern(x, type_, c), Pattern(d, type_, x)),
+            # D shares both ends of the edge.
+            JoinRule("both", Pattern(c, sco, d), Pattern(c, type_, d), Pattern(d, type_, d)),
+        ]
+        assert closed_names([transitive] + not_inheritance) == set()
+
+    def test_duck_typed_rule_excluded(self, rhodf_rules):
+        class Duck:
+            name = "duck"
+            input_predicates = None
+            output_predicates = None
+
+            def apply(self, store, new_triples, vocab):
+                return []
+
+        rules = rhodf_rules + [Duck()]
+        assert closed_names(rules) == {"prp-spo1", "cax-sco", "scm-dom2", "scm-rng2"}
+
+
+class TestOwnOutputRouting:
+    def test_skips_the_rule_except_on_its_edge_predicate(self):
+        vocab = Vocabulary(TermDictionary())
+        rules = get_fragment("rhodf").rules(vocab)
+        routing, universal = build_routing_table(rules)
+        names = [rule.name for rule in rules]
+        for index, relation in closed_inheritance(rules).items():
+            own, own_universal = own_output_routing(routing, universal, index, relation)
+            assert index not in own_universal
+            for predicate, indices in own.items():
+                assert (index in indices) == (predicate == relation), names[index]
+                assert set(indices) - {index} == set(routing.get(predicate, ())) - {index}
+            assert set(own_universal) == set(universal) - {index}
+
+    def test_universal_rule_moves_to_its_edge_predicate(self):
+        """prp-spo1 has universal input; its own output reaches it only
+        when the conclusion is itself a subPropertyOf edge."""
+        dictionary = TermDictionary()
+        vocab = Vocabulary(dictionary)
+        rules = get_fragment("rhodf").rules(vocab)
+        routing, universal = build_routing_table(rules)
+        index = [rule.name for rule in rules].index("prp-spo1")
+        assert index in universal
+        own, own_universal = own_output_routing(routing, universal, index, vocab.sub_property_of)
+        assert own[vocab.sub_property_of][-1] == index
+        assert index not in own.get(dictionary.encode(EX.knows), ())
+        assert index not in own_universal
