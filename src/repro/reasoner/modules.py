@@ -4,8 +4,9 @@ A :class:`RuleModule` pairs one rule with its buffer and accumulates the
 execution statistics the demo GUI displays.  Each *firing* — a batch of
 triples leaving the buffer — conceptually creates a new module instance
 on the thread pool; here an instance is simply one :meth:`execute` call,
-which is reentrant and thread-safe (the rule reads a consistent store
-snapshot through the store's read lock, and the statistics are guarded).
+which is reentrant and thread-safe (every store read the rule makes is
+atomic — a lock-free point probe or a list copied under the store's
+read lock — and the statistics are guarded).
 
 Firings are batch-native: each worker thread reuses one
 :class:`~repro.reasoner.rules.OutputBuffer` per module, so a firing

@@ -27,7 +27,9 @@ All triples are *encoded* ``(int, int, int)`` tuples (see
 
 ``stats_vector() -> ((p, count, ds, do), ...)`` sorted by predicate is
 an optional extra: the deterministic snapshot durability tests compare
-across recovery.
+across recovery.  So is ``has_match(s, p, o) -> bool``, equal to
+``bool(match(s, p, o))`` without building the matches: DRed's support
+check probes for it by ``getattr`` and falls back to :meth:`match`.
 
 **Optional named-graph extension** (the quad protocol).  The engine
 tags the explicit triples of graph-scoped deltas

@@ -286,19 +286,28 @@ def has_row(store, steps: Sequence, rows: list[tuple], start: int = 0) -> bool:
         return bool(rows)
     states = steps[start]
     if start == len(steps) - 1:
-        return any(_extends(store, states, row) for row in rows)
+        return _extends(store, states, rows)
     for row in rows:
         if has_row(store, steps, extend_rows(store, states, [row]), start + 1):
             return True
     return False
 
 
-def _extends(store, states, row: tuple) -> bool:
-    """Does ``row`` extend through a last step?  Without a repeated fresh
-    variable, any stored triple matching the known positions does, so
-    one ``match`` answers without building the extensions."""
+def _extends(store, states, rows: list[tuple]) -> bool:
+    """Does some row extend through a last step?  Without a repeated
+    fresh variable, any stored triple matching a row's known positions
+    does, so the store's ``has_match`` existence probe answers without
+    building the extensions (``bool(match(...))`` on a store without
+    one)."""
     fresh = [value for tag, value in states if tag == FREE]
     if len(set(fresh)) < len(fresh):
-        return bool(extend_rows(store, states, [row]))
-    key = [None if tag == FREE else row[value] if tag == BOUND else value for tag, value in states]
-    return bool(store.match(*key))
+        return any(extend_rows(store, states, [row]) for row in rows)
+    probe = getattr(store, "has_match", None) or store.match
+    for row in rows:
+        key = [
+            None if tag == FREE else row[value] if tag == BOUND else value
+            for tag, value in states
+        ]
+        if probe(*key):
+            return True
+    return False

@@ -1,6 +1,8 @@
 """Tests for DRed retraction: delete-and-rederive correctness."""
 
 import os
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 from repro import Delta
 from repro.rdf import OWL, RDF, RDFS, Triple
 from repro.reasoner import Slider
+from repro.store import HashDictStore
 
 from ..conftest import EX, closure_with_slider, each_execution_mode, make_chain
 
@@ -126,6 +129,53 @@ class TestAgainstRecomputation:
             r.materialize(ontology)
             r.retract(ontology)
             assert len(r) == 0
+
+
+#: Store reads a support check may make, and how many rows each call
+#: hands back: a list's length, one answer per existence probe.
+READ_ROWS = {
+    "match": len,
+    "objects": len,
+    "subjects": len,
+    "has_match": lambda found: 1,
+}
+
+
+class TestSupportCheckCostIsScaleFree:
+    """Retracting one member's type over-deletes ``C type Resource``,
+    whose rdfs4b support is any ``(?x ?p C)``.  Answering that reads
+    the same rows whether ``C`` has 100 members or 10 000."""
+
+    @staticmethod
+    def rows_read(members: int, execution: dict) -> Counter:
+        typed = [Triple(EX[f"m{n}"], RDF.type, EX.C) for n in range(members)]
+        rows: Counter = Counter()
+        guard = threading.Lock()
+        with fresh(fragment="rdfs", **execution) as r, pytest.MonkeyPatch.context() as patch:
+            r.materialize(typed)
+            for method, size in READ_ROWS.items():
+                real = getattr(HashDictStore, method, None)
+                if real is None:  # a store without has_match: count the rest
+                    continue
+
+                def counting(*args, _real=real, _method=method, _size=size, **kwargs):
+                    result = _real(*args, **kwargs)
+                    with guard:
+                        rows[_method] += _size(result)
+                    return result
+
+                patch.setattr(HashDictStore, method, counting)
+            report = r.apply(Delta(retractions=[typed[0]]))
+            assert Triple(EX.C, RDF.type, RDFS.Resource) in r.graph
+        assert report.removed_count
+        return rows
+
+    @each_execution_mode
+    def test_same_rows_read_at_100_and_10000_members(self, execution):
+        small = self.rows_read(100, execution)
+        large = self.rows_read(10_000, execution)
+        assert small == large
+        assert small["has_match"] > 0  # the support check probed
 
 
 class TestTransitivityDeclarations:

@@ -188,6 +188,7 @@ class StoreMachine(RuleBasedStateMachine):
                 t for t in model if all(b is None or b == v for b, v in zip(bound, t))
             )
             assert sorted(store.match(*bound)) == expected
+            assert store.has_match(*bound) == bool(expected)
         with_subject = sorted(t for t in model if t[0] == s)
         with_object = sorted(t for t in model if t[2] == o)
         assert sorted(store.triples_for_subject(s)) == with_subject
