@@ -65,7 +65,6 @@ from .store import (
     create_store,
     select,
     solve,
-    unify,
 )
 
 __version__ = "1.0.0"
@@ -95,7 +94,6 @@ __all__ = [
     "select",
     "ask",
     "construct",
-    "unify",
     "Graph",
     "TripleStore",
     "HashDictStore",

@@ -12,8 +12,8 @@ load time.  Two strategies are provided:
   O(n²) closure.  This is the Table 1 comparator.
 * :class:`SemiNaiveReasoner` — **semi-naive (delta) iteration**, the
   strong textbook baseline: each round joins only the previous round's
-  new triples against the store, using the very same two-sided rule
-  bodies as Slider's modules.  Used as an upper-bound comparator and in
+  new triples against the store, using the very same compiled rule
+  firings as Slider's modules.  Used as an upper-bound comparator and in
   the ablation benchmarks.
 
 Both produce exactly the same fixpoint as the Slider engine (tests

@@ -11,9 +11,10 @@ Three families of numbers; the one that gates CI is a runner-robust ratio:
   bootstrapping follower performs behind its image service, and what a
   durable engine pays at recovery).
 * **join kernels** — one firing batch pushed through the classic
-  per-triple half-join loop vs the compiled batch kernel
-  (:mod:`repro.reasoner.kernels`) over the same store and rule;
-  ``kernel_join_speedup`` is the gated ratio.
+  binding-dict half-join loop (:func:`_half_join`, both directions) vs
+  the rule's compiled firing (:meth:`~repro.reasoner.rules.Rule.apply_into`)
+  over the same store and rule; ``kernel_join_speedup`` is the gated
+  ratio.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..dictionary.encoder import TermDictionary
 from ..persist.snapshot import load_snapshot
 from ..rdf.terms import IRI
 from ..reasoner.engine import Slider
-from ..reasoner.rules import JoinRule, OutputBuffer
+from ..reasoner.rules import OutputBuffer, Pattern, Var
 from ..reasoner.vocabulary import Vocabulary
 from ..store.backends import HashDictStore
 from ..store.backends.columnar import ColumnarReadStore
@@ -78,49 +79,76 @@ def _best(rounds: int, fn: Callable[[], float]) -> float:
 
 
 def _join_rule(fragment: str):
-    """A join rule with an unconstrained compiled plan, plus its vocab.
+    """A two-pattern rule whose patterns are both plain edges, plus its
+    dictionary and vocab.
 
-    Picks the first rule whose left-direction plan joins a constant
-    stored predicate with no constant checks beyond the predicates, so a
+    Picks the first rule whose two body patterns each join two distinct
+    variables through a constant predicate, with no other constant, so a
     synthetic chain exercises the pure join path of both the classic
-    loop and the kernel.
+    loop and the compiled firing.
     """
     from ..reasoner.fragments import get_fragment
 
     dictionary = TermDictionary()
     vocab = Vocabulary(dictionary)
     for rule in get_fragment(fragment).rules(vocab):
-        if not isinstance(rule, JoinRule):
+        if len(rule.body) == 2 and all(_is_edge(pattern) for pattern in rule.body):
+            return rule, dictionary, vocab
+    raise ValueError(f"fragment {fragment!r} has no plain two-pattern join rule")
+
+
+def _is_edge(pattern: Pattern) -> bool:
+    subject, predicate, obj = pattern
+    return (
+        isinstance(subject, Var) and isinstance(obj, Var)
+        and subject != obj and not isinstance(predicate, Var)
+    )
+
+
+def _half_join(rule, store, new_triples, new_side: Pattern, store_side: Pattern, vocab,
+               out: OutputBuffer) -> None:
+    """One direction of Algorithm 1 as the binding-dict interpreter runs
+    it: match each new triple into a binding, probe the store with its
+    lookup key, re-match every partner and instantiate the head.  The
+    classic reference the compiled firing is timed against."""
+    store_predicate = store_side.predicate
+    if not isinstance(store_predicate, Var) and not store.has_predicate(store_predicate):
+        return
+    new_predicate = new_side.predicate
+    if not isinstance(new_predicate, Var):
+        new_triples = [t for t in new_triples if t[1] == new_predicate]
+    empty: dict = {}
+    for triple in new_triples:
+        binding = new_side.matches(triple, empty)
+        if binding is None:
             continue
-        plan = rule._plans[0]
-        if plan is None or plan.new_checks or plan.new_eq or plan.partner_checks:
-            continue
-        if plan.new_pred is None or plan.store_pred is None:
-            continue
-        return rule, plan, dictionary, vocab
-    raise ValueError(f"fragment {fragment!r} has no kernel-plannable join rule")
+        for partner in store.match(*store_side.lookup_key(binding)):
+            merged = store_side.matches(partner, binding)
+            if merged is not None:
+                rule._emit(merged, vocab, out)
 
 
 def _join_micro(
     fragment: str, nodes: int, batch_size: int, rounds: int, clock
 ) -> tuple[float, float]:
     """(classic_seconds, kernel_seconds) for one synthetic firing batch."""
-    rule, plan, dictionary, vocab = _join_rule(fragment)
+    rule, dictionary, vocab = _join_rule(fragment)
+    left, right = rule.body
     ids = [dictionary.encode(IRI(f"http://bench/n{i}")) for i in range(nodes)]
     store = HashDictStore()
     store.add_all(
-        [(ids[i], plan.store_pred, ids[i + 1]) for i in range(nodes - 1)]
+        [(ids[i], right.predicate, ids[i + 1]) for i in range(nodes - 1)]
     )
     stride = max(1, (nodes - 1) // batch_size)
     batch = [
-        (ids[i], plan.new_pred, ids[i + 1]) for i in range(0, nodes - 1, stride)
+        (ids[i], left.predicate, ids[i + 1]) for i in range(0, nodes - 1, stride)
     ]
-    is_literal = dictionary.is_literal
 
     def classic() -> float:
         out = OutputBuffer()
         start = clock()
-        rule._half_join(store, batch, rule.left, rule.right, vocab, out)
+        _half_join(rule, store, batch, left, right, vocab, out)
+        _half_join(rule, store, batch, right, left, vocab, out)
         elapsed = clock() - start
         classic.result = set(out.take())  # type: ignore[attr-defined]
         return elapsed
@@ -128,7 +156,7 @@ def _join_micro(
     def kernel() -> float:
         out = OutputBuffer()
         start = clock()
-        plan.execute(store, batch, is_literal, out)
+        rule.apply_into(store, batch, vocab, out)
         elapsed = clock() - start
         kernel.result = set(out.take())  # type: ignore[attr-defined]
         return elapsed

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .rules import JoinRule, Pattern, Rule, Var
+from .rules import Pattern, Rule, Var
 
 __all__ = [
     "DependencyGraph",
@@ -168,9 +168,10 @@ def _edge(pattern: Pattern) -> tuple[Var, object, Var] | None:
 def _transitive_over(rule: Rule) -> object | None:
     """R when ``rule`` is ``(x R y) ∧ (y R z) → (x R z)`` (body in either
     order) over three distinct variables; ``None`` otherwise."""
-    if not isinstance(rule, JoinRule):
+    body = getattr(rule, "body", ())
+    if len(body) != 2:
         return None
-    first, second, head = _edge(rule.left), _edge(rule.right), _edge(rule.head)
+    first, second, head = _edge(body[0]), _edge(body[1]), _edge(rule.head)
     if first is None or second is None or head is None:
         return None
     if first[1] != second[1] or head[1] != first[1]:
@@ -181,7 +182,7 @@ def _transitive_over(rule: Rule) -> object | None:
     return None
 
 
-def _inherited_over(rule: JoinRule) -> object | None:
+def _inherited_over(rule: Rule) -> object | None:
     """R when ``rule``'s head is its body pattern D with the one variable
     D shares with an edge ``(a R b)`` replaced by the edge's other end.
 
@@ -190,7 +191,8 @@ def _inherited_over(rule: JoinRule) -> object | None:
     binding (owl:sameAs replacement, eq-rep-s/o), which makes the rule a
     second producer of R: such rules keep the paper's full re-dispatch.
     """
-    for schema, data in ((rule.left, rule.right), (rule.right, rule.left)):
+    left, right = rule.body
+    for schema, data in ((left, right), (right, left)):
         edge = _edge(schema)
         if edge is None:
             continue
@@ -210,7 +212,7 @@ def _inherited_over(rule: JoinRule) -> object | None:
 def closed_inheritance(rules: Sequence[Rule]) -> dict[int, object]:
     """Rule index → R for every *closed-inheritance* rule of ``rules``.
 
-    Rule I qualifies when it is a :class:`~repro.reasoner.rules.JoinRule`
+    Rule I qualifies when its body is two patterns
     ``(a R b) ∧ D → D[a := b]`` (or ``D[b := a]``) and ``rules`` also
     holds a transitivity rule ``(x R y) ∧ (y R z) → (x R z)`` that is
     not I.  The fact is read off the patterns, never off rule names.
@@ -229,7 +231,7 @@ def closed_inheritance(rules: Sequence[Rule]) -> dict[int, object]:
     closed_relations = set(transitive) - {None}
     closed: dict[int, object] = {}
     for index, rule in enumerate(rules):
-        if not isinstance(rule, JoinRule) or transitive[index] is not None:
+        if len(getattr(rule, "body", ())) != 2 or transitive[index] is not None:
             continue
         relation = _inherited_over(rule)
         if relation is not None and relation in closed_relations:

@@ -22,14 +22,13 @@ Completeness invariant
 ----------------------
 
 Every triple is inserted into the store *before* it is routed to any
-buffer, and every routed triple is eventually part of a firing.  For any
-rule body pair (t₁, t₂), whichever triple is routed last is processed by
-a firing that runs strictly after both are stored — so the two-sided join
-of :meth:`~repro.reasoner.rules.JoinRule.apply` finds the other side.
-The one triple a buffer is spared is a closed-inheritance rule's own
-conclusion (rdfs9's ``<x type d>``), which over a transitively closed
-hierarchy can only re-derive what the rule already derived; the
-:mod:`~repro.reasoner.rules` docstring gives the argument.
+buffer, and every routed triple is eventually part of a firing, which
+runs strictly after the triple is stored.  That makes firing every body
+position complete; the :mod:`~repro.reasoner.rules` docstring gives the
+argument.  The one triple a buffer is spared is a closed-inheritance
+rule's own conclusion (rdfs9's ``<x type d>``), which over a
+transitively closed hierarchy can only re-derive what the rule already
+derived (argued there too).
 :meth:`Slider.flush` drains all buffers and waits for quiescence, after
 which the store holds the full fixpoint (tests verify equality with the
 batch baselines' closure).
@@ -361,7 +360,7 @@ class Slider:
         # body predicates have no stored triples, only triples carrying
         # one of those predicates are delivered to it (they activate the
         # rule; everything else is already in the store and will be found
-        # by the activating triple's own half-join).
+        # by the activating triple's own firing).
         self._activation: dict[int, frozenset[int] | None] = {
             # getattr: duck-typed custom rules without the property are
             # treated as always-active (the conservative choice).
@@ -894,21 +893,6 @@ class Slider:
             # only the not-yet-explicit triples — re-asserting an
             # explicit triple is a no-op not worth journal bytes.
             self._staged_assertions.extend(fresh)
-            return accepted
-
-    def add_encoded(self, encoded: Sequence[EncodedTriple]) -> int:
-        """Feed already-encoded triples (zero-copy fast path, deferred)."""
-        self._check_open()
-        with self._tx_lock:
-            if not self._staging_enabled:
-                return self.input_manager.add_encoded(encoded)
-            # The changelog is term-level (self-contained records);
-            # decoding here keeps the zero-copy path durable too.
-            decode = self.dictionary.decode_triple
-            explicit = self.input_manager.explicit
-            staged = [decode(t) for t in encoded if t not in explicit]
-            accepted = self.input_manager.add_encoded(encoded)
-            self._staged_assertions.extend(staged)
             return accepted
 
     def load(self, path) -> int:

@@ -25,89 +25,24 @@ scm-eqp1   <p1 equivalentProperty p2> → <p1 subPropertyOf p2>
 scm-eqp1i  <p1 equivalentProperty p2> → <p2 subPropertyOf p1>
 =========  =========================================================
 
-``prp-trp`` is the one rule with a *three*-pattern body.
-:class:`TransitivityRule` declares it as such (so the generic head-bound
-support check of DRed covers it) and evaluates it with the standard
-streaming decomposition: the declared properties are read from the
-store on every firing, a data triple of a declared property runs the
-two-sided ``<x p y> ∧ <y p z>`` join, and a declaration triple runs the
-whole self-join for its property.  The rule keeps no state of its own,
-so retracting a declaration retracts its closure and a restored store
+``prp-trp`` is the one rule with a *three*-pattern body.  Like every
+other rule it is plain data, fired per body position: a data triple of a
+declared property joins both ways against the store, and a declaration
+joins its property with itself (its triples may predate the
+declaration; on DRed's over-delete pass this is what enumerates the
+consequences of a retracted declaration).  Which properties are
+transitive is whatever the store says when the rule fires, so
+retracting a declaration retracts its closure and a restored store
 needs no re-priming.
 """
 
 from __future__ import annotations
 
-from ..rules import JoinRule, OutputBuffer, Pattern, Rule, SingleRule, Var
+from ..rules import JoinRule, Pattern, Rule, SingleRule, Var
 from ..vocabulary import Vocabulary
 from . import rdfs as rdfs_fragment
 
-__all__ = ["build_rules", "TransitivityRule", "RULE_NAMES"]
-
-RULE_NAMES = (
-    "prp-trp",
-    "prp-symp",
-    "prp-inv1",
-    "prp-inv2",
-    "eq-sym",
-    "eq-trans",
-    "eq-rep-s",
-    "eq-rep-o",
-    "scm-eqc1",
-    "scm-eqc1i",
-    "scm-eqp1",
-    "scm-eqp1i",
-)
-
-
-class TransitivityRule(Rule):
-    """prp-trp: ``<p type TransitiveProperty> ∧ <x p y> ∧ <y p z> → <x p z>``.
-
-    Stateless: which properties are transitive is whatever the store
-    says when the rule fires.  Each of the three body positions has its
-    delta evaluation — a data triple joins both ways against the store,
-    a declaration triple joins its property with itself (its triples may
-    predate the declaration; on DRed's over-delete pass this is what
-    enumerates the consequences of a retracted declaration) — so
-    whichever body triple arrives last finds the other two stored.
-    """
-
-    def __init__(self, vocab: Vocabulary):
-        x, y, z = Var("x"), Var("y"), Var("z")
-        p = Var("p")
-        super().__init__(
-            "prp-trp",
-            head=Pattern(x, p, z),
-            body=(
-                Pattern(p, vocab.type, vocab.transitive_property),
-                Pattern(x, p, y),
-                Pattern(y, p, z),
-            ),
-        )
-
-    def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        type_id, marker = vocab.type, vocab.transitive_property
-        declared = set(store.subjects(type_id, marker))
-        if not declared:
-            return
-        for subject, predicate, obj in new_triples:
-            if predicate == type_id and obj == marker:
-                self._self_join(store, subject, out)
-            if predicate in declared:
-                for farther in store.objects(predicate, obj):
-                    out.emit((subject, predicate, farther))
-                for nearer in store.subjects(predicate, subject):
-                    out.emit((nearer, predicate, obj))
-
-    @staticmethod
-    def _self_join(store, predicate: int, out: OutputBuffer) -> None:
-        pairs = store.pairs_for_predicate(predicate)
-        by_subject: dict[int, list[int]] = {}
-        for subject, obj in pairs:
-            by_subject.setdefault(subject, []).append(obj)
-        for subject, obj in pairs:
-            for farther in by_subject.get(obj, ()):
-                out.emit((subject, predicate, farther))
+__all__ = ["build_rules"]
 
 
 def build_rules(vocab: Vocabulary) -> list[Rule]:
@@ -121,7 +56,15 @@ def build_rules(vocab: Vocabulary) -> list[Rule]:
     rules: list[Rule] = rdfs_fragment.build_rules(vocab)
     rules.extend(
         [
-            TransitivityRule(vocab),
+            Rule(
+                "prp-trp",
+                head=Pattern(x, p, z),
+                body=(
+                    Pattern(p, vocab.type, vocab.transitive_property),
+                    Pattern(x, p, y),
+                    Pattern(y, p, z),
+                ),
+            ),
             JoinRule(
                 "prp-symp",
                 Pattern(p, vocab.type, vocab.symmetric_property),

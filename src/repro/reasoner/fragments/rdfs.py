@@ -26,24 +26,7 @@ from ...rdf.terms import Triple
 from ..rules import JoinRule, Pattern, Rule, SingleRule, Var
 from ..vocabulary import Vocabulary
 
-__all__ = ["build_rules", "build_full_rules", "axiomatic_triples", "RULE_NAMES"]
-
-RULE_NAMES = (
-    "rdfs2",
-    "rdfs3",
-    "rdfs4a",
-    "rdfs4b",
-    "rdfs5",
-    "rdfs7",
-    "rdfs9",
-    "rdfs11",
-    "rdfs12",
-    "rdfs13",
-    "scm-dom2",
-    "scm-rng2",
-)
-
-FULL_EXTRA_RULE_NAMES = ("rdfs6", "rdfs8", "rdfs10")
+__all__ = ["build_rules", "build_full_rules", "axiomatic_triples"]
 
 
 def build_rules(vocab: Vocabulary) -> list[Rule]:

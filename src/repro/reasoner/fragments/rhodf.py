@@ -24,18 +24,7 @@ from __future__ import annotations
 from ..rules import JoinRule, Pattern, Rule, Var
 from ..vocabulary import Vocabulary
 
-__all__ = ["build_rules", "RULE_NAMES"]
-
-RULE_NAMES = (
-    "prp-dom",
-    "prp-rng",
-    "prp-spo1",
-    "cax-sco",
-    "scm-sco",
-    "scm-spo",
-    "scm-dom2",
-    "scm-rng2",
-)
+__all__ = ["build_rules"]
 
 
 def build_rules(vocab: Vocabulary) -> list[Rule]:

@@ -1,8 +1,8 @@
-"""The rule framework: declarative patterns and Algorithm 1's rule body.
+"""The rule framework: a rule is data — a head and a body of patterns.
 
 A rule body is a short conjunction of triple *patterns* (one or two for
-every built-in rule but prp-trp, which declares three); the head is a
-triple *template*.  Pattern terms are either an ``int`` (a constant term id,
+every built-in rule but prp-trp, which has three); the head is a triple
+*template*.  Pattern terms are either an ``int`` (a constant term id,
 normally a vocabulary predicate) or a :class:`Var`.  For example the
 paper's running example CAX-SCO (``<c1 subClassOf c2> ∧ <x type c1> →
 <x type c2>``) is declared as::
@@ -14,13 +14,28 @@ paper's running example CAX-SCO (``<c1 subClassOf c2> ∧ <x type c1> →
         head=Pattern(Var("x"), vocab.type, Var("c2")),
     )
 
-:meth:`JoinRule.apply` implements the paper's Algorithm 1 verbatim but
-generalized to any two-pattern body: it joins the *new* triples matching
-pattern 1 against the *store* side of pattern 2, and vice versa.  Because
-the input manager and distributors insert every triple into the store
-before routing it to buffers, this two-sided delta join is complete: for
-any pair of triples satisfying the body, whichever member is routed last
-finds the other already in the store.
+:class:`Rule` compiles ``(head, body)`` once into slot-state programs
+on the planner's join core (:mod:`repro.store.planner.executor`); no
+firing builds a binding dict:
+
+* **a firing program per body position** — the batch triples matching
+  that pattern are its seed rows (``match_triples``), the rows extend
+  through the remaining patterns over the store, most-bound pattern
+  first (``join_rows``), and one ``itemgetter`` projects each row onto
+  the head.  :meth:`Rule.apply_into` runs them all: the paper's
+  Algorithm 1, generalised from two patterns to any body;
+* **the head-seeded program** of :meth:`Rule.supports`, DRed's
+  goal-directed question "is there one body instantiation of *this*
+  triple in the store?".
+
+**Why firing every position is complete.**  The input manager and the
+distributors insert every triple into the store before they route it to
+rule buffers.  Take any triples t₁ … tₙ that instantiate a body, and the
+tᵢ among them that is routed to the rule last.  When that delivery
+fires, the other n − 1 are already stored, so the program seeded at tᵢ's
+body position finds them and derives the head.  Two firings running
+concurrently on the pool may each miss the other's triple; the firing
+of whichever was routed later still finds both.
 
 One routing exception keeps that argument intact.  A *closed-inheritance*
 rule — ``(a R b) ∧ D(a) → D(b)``, such as cax-sco, in a fragment whose
@@ -33,24 +48,12 @@ producer inserted.  That triple was routed to the rule, the
 transitivity rule stores ``(a R e)``, every R edge is routed to the
 rule, and whichever of the two is routed last finds the other.
 
-Evaluation is batch-native: the primitive is :meth:`Rule.apply_into`,
-which emits one firing's derivations into a caller-owned (and reusable)
-:class:`OutputBuffer` instead of allocating per-firing lists and dedup
-sets.  :meth:`Rule.apply` remains as the list-returning convenience
-wrapper, and custom rules may override either method — each has a
-default implemented in terms of the other.
-
-Firings never interpret the patterns: each built-in rule body compiles
-once into a positional plan (:mod:`repro.reasoner.kernels`) that
-filters, probes and projects by tuple position.  The binding-dict
-interpreter — :meth:`Pattern.matches` / :meth:`Pattern.instantiate` —
-serves whole-store ``derive_all`` and plan-less custom rules.
-
-Because head and body are data, a rule can also be asked the
-goal-directed question DRed re-derivation needs —
-:meth:`Rule.supports`: "is there one body instantiation of *this* triple
-in the store?" — answered by the planner's join core: the head triple
-seeds a row, and index probes bound by it look for one witness.
+Evaluation is batch-native: :meth:`Rule.apply_into` emits one firing's
+derivations into a caller-owned (and reusable) :class:`OutputBuffer`;
+:meth:`Rule.apply` is the list-returning convenience wrapper.  The
+binding-dict interpreter — :meth:`Pattern.matches` /
+:meth:`Pattern.instantiate` — is left to :func:`derive_all`, the naive
+baseline and the oracle the support check is tested against.
 
 Rules advertise their *input predicates* (the constant predicate ids of
 their body patterns; ``None`` means universal — the rule must see every
@@ -62,13 +65,19 @@ what makes the reasoner fragment agnostic.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Sequence
 
 from ..dictionary.encoder import EncodedTriple
 from ..store.backends.base import TripleStore
-from ..store.planner.executor import has_row, match_rows
+from ..store.planner.executor import (
+    has_row,
+    join_rows,
+    match_program,
+    match_rows,
+    match_triples,
+)
 from ..store.planner.plan import slot_states
-from .kernels import compile_half_join, compile_projection
 from .vocabulary import Vocabulary
 
 __all__ = [
@@ -108,6 +117,14 @@ class OutputBuffer:
         self._items.append(triple)
         return True
 
+    def extend(self, triples) -> None:
+        """:meth:`emit` each of ``triples``, in order."""
+        seen, items = self._seen, self._items
+        for triple in triples:
+            if triple not in seen:
+                seen.add(triple)
+                items.append(triple)
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -140,9 +157,6 @@ class Var:
 
     def __repr__(self):
         return f"?{self.name}"
-
-
-PatternTerm = "int | Var"
 
 
 class Pattern:
@@ -232,10 +246,12 @@ class RuleViolation(RuntimeError):
 
 
 class Rule:
-    """Base class for inference rules.
+    """An inference rule: a name, a head template and a body of patterns.
 
-    Subclasses must set :attr:`name`, :attr:`head`, :attr:`body`
-    (a sequence of patterns) and implement :meth:`apply`.
+    The constructor compiles ``(head, body)`` once (see the module
+    docstring); :meth:`apply_into` fires the rule over a batch and
+    :meth:`supports` checks one triple.  Subclasses need not override
+    either: the head and the body are the rule's whole semantics.
     """
 
     name: str
@@ -257,6 +273,16 @@ class Rule:
         self.name = name
         self.head = head
         self.body = tuple(body)
+        slots: dict = {}
+        head_states = slot_states(head, slots, Var)
+        self._witness = (match_program(head_states), _steps(self.body, slots))
+        self._firings = _compile_firings(head, self.body)
+        terms = tuple(head)
+        # RDF well-formedness: literals cannot be subjects or predicates.
+        # A constant head subject or predicate is checked once per firing
+        # that has rows, a variable one per head instance.
+        self._fixed = tuple(term for term in terms[:2] if not isinstance(term, Var))
+        self._guards = tuple(pos for pos in (0, 1) if isinstance(terms[pos], Var))
 
     # --- signatures -------------------------------------------------------
     @property
@@ -310,15 +336,8 @@ class Rule:
         new_triples: Sequence[EncodedTriple],
         vocab: Vocabulary,
     ) -> list[EncodedTriple]:
-        """Derive consequences of ``new_triples`` w.r.t. the store.
-
-        Convenience wrapper over :meth:`apply_into`; subclasses normally
-        override that instead (the pipeline only calls ``apply_into``).
-        """
-        if type(self).apply_into is Rule.apply_into:
-            raise NotImplementedError(
-                f"rule {self.name!r} must implement apply() or apply_into()"
-            )
+        """Derive consequences of ``new_triples`` w.r.t. the store, as a
+        list: :meth:`apply_into` into a fresh buffer."""
         out = OutputBuffer()
         self.apply_into(store, new_triples, vocab, out)
         return out.take()
@@ -330,17 +349,47 @@ class Rule:
         vocab: Vocabulary,
         out: OutputBuffer,
     ) -> None:
-        """Batch-native evaluation: emit derivations into ``out``.
+        """One firing: emit into ``out`` every head instance with a body
+        triple in ``new_triples`` and the others in ``store``.
 
-        The default bridges duck-typed custom rules that only define
-        :meth:`apply`; built-in rules override this and emit directly.
+        Each body position runs its program in body order.  A position is
+        skipped whole when a remaining pattern's constant predicate has
+        an empty partition: no row can extend through it, and if a
+        matching triple arrives later, *its* firing finds today's batch
+        already stored.  A seed with a constant predicate is matched
+        first (few batch triples carry it); one with a variable
+        predicate matches the whole batch, so the partitions are asked
+        first.
         """
-        for triple in self.apply(store, new_triples, vocab):
-            out.emit(triple)
+        guards = self._guards
+        is_literal = None
+        for seed, before, after, steps, consts, project in self._firings:
+            if before and not all(map(store.has_predicate, before)):
+                continue
+            rows = match_triples(seed, new_triples)
+            if not rows or after and not all(map(store.has_predicate, after)):
+                continue
+            for states in steps:
+                if not rows:
+                    break
+                rows = join_rows(store, states, rows)
+            if not rows:
+                continue
+            if is_literal is None:
+                is_literal = vocab.dictionary.is_literal
+                if any(map(is_literal, self._fixed)):
+                    return  # no head instance is valid RDF
+            if consts:
+                triples = [project(row + consts) for row in rows]
+            else:
+                triples = map(project, rows)
+            if guards:
+                triples = dict.fromkeys(triples)  # a guard costs a call per triple
+                for position in guards:
+                    triples = [t for t in triples if not is_literal(t[position])]
+            out.extend(triples)
 
     # --- goal-directed evaluation ------------------------------------------
-    _witness: tuple | None = None
-
     def supports(
         self, store: TripleStore, triple: EncodedTriple, vocab: Vocabulary
     ) -> bool:
@@ -351,19 +400,15 @@ class Rule:
         against the head, then look for *one* instantiation of the body
         extending that row.  Cost is bounded by the fan-in of the bound
         body patterns (two index probes for a typical join rule),
-        independent of the store's size.  Subclasses whose ``head`` and
-        ``body`` are their true semantics need no override.
+        independent of the store's size.
         """
-        witness = self._witness
-        if witness is None:
-            witness = self._witness = _compile_witness(self.head, self.body)
-        head, body = witness
+        head, body = self._witness
         rows = match_rows(head, (triple,))
         if not rows:
             return False
         is_literal = vocab.dictionary.is_literal
         if is_literal(triple[0]) or is_literal(triple[1]):
-            return False  # same well-formedness guards as _emit
+            return False  # same well-formedness guards as a firing
         return has_row(store, body, rows)
 
     # --- head guards -----------------------------------------------------
@@ -373,12 +418,9 @@ class Rule:
         vocab: Vocabulary,
         out: OutputBuffer,
     ) -> None:
-        """Instantiate the head under RDF well-formedness guards.
-
-        Inferred triples must be valid RDF: literals cannot be subjects or
-        predicates, and blank nodes cannot be predicates.  Rules like
-        rdfs3/rdfs4b would otherwise type literals as resources.
-        """
+        """Instantiate the head from a binding dict, under the firings'
+        RDF well-formedness guards (rules like rdfs3/rdfs4b would
+        otherwise type literals as resources)."""
         triple = self.head.instantiate(binding)
         if triple in out:
             return
@@ -393,161 +435,86 @@ class Rule:
         return f"<Rule {self.name}: {body} → {self.head!r}>"
 
 
-def _compile_witness(head: Pattern, body: Sequence[Pattern]) -> tuple:
-    """The support check's id-level ``(head states, body steps)``: the body
-    most-bound pattern first (fewest unbound variable positions), ties in
-    body order — fixed once the head's variables are bound."""
-    slots: dict = {}
-    head_states = slot_states(head, slots, Var)
-    remaining, steps = list(body), []
+def _steps(patterns: Sequence[Pattern], slots: dict) -> tuple:
+    """The step states of ``patterns``, most-bound first (fewest unbound
+    variable positions once the earlier ones are bound), ties in body
+    order.  ``slots`` maps each variable to its row slot and gains the
+    new ones."""
+    remaining, steps = list(patterns), []
     while remaining:
         best = min(
             remaining, key=lambda p: sum(isinstance(t, Var) and t not in slots for t in p)
         )
         remaining.remove(best)
         steps.append(slot_states(best, slots, Var))
-    return head_states, tuple(steps)
+    return tuple(steps)
+
+
+def _compile_firings(head: Pattern, body: Sequence[Pattern]) -> tuple:
+    """One firing program per body position: ``(seed match program,
+    partitions to ask before seeding, partitions to ask after, step
+    states, head constants to append, head projection)`` — the
+    partitions are the other patterns' constant predicates.
+
+    A seed row is the batch triple itself, each seed variable at its
+    first position; the steps append slots from 3 on.  A head constant
+    the seed pattern also has is read at its position in the row; the
+    others are appended after the last slot, so the projection is one
+    ``itemgetter`` over ``row + constants``.
+    """
+    firings = []
+    for index, pattern in enumerate(body):
+        rest = body[:index] + body[index + 1:]
+        slots: dict = {}
+        for position, term in enumerate(pattern):
+            if isinstance(term, Var) and term not in slots:
+                slots[term] = position
+            else:
+                slots[("seed", position)] = position  # a constant or repeat
+        steps = _steps(rest, slots)
+        seeded = {term: position for position, term in enumerate(pattern)
+                  if not isinstance(term, Var)}
+        consts = tuple(dict.fromkeys(
+            term for term in head if not isinstance(term, Var) and term not in seeded
+        ))
+        width = len(slots)
+        project = itemgetter(*[
+            slots[term] if isinstance(term, Var)
+            else seeded[term] if term in seeded
+            else width + consts.index(term)
+            for term in head
+        ])
+        seed = match_program(slot_states(pattern, {}, Var))
+        partitions = tuple(
+            dict.fromkeys(p.predicate for p in rest if not isinstance(p.predicate, Var))
+        )
+        if isinstance(pattern.predicate, Var):
+            firings.append((seed, partitions, (), steps, consts, project))
+        else:
+            firings.append((seed, (), partitions, steps, consts, project))
+    return tuple(firings)
 
 
 class SingleRule(Rule):
     """A rule with a one-pattern body, e.g. rdfs6: ``<p type Property> →
-    <p subPropertyOf p>``.
-
-    The body and head compile once into a
-    :class:`~repro.reasoner.kernels.ProjectionPlan`: constant and
-    repeated-variable checks filter the batch, and each survivor is
-    projected onto the head — no binding dict per triple.  Emission
-    keeps ``_emit``'s order: dedup first, then the literal guards.
-    """
+    <p subPropertyOf p>``."""
 
     def __init__(self, name: str, pattern: Pattern, head: Pattern):
         super().__init__(name, head, (pattern,))
-        self.pattern = pattern
-        self._plan = compile_projection(pattern, head)
-
-    def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        self._plan.execute(new_triples, vocab.dictionary.is_literal, out)
 
 
 class JoinRule(Rule):
     """A rule with a two-pattern body — the general case of Algorithm 1.
 
-    The two body patterns must share at least one variable (the join), and
-    every head variable must be bound by the body (checked by the base
-    class).
+    The two body patterns must share a variable (the join) unless one of
+    them is ground; every head variable must be bound by the body.
     """
 
     def __init__(self, name: str, left: Pattern, right: Pattern, head: Pattern):
         super().__init__(name, head, (left, right))
-        self.left = left
-        self.right = right
-        if not (left.variables() & right.variables()) and not self._ground_join():
+        left_vars, right_vars = left.variables(), right.variables()
+        if left_vars and right_vars and not left_vars & right_vars:
             raise RuleViolation(f"rule {name}: body patterns share no variable")
-        # One compiled plan per half-join direction; None only for a
-        # cartesian direction, which stays on the classic loop below.
-        self._plans = (
-            compile_half_join(left, right, head),
-            compile_half_join(right, left, head),
-        )
-
-    def _ground_join(self) -> bool:
-        # A cartesian body (no shared variable) is legal only if one side
-        # is fully ground; no built-in fragment needs it, but custom rules
-        # might declare e.g. an activation pattern.
-        return not self.left.variables() or not self.right.variables()
-
-    def apply_into(self, store, new_triples, vocab, out: OutputBuffer) -> None:
-        # Each direction runs its compiled plan at every batch size; the
-        # plan picks a hash join or positional probes by the pass's
-        # cardinalities (see :mod:`repro.reasoner.kernels`).  Only
-        # a plan-less (cartesian) direction of a custom rule takes the
-        # binding-dict loop.
-        is_literal = vocab.dictionary.is_literal
-        left_plan, right_plan = self._plans
-        if left_plan is not None:
-            left_plan.execute(store, new_triples, is_literal, out)
-        else:
-            self._half_join(store, new_triples, self.left, self.right, vocab, out)
-        if right_plan is not None:
-            right_plan.execute(store, new_triples, is_literal, out)
-        else:
-            self._half_join(store, new_triples, self.right, self.left, vocab, out)
-
-    def _half_join(
-        self,
-        store: TripleStore,
-        new_triples: Sequence[EncodedTriple],
-        new_side: Pattern,
-        store_side: Pattern,
-        vocab: Vocabulary,
-        out: OutputBuffer,
-    ) -> None:
-        """One direction of Algorithm 1: new triples × stored partners.
-
-        The binding-dict reference loop: firings run the compiled
-        :class:`~repro.reasoner.kernels.HalfJoinPlan` instead, so this
-        serves only plan-less (cartesian) directions of custom rules and
-        the equivalence tests and micro-benchmark that compare against it.
-
-        Short-circuit: when the stored side has a constant predicate with
-        an empty partition, no probe can succeed — skip the whole sweep.
-        This is safe, not just fast: if a matching stored-side triple
-        arrives later, *its* half-join (the other direction) re-joins it
-        against the store, which by then contains today's new triples.
-        """
-        store_predicate = store_side.predicate
-        if not isinstance(store_predicate, Var) and not store.has_predicate(store_predicate):
-            return
-        new_predicate = new_side.predicate
-        if not isinstance(new_predicate, Var):
-            # C-speed pre-filter: only triples with the right predicate
-            # can match, and most batches are dominated by others.
-            new_triples = [t for t in new_triples if t[1] == new_predicate]
-            if not new_triples:
-                return
-        empty: dict[str, int] = {}
-        for triple in new_triples:
-            binding = new_side.matches(triple, empty)
-            if binding is None:
-                continue
-            subject, predicate, obj = store_side.lookup_key(binding)
-            for partner in store.match(subject, predicate, obj):
-                merged = store_side.matches(partner, binding)
-                if merged is not None:
-                    self._emit(merged, vocab, out)
-
-    def derive_all(
-        self, store: TripleStore, vocab: Vocabulary
-    ) -> list[EncodedTriple]:
-        """Full (non-incremental) evaluation of the body against the store.
-
-        This is the "commonly used iterative rules scheme" of the naive
-        baseline, so — unlike the pipeline's :meth:`apply` — it does NOT
-        deduplicate its output: every successful body instantiation is
-        materialized and duplicate elimination is left to the store.  On
-        the subClassOf chains this is exactly the O(n³) derivations for
-        an O(n²) closure that the paper cites; the length of the returned
-        list is the baseline's work metric.
-        """
-        out: list[EncodedTriple] = []
-        is_literal = vocab.dictionary.is_literal
-        head = self.head
-        subject, predicate, obj = self.left.lookup_key({})
-        empty: dict[str, int] = {}
-        for triple in store.match(subject, predicate, obj):
-            binding = self.left.matches(triple, empty)
-            if binding is None:
-                continue
-            s2, p2, o2 = self.right.lookup_key(binding)
-            for partner in store.match(s2, p2, o2):
-                merged = self.right.matches(partner, binding)
-                if merged is None:
-                    continue
-                derived = head.instantiate(merged)
-                if is_literal(derived[0]) or is_literal(derived[1]):
-                    continue  # same well-formedness guards as _emit
-                out.append(derived)
-        return out
 
 
 def apply_rule_into(
@@ -575,12 +542,30 @@ def apply_rule_into(
 def derive_all(rule: Rule, store: TripleStore, vocab: Vocabulary) -> list[EncodedTriple]:
     """Full evaluation of any rule against the whole store.
 
-    The naive baseline's primitive and the oracle for
-    :meth:`Rule.supports`.  ``JoinRule`` has a specialized
-    implementation; every other rule (single-pattern, prp-trp,
-    duck-typed) reuses ``apply`` with the store contents as the "new"
-    side.
+    The binding-dict reference, independent of the compiled programs:
+    the body's patterns are matched in body order by
+    :meth:`Pattern.matches`, each probing the store with the binding so
+    far.  It is the "commonly used iterative rules scheme" of the naive
+    baseline, so it does NOT deduplicate its output: every successful
+    body instantiation is materialized and duplicate elimination is left
+    to the store.  On the subClassOf chains this is exactly the O(n³)
+    derivations for an O(n²) closure that the paper cites; the length of
+    the returned list is the baseline's work metric.  It is also the
+    oracle for :meth:`Rule.supports`.  A duck-typed rule without a body
+    is applied with the whole store as its "new" triples.
     """
-    if isinstance(rule, JoinRule):
-        return rule.derive_all(store, vocab)
-    return rule.apply(store, list(store), vocab)
+    body = getattr(rule, "body", None)
+    if body is None:
+        return rule.apply(store, list(store), vocab)
+    bindings: list[dict] = [{}]
+    for pattern in body:
+        bindings = [
+            merged
+            for binding in bindings
+            for triple in store.match(*pattern.lookup_key(binding))
+            if (merged := pattern.matches(triple, binding)) is not None
+        ]
+    is_literal = vocab.dictionary.is_literal
+    derived = [rule.head.instantiate(binding) for binding in bindings]
+    # Same well-formedness guards as a firing.
+    return [t for t in derived if not is_literal(t[0]) and not is_literal(t[1])]

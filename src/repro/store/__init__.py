@@ -16,7 +16,6 @@ from .query import (
     select,
     solve,
     solve_naive,
-    unify,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "select",
     "ask",
     "construct",
-    "unify",
 ]

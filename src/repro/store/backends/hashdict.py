@@ -317,8 +317,8 @@ class HashDictStore:
     def has_predicate(self, predicate: int) -> bool:
         """O(1): is at least one triple stored under ``predicate``?
 
-        Rule modules use this to skip a whole half-join when the stored
-        side of the body cannot match (e.g. no ``rdfs:domain`` triples
+        Rule firings use this to skip a whole body position when another
+        pattern of the body cannot match (e.g. no ``rdfs:domain`` triples
         exist at all — the common case for schema-light streams).
         """
         return bool(self._pso.get(predicate))

@@ -2,15 +2,22 @@
 
 Every conjunction of triple patterns over a store's read half runs here
 — ``solve`` / ``select`` / ``ask``, a standing subscription's delta
-seeds and DRed's head-bound :meth:`~repro.reasoner.rules.Rule.supports`
-— except the rule firings (:mod:`repro.reasoner.kernels`).  A plan
-gives each variable a slot (:func:`~repro.store.planner.plan.slot_states`)
-and a row is a tuple of ids: a step probes the index its access path
-names and extends a row by concatenation (``row + (o,)``); a bound or
-repeated variable is a comparison of positions.  Given triples enter
-through :func:`match_rows`, and :func:`decode_rows` turns ids into
-terms exactly once, at the edge — the naive evaluator instead decodes
-every candidate triple and compares term objects at every step.
+seeds, every rule firing and DRed's head-bound
+:meth:`~repro.reasoner.rules.Rule.supports`.  A plan gives each
+variable a slot (:func:`~repro.store.planner.plan.slot_states`) and a
+row is a tuple of ids: a step probes the index its access path names
+and extends a row by concatenation (``row + (o,)``); a bound or
+repeated variable is a comparison of positions.  Given triples (a
+delta, the head triple of a support check) enter through
+:func:`match_rows`; a firing's batch triples are rows themselves
+(:func:`match_triples`).  :func:`decode_rows` turns ids into terms
+exactly once, at the edge — the naive evaluator instead decodes every
+candidate triple and compares term objects at every step.
+
+A firing's join steps go through :func:`join_rows`, which answers a
+large batch of rows with one grouped hash join over the step's
+partition instead of one probe per row; queries keep
+:func:`extend_rows`'s per-row access paths.
 """
 
 from __future__ import annotations
@@ -28,16 +35,28 @@ __all__ = [
     "execute_plan",
     "execute_encoded",
     "extend_rows",
+    "join_rows",
+    "match_program",
+    "match_triples",
     "match_rows",
     "has_row",
     "decode_rows",
     "resolve_states",
     "BLOCK_ROWS",
+    "KERNEL_MIN_BATCH",
 ]
 
 #: First-step rows :func:`solution_blocks` hands the remaining join steps
 #: (and the decoder) at a time.
 BLOCK_ROWS = 64
+
+#: Below this many rows :func:`join_rows` probes per row instead of
+#: grouping the step's partition.
+KERNEL_MIN_BATCH = 8
+
+#: :func:`join_rows` probes per row when the partition holds more than
+#: this many triples per row — the probes then touch less of it.
+_HASH_MAX_RATIO = 64
 
 
 def solve_planned(
@@ -179,34 +198,64 @@ def resolve_states(states, lookup):
     return tuple(resolved)
 
 
-def match_rows(states, triples, row: tuple = ()) -> list[tuple]:
-    """The rows ``triples`` extend ``row`` to under one step's states.
-
-    A constant position must equal its id, a bound one the row's slot,
-    a repeated fresh variable its first occurrence; each surviving
-    triple appends its fresh positions.  This seeds a subscription's
-    rows from a delta's added triples and a support check's row from
-    the head triple, and is the generic extension of a join step.
-    """
-    batch = triples
-    fresh: dict = {}
+def match_program(states) -> tuple:
+    """What :func:`match_triples` and :func:`match_rows` check for one
+    step's states, compiled once: ``(constant checks, bound checks,
+    repeated-variable checks, fresh positions, their getter)``.  A
+    constant predicate is checked first — in a mixed batch it is the
+    most selective test."""
+    checks, bound, repeats, fresh = [], [], [], {}
     for position, (tag, value) in enumerate(states):
-        if tag == FREE:
+        if tag == CONST:
+            checks.append((position, value))
+        elif tag == BOUND:
+            bound.append((position, value))
+        else:
             first = fresh.setdefault(value, position)
             if first != position:
-                batch = [t for t in batch if t[position] == t[first]]
-            continue
-        if tag == BOUND:
-            value = row[value]
-        batch = [t for t in batch if t[position] == value]
+                repeats.append((first, position))
+    checks.sort(key=lambda check: check[0] != 1)
     positions = tuple(fresh.values())
-    if not positions:
-        return [row for _ in batch]
-    if len(positions) == 1:
+    take = itemgetter(*positions) if len(positions) > 1 else None
+    return tuple(checks), tuple(bound), tuple(repeats), positions, take
+
+
+def match_triples(program, triples, row: tuple = ()) -> Sequence:
+    """The ``triples`` that match under a :func:`match_program`, in order.
+
+    A constant position must equal its id, a bound one the row's slot,
+    a repeated fresh variable its first occurrence.  A rule firing's
+    seed rows are its batch's matching triples themselves: each
+    variable of the seed pattern sits at its position.
+    """
+    checks, bound, repeats, _, _ = program
+    batch = triples
+    for position, value in checks:
+        batch = [t for t in batch if t[position] == value]
+    for position, slot in bound:
+        value = row[slot]
+        batch = [t for t in batch if t[position] == value]
+    for first, position in repeats:
+        batch = [t for t in batch if t[first] == t[position]]
+    return batch
+
+
+def match_rows(program, triples, row: tuple = ()) -> list[tuple]:
+    """The rows ``triples`` extend ``row`` to under a :func:`match_program`:
+    each of :func:`match_triples` appends its fresh positions.
+
+    This seeds a subscription's rows from a delta's added triples and a
+    support check's from the head triple, and is the generic extension
+    of a join step.
+    """
+    batch = match_triples(program, triples, row)
+    positions, take = program[3], program[4]
+    if take is not None:
+        return [row + take(t) for t in batch]
+    if positions:
         (position,) = positions
         return [row + (t[position],) for t in batch]
-    take = itemgetter(*positions)
-    return [row + take(t) for t in batch]
+    return [row for _ in batch]
 
 
 def extend_rows(store, states, rows: list[tuple]) -> list[tuple]:
@@ -259,20 +308,69 @@ def extend_rows(store, states, rows: list[tuple]) -> list[tuple]:
             o = o_val if o_const else row[o_val]
             out.extend([row + (p,) for p in store.predicates_between(s, o)])
         return out
+    program = match_program(states)
     if s_tag != FREE:
         for row in rows:
             s = s_val if s_const else row[s_val]
-            out.extend(match_rows(states, store.triples_for_subject(s), row))
+            out.extend(match_rows(program, store.triples_for_subject(s), row))
         return out
     if o_tag != FREE:
         for row in rows:
             o = o_val if o_const else row[o_val]
-            out.extend(match_rows(states, store.triples_for_object(o), row))
+            out.extend(match_rows(program, store.triples_for_object(o), row))
         return out
     # Nothing known: full scan.
     all_triples = store.match()
     for row in rows:
-        out.extend(match_rows(states, all_triples, row))
+        out.extend(match_rows(program, all_triples, row))
+    return out
+
+
+def join_rows(store, states, rows: list[tuple]) -> list[tuple]:
+    """:func:`extend_rows` for a batch: the same rows (grouped by row; with
+    only the object bound, a row's extensions may come in another order).
+
+    When the step has a constant predicate and a bound end, and there are
+    at least :data:`KERNEL_MIN_BATCH` rows and at most
+    ``_HASH_MAX_RATIO`` partition triples per row, the partition is
+    fetched once and grouped by the bound end, and every row extends by
+    one dictionary lookup; otherwise each row probes the store.
+    """
+    if len(rows) < KERNEL_MIN_BATCH:
+        return extend_rows(store, states, rows)
+    (s_tag, s_val), (p_tag, p_val), (o_tag, o_val) = states
+    if (
+        p_tag != CONST
+        or BOUND not in (s_tag, o_tag)
+        or store.count_predicate(p_val) > _HASH_MAX_RATIO * len(rows)
+    ):
+        return extend_rows(store, states, rows)
+    pairs = store.pairs_for_predicate(p_val)
+    if s_tag == CONST:
+        pairs = [pair for pair in pairs if pair[0] == s_val]
+    if o_tag == CONST:
+        pairs = [pair for pair in pairs if pair[1] == o_val]
+    if s_tag == BOUND and o_tag == BOUND:
+        stored = set(pairs)
+        return [row for row in rows if (row[s_val], row[o_val]) in stored]
+    # One end is bound: group by it; the other end is fresh or a constant.
+    if s_tag == BOUND:
+        key, slot, fresh = 0, s_val, o_tag == FREE
+    else:
+        key, slot, fresh = 1, o_val, s_tag == FREE
+    index: dict = {}
+    if fresh:
+        other = 1 - key
+        for pair in pairs:
+            index.setdefault(pair[key], []).append((pair[other],))
+    else:
+        for pair in pairs:
+            index[pair[key]] = ((),)
+    out: list[tuple] = []
+    for row in rows:
+        extensions = index.get(row[slot])
+        if extensions:
+            out.extend([row + extension for extension in extensions])
     return out
 
 

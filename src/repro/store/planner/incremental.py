@@ -28,7 +28,14 @@ from typing import Sequence
 from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
-from .executor import decode_rows, execute_encoded, execute_plan, match_rows, resolve_states
+from .executor import (
+    decode_rows,
+    execute_encoded,
+    execute_plan,
+    match_program,
+    match_rows,
+    resolve_states,
+)
 from .plan import plan_bgp, slot_states
 
 __all__ = ["IncrementalBGPPlan"]
@@ -109,7 +116,7 @@ class IncrementalBGPPlan:
             states = resolve_states(entry, lookup)
             if states is None:
                 continue  # a constant this pattern needs is unseen: no match
-            rows = match_rows(states, added_encoded)
+            rows = match_rows(match_program(states), added_encoded)
             if rows and rest_plan.steps:
                 rows = execute_encoded(graph, rest_plan, rows)
             results.extend(decode_rows(graph, rest_plan.slots, rows))

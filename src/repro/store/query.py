@@ -34,35 +34,11 @@ __all__ = [
     "select",
     "ask",
     "construct",
-    "unify",
 ]
 
 PatternTerm = Union[Term, Variable]
 TriplePattern = tuple[PatternTerm, PatternTerm, PatternTerm]
 Binding = dict[Variable, Term]
-
-
-def unify(
-    pattern: TriplePattern, triple: Triple, binding: Binding | None = None
-) -> Binding | None:
-    """Match one concrete triple against a pattern.
-
-    Returns the (extended copy of the) binding on success, ``None`` on
-    mismatch.  Repeated variables must agree, both within the pattern
-    and with any pre-existing binding.  A term-level convenience: the
-    engine matches encoded triples with the planner's ``match_rows``.
-    """
-    result: Binding = dict(binding) if binding else {}
-    for pattern_term, value in zip(pattern, triple):
-        if isinstance(pattern_term, Variable):
-            previous = result.get(pattern_term)
-            if previous is None:
-                result[pattern_term] = value
-            elif previous != value:
-                return None
-        elif pattern_term != value:
-            return None
-    return result
 
 
 def _pattern_variables(pattern: TriplePattern) -> set[Variable]:

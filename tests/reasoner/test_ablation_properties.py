@@ -69,8 +69,9 @@ def test_adaptive_scheduling_is_semantically_transparent(triples):
 @given(horst_ontologies)
 @_SLOW
 def test_owl_horst_engines_agree(triples):
-    """The hand-evaluated TransitivityRule must behave identically in
-    the pipeline and in the batch baselines, including sameAs churn."""
+    """The three-pattern prp-trp and the sameAs rules must behave
+    identically in the pipeline and in the batch baselines, including
+    sameAs churn."""
     from ..conftest import closure_with_batch
 
     pipeline = closure_with_slider(triples, "owl-horst")

@@ -1,13 +1,19 @@
-"""Compiled rule firings: identical emissions to the binding-dict loop.
+"""Compiled rule firings: the same emissions as a nested-loop reference.
 
-The compiled plans are a pure performance substitution — the
-acceptance line is triple-for-triple emission identity with the
-binding-dict interpreter: ``JoinRule._half_join`` for every direction
-of every fragment on every kernel path (hash join, positional probe
-loop), and a ``Pattern.matches`` reference for ``SingleRule``.  A
-counting test shows a commit's firings make no interpreter call at all.
+Every rule compiles once into firing programs on the planner's join
+core, one per body position.  The acceptance line is set identity with
+the binding-dict interpreter: for every rule of every fragment, custom
+two- and three-pattern body shapes included, ``rule.apply(store, batch)``
+equals the union over body positions of a nested loop that matches that
+position's pattern over the batch and the other patterns over the whole
+store.  Both join paths run — the grouped hash join and the per-row
+probes — forced by the cardinality constant.  A Hypothesis property
+compares one-pattern bodies with a ``Pattern.matches`` reference in
+order, and a counting test shows a commit's firings make no interpreter
+call at all.
 """
 
+import os
 import random
 
 import pytest
@@ -18,20 +24,25 @@ from repro import Delta
 from repro.datasets.bsbm import generate_bsbm
 from repro.datasets.subclass_chains import subclass_chain
 from repro.rdf import IRI, Literal
-from repro.reasoner import Slider, kernels
-from repro.reasoner.fragments import get_fragment
+from repro.reasoner import Slider
+from repro.reasoner.fragments import available_fragments, get_fragment
 from repro.reasoner.rules import (
     JoinRule,
     OutputBuffer,
     Pattern,
+    Rule,
     SingleRule,
     Var,
     derive_all,
 )
 from repro.reasoner.vocabulary import Vocabulary
 from repro.store import HashDictStore
+from repro.store.planner import executor
 
 FRAGMENTS = ("rhodf", "rdfs", "owl-horst")
+
+_extra_seed = os.environ.get("SLIDER_DIFF_SEED")
+SEEDS = tuple(range(4)) + ((int(_extra_seed),) if _extra_seed else ())
 
 #: Extra ground terms beyond the fragment vocabulary, so random triples
 #: mix schema ids with plain instance ids.
@@ -39,8 +50,8 @@ EXTRA_TERMS = 48
 EXTRA_LITERALS = 8
 
 
-def compiled_rules(fragment: str):
-    """(join rules, vocab, dictionary) with every term pre-registered.
+def fragment_rules(fragment: str):
+    """(rules, vocab, dictionary) with every term pre-registered.
 
     Besides the fragment vocabulary the universe holds plain IRIs and
     literals, so random triples put literals in every slot and the
@@ -54,23 +65,19 @@ def compiled_rules(fragment: str):
     ]
     literals = [dictionary.encode(Literal(f"v{i}")) for i in range(EXTRA_LITERALS)]
     if fragment == "custom":
-        return custom_rules(terms, literals), vocab, dictionary
-    rules = [
-        rule
-        for rule in get_fragment(fragment).rules(vocab)
-        if isinstance(rule, JoinRule)
-    ]
-    return rules, vocab, dictionary
+        return custom_rules(vocab, terms, literals), vocab, dictionary
+    return get_fragment(fragment).rules(vocab), vocab, dictionary
 
 
-def custom_rules(terms, literals) -> list[JoinRule]:
+def custom_rules(vocab, terms, literals) -> list[Rule]:
     """Body shapes no built-in fragment declares: a repeated unbound
     stored-side variable under a variable predicate, a ground stored
     object, two probe slots, a repeated new-side variable, constant
-    literal heads."""
+    literal heads, head constants a body pattern also has, and
+    three-pattern bodies."""
     P, Q, R, C = terms[:4]
     L = literals[0]
-    x, y, z, p, q = (Var(n) for n in "xyzpq")
+    w, x, y, z, p, q = (Var(n) for n in "wxyzpq")
     return [
         JoinRule("loop", Pattern(x, P, q), Pattern(z, q, z), Pattern(x, q, z)),
         JoinRule("ground", Pattern(x, P, y), Pattern(y, Q, C), Pattern(x, Q, y)),
@@ -79,6 +86,21 @@ def custom_rules(terms, literals) -> list[JoinRule]:
         JoinRule("lit-s", Pattern(x, P, y), Pattern(y, Q, z), Pattern(L, P, z)),
         JoinRule("lit-p", Pattern(x, P, y), Pattern(y, Q, z), Pattern(x, L, z)),
         JoinRule("var-po", Pattern(p, P, y), Pattern(x, p, y), Pattern(x, R, p)),
+        JoinRule("const-o", Pattern(x, P, C), Pattern(x, Q, y), Pattern(y, Q, C)),
+        Rule(
+            "chain3",
+            head=Pattern(x, R, z),
+            body=(Pattern(x, P, y), Pattern(y, Q, w), Pattern(w, P, z)),
+        ),
+        Rule(
+            "sub-chain",
+            head=Pattern(x, q, z),
+            body=(
+                Pattern(p, vocab.sub_property_of, q),
+                Pattern(x, p, y),
+                Pattern(y, q, z),
+            ),
+        ),
     ]
 
 
@@ -93,110 +115,100 @@ def random_encoded(rng: random.Random, universe: int, count: int):
     }
 
 
-def joining_pair(plan, rng: random.Random, universe: int):
-    """A (stored partner, new triple) pair the plan's direction joins.
-
-    The partner satisfies the stored side's constants; the new triple
-    takes the partner's values at the probe slots and the new side's
-    constants elsewhere.
-    """
-    partner = [rng.randrange(universe) for _ in range(3)]
-    partner_slots = (0, 1, 2) if plan.store_pred is None else (0, 2)
-    if plan.store_pred is not None:
-        partner[1] = plan.store_pred
-    for ppos, val in plan.partner_checks:
-        partner[partner_slots[ppos]] = val
-    new = [rng.randrange(universe) for _ in range(3)]
-    if plan.new_pred is not None:
-        new[1] = plan.new_pred
-    for pos, val in plan.new_checks:
-        new[pos] = val
-    for ppos, new_pos in plan.probe:
-        new[new_pos] = partner[partner_slots[ppos]]
-    return tuple(partner), tuple(new)
+def body_instance(rule: Rule, rng: random.Random, universe: int) -> list:
+    """The body's triples under one random binding of its variables."""
+    binding = {name: rng.randrange(universe) for p in rule.body for name in p.variables()}
+    return [pattern.instantiate(binding) for pattern in rule.body]
 
 
-def directions(rule: JoinRule):
-    return (
-        (rule._plans[0], rule.left, rule.right),
-        (rule._plans[1], rule.right, rule.left),
-    )
+def nested_loop(rule: Rule, store, batch, vocab) -> set:
+    """The reference firing: for each body position, that pattern over
+    the batch and every other pattern over the whole store, in body
+    order, by binding dicts."""
+    stored = list(store)
+    out = OutputBuffer()
+    for index, first in enumerate(rule.body):
+        rest = rule.body[:index] + rule.body[index + 1:]
+        bindings = [first.matches(t, {}) for t in batch]
+        bindings = [b for b in bindings if b is not None]
+        for pattern in rest:
+            extended = [pattern.matches(t, b) for b in bindings for t in stored]
+            bindings = [b for b in extended if b is not None]
+        for binding in bindings:
+            rule._emit(binding, vocab, out)
+    return set(out.take())
 
 
-class TestKernelMatchesClassic:
-    """Fuzz: plan.execute == _half_join, rule by rule, direction by direction."""
+class CountingStore(HashDictStore):
+    """Counts the partition-size reads that choose a hash join."""
 
-    def test_every_builtin_direction_compiles(self):
-        for fragment in FRAGMENTS:
-            rules, _, _ = compiled_rules(fragment)
-            for rule in rules:
-                assert None not in rule._plans, f"{fragment}: {rule!r}"
-            # Including the schema directions whose stored side has a
-            # variable predicate (prp-dom, prp-rng, prp-spo1, ...).
-            assert any(p.store_pred is None for r in rules for p in r._plans)
+    sized = 0
 
-    @pytest.mark.parametrize("path", ["batch", "probe"])
-    @pytest.mark.parametrize("fragment", FRAGMENTS + ("custom",))
-    @pytest.mark.parametrize("seed", range(4))
-    def test_every_kernel_path(self, monkeypatch, path, fragment, seed):
-        # "batch" lets every batch size reach the hash join;
-        # "probe" forces the positional probe loop.  Variable-predicate
-        # directions probe with match() on both.  The selection
-        # heuristic must never be load-bearing for correctness.
+    def count_predicate(self, predicate):
+        self.sized += 1
+        return super().count_predicate(predicate)
+
+
+def joining_store(rules, rng: random.Random, universe: int):
+    """A random store and batch, plus for every rule and body position
+    one body instance with that position's triple in the batch and the
+    others stored, so every firing program has work."""
+    stored = random_encoded(rng, universe, 120)
+    batch = sorted(random_encoded(rng, universe, 40))
+    for rule in rules:
+        for index in range(len(rule.body)):
+            for _ in range(3):
+                triples = body_instance(rule, rng, universe)
+                batch.append(triples.pop(index))
+                stored.update(triples)
+    store = CountingStore()
+    store.add_all(sorted(stored))
+    return store, batch
+
+
+class TestFiringMatchesNestedLoop:
+    """Fuzz: ``rule.apply`` == the nested-loop reference, rule by rule."""
+
+    @pytest.mark.parametrize("path", ["hash", "probe"])
+    @pytest.mark.parametrize("fragment", available_fragments() + ["custom"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_join_path(self, monkeypatch, path, fragment, seed):
+        # "hash" lets every batch reach the grouped hash join; "probe"
+        # forces per-row probes.  The choice must never be load-bearing
+        # for correctness.
         monkeypatch.setattr(
-            kernels, "KERNEL_MIN_BATCH", 0 if path == "batch" else 10**9
+            executor, "KERNEL_MIN_BATCH", 0 if path == "hash" else 10**9
         )
-        rules, vocab, dictionary = compiled_rules(fragment)
+        rules, vocab, dictionary = fragment_rules(fragment)
         rng = random.Random(seed)
-        universe = len(dictionary)
-        stored = random_encoded(rng, universe, 120)
-        batch = sorted(random_encoded(rng, universe, 40))
-        # Seed joining pairs so every direction actually fires.
-        for rule in rules:
-            for plan in rule._plans:
-                for _ in range(6):
-                    partner, new = joining_pair(plan, rng, universe)
-                    stored.add(partner)
-                    batch.append(new)
-
-        store = HashDictStore()
-        store.add_all(sorted(stored))
-        is_literal = dictionary.is_literal
+        store, batch = joining_store(rules, rng, len(dictionary))
         fired = 0
         for rule in rules:
-            for plan, new_side, store_side in directions(rule):
-                classic_out = OutputBuffer()
-                rule._half_join(
-                    store, batch, new_side, store_side, vocab, classic_out
-                )
-                kernel_out = OutputBuffer()
-                plan.execute(store, batch, is_literal, kernel_out)
-                classic = set(classic_out.take())
-                assert set(kernel_out.take()) == classic, (
-                    f"kernel diverged: fragment={fragment} seed={seed} "
-                    f"path={path} rule={rule!r}"
-                )
-                fired += bool(classic)
+            derived = rule.apply(store, batch, vocab)
+            expected = nested_loop(rule, store, batch, vocab)
+            assert len(derived) == len(set(derived))
+            assert set(derived) == expected, (
+                f"firing diverged: fragment={fragment} seed={seed} "
+                f"path={path} rule={rule!r}"
+            )
+            fired += bool(expected)
         assert fired > len(rules) // 2
+        # The partition size is read only to choose the hash join.
+        assert (store.sized > 0) == (path == "hash")
 
     def test_a_seven_triple_batch_is_handled(self):
-        rules, vocab, dictionary = compiled_rules("rhodf")
+        rules, vocab, dictionary = fragment_rules("rhodf")
         rule = next(r for r in rules if r.name == "cax-sco")
-        plan, new_side, store_side = directions(rule)[0]
         rng = random.Random(7)
         store = HashDictStore()
         batch = []
-        for _ in range(kernels.KERNEL_MIN_BATCH - 1):
-            partner, new = joining_pair(plan, rng, len(dictionary))
-            store.add(partner)
-            batch.append(new)
-        classic_out = OutputBuffer()
-        rule._half_join(store, batch, new_side, store_side, vocab, classic_out)
-        expected = set(classic_out.take())
-        out = OutputBuffer()
-        plan.execute(store, batch, dictionary.is_literal, out)
+        for _ in range(executor.KERNEL_MIN_BATCH - 1):
+            schema, typed = body_instance(rule, rng, len(dictionary))
+            store.add(typed)
+            batch.append(schema)
+        expected = nested_loop(rule, store, batch, vocab)
         assert expected
-        assert set(out.take()) == expected
+        assert set(rule.apply(store, batch, vocab)) == expected
 
 
 #: A small id universe for SingleRule fuzzing: ids below LITERALS are
@@ -232,10 +244,11 @@ def single_rules(draw):
 
 
 def reference_single(rule: SingleRule, triples, is_literal) -> list:
-    """The binding-dict interpreter a SingleRule firing used to run."""
+    """The binding-dict interpreter for a one-pattern body."""
+    (pattern,) = rule.body
     out = OutputBuffer()
     for triple in triples:
-        binding = rule.pattern.matches(triple, {})
+        binding = pattern.matches(triple, {})
         if binding is None:
             continue
         head = rule.head.instantiate(binding)
