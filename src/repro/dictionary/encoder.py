@@ -115,8 +115,12 @@ class TermDictionary:
         raise KeyError(f"unknown term id {term_id}")
 
     def is_literal(self, term_id: int) -> bool:
-        """True iff the id denotes a literal."""
-        return self.kind(term_id) == KIND_LITERAL
+        """True iff the id denotes a literal.  Reads the kinds inline: the
+        rules' literal guards call this once per derived triple."""
+        kinds = self._kinds
+        if 0 <= term_id < len(kinds):
+            return kinds[term_id] == KIND_LITERAL
+        raise KeyError(f"unknown term id {term_id}")
 
     def encode_triple(self, triple: Triple) -> EncodedTriple:
         """Encode a :class:`~repro.rdf.terms.Triple` to an id tuple."""

@@ -43,21 +43,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 __all__ = ["Delta", "net_deltas", "Transaction", "InferenceReport", "Ticket", "ChangeLog"]
 
 
-def _as_triples(triples: Iterable[Triple] | Triple) -> list[Triple]:
-    if isinstance(triples, Triple):
-        return [triples]
-    items = list(triples)
-    for item in items:
-        # Validate at the API boundary: a non-Triple must fail *before*
-        # the engine stages or journals anything (a malformed delta
-        # surfacing mid-apply would leave partial state behind).
-        if not isinstance(item, Triple):
-            raise TypeError(
-                f"deltas take Triples, got {type(item).__name__}: {item!r}"
-            )
-    return items
-
-
 def _as_statements(
     statements: "Iterable[Triple | Quad] | Triple | Quad",
     graphs_seen: set,
@@ -138,13 +123,6 @@ class Delta:
         self.assertions: tuple[Triple, ...] = tuple(adds)
         self.retractions: tuple[Triple, ...] = tuple(rems)
         self.graph: "IRI | BNode | None" = graph
-
-    def quads(self) -> tuple[Quad, ...]:
-        """Both sides of the delta as quads in its target graph."""
-        return tuple(
-            Quad.from_triple(t, self.graph)
-            for t in self.assertions + self.retractions
-        )
 
     def __bool__(self) -> bool:
         return bool(self.assertions or self.retractions)
@@ -449,17 +427,6 @@ class InferenceReport:
         ids = {lookup(p) for p in predicates}
         ids.discard(None)
         return ids  # type: ignore[return-value]
-
-    def added_matching(self, predicates: Iterable[Term] | None = None) -> list[Triple]:
-        """Added triples whose predicate is in ``predicates`` (None = all).
-
-        Filtering happens in integer space before any decoding, so a
-        subscription on a rare predicate pays nothing for a large load.
-        """
-        ids = self._predicate_ids(predicates)
-        return self._filtered(
-            self._explicit_encoded + self._inferred_encoded, ids
-        )
 
     def removed_matching(self, predicates: Iterable[Term] | None = None) -> list[Triple]:
         """Removed triples whose predicate is in ``predicates`` (None = all)."""

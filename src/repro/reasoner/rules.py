@@ -18,11 +18,13 @@ paper's running example CAX-SCO (``<c1 subClassOf c2> ∧ <x type c1> →
 on the planner's join core (:mod:`repro.store.planner.executor`); no
 firing builds a binding dict:
 
-* **a firing program per body position** — the batch triples matching
-  that pattern are its seed rows (``match_triples``), the rows extend
+* **the body's compiled conjunction**
+  (:func:`~repro.store.planner.executor.compile_conjunction`, the same
+  form a standing subscription runs on) — per body position, the batch
+  triples matching that pattern are the seed rows, and the rows extend
   through the remaining patterns over the store, most-bound pattern
-  first (``join_rows``), and one ``itemgetter`` projects each row onto
-  the head.  :meth:`Rule.apply_into` runs them all: the paper's
+  first.  One ``itemgetter`` per position projects each row onto the
+  head.  :meth:`Rule.apply_into` runs every position: the paper's
   Algorithm 1, generalised from two patterns to any body;
 * **the head-seeded program** of :meth:`Rule.supports`, DRed's
   goal-directed question "is there one body instantiation of *this*
@@ -71,11 +73,12 @@ from typing import Sequence
 from ..dictionary.encoder import EncodedTriple
 from ..store.backends.base import TripleStore
 from ..store.planner.executor import (
+    compile_conjunction,
     has_row,
-    join_rows,
     match_program,
     match_rows,
-    match_triples,
+    order_steps,
+    seeded_rows,
 )
 from ..store.planner.plan import slot_states
 from .vocabulary import Vocabulary
@@ -275,8 +278,11 @@ class Rule:
         self.body = tuple(body)
         slots: dict = {}
         head_states = slot_states(head, slots, Var)
-        self._witness = (match_program(head_states), _steps(self.body, slots))
-        self._firings = _compile_firings(head, self.body)
+        self._witness = (match_program(head_states), order_steps(self.body, slots, Var))
+        self._firings = tuple(
+            (entry, *_projection(head, pattern, entry[-1]))
+            for pattern, entry in zip(self.body, compile_conjunction(self.body, Var))
+        )
         terms = tuple(head)
         # RDF well-formedness: literals cannot be subjects or predicates.
         # A constant head subject or predicate is checked once per firing
@@ -352,27 +358,14 @@ class Rule:
         """One firing: emit into ``out`` every head instance with a body
         triple in ``new_triples`` and the others in ``store``.
 
-        Each body position runs its program in body order.  A position is
-        skipped whole when a remaining pattern's constant predicate has
-        an empty partition: no row can extend through it, and if a
-        matching triple arrives later, *its* firing finds today's batch
-        already stored.  A seed with a constant predicate is matched
-        first (few batch triples carry it); one with a variable
-        predicate matches the whole batch, so the partitions are asked
-        first.
+        Each body position runs its entry of the compiled conjunction
+        (:func:`~repro.store.planner.executor.seeded_rows`) in body
+        order, and the rows project onto the head.
         """
         guards = self._guards
         is_literal = None
-        for seed, before, after, steps, consts, project in self._firings:
-            if before and not all(map(store.has_predicate, before)):
-                continue
-            rows = match_triples(seed, new_triples)
-            if not rows or after and not all(map(store.has_predicate, after)):
-                continue
-            for states in steps:
-                if not rows:
-                    break
-                rows = join_rows(store, states, rows)
+        for entry, consts, project in self._firings:
+            rows = seeded_rows(store, entry, new_triples)
             if not rows:
                 continue
             if is_literal is None:
@@ -435,64 +428,27 @@ class Rule:
         return f"<Rule {self.name}: {body} → {self.head!r}>"
 
 
-def _steps(patterns: Sequence[Pattern], slots: dict) -> tuple:
-    """The step states of ``patterns``, most-bound first (fewest unbound
-    variable positions once the earlier ones are bound), ties in body
-    order.  ``slots`` maps each variable to its row slot and gains the
-    new ones."""
-    remaining, steps = list(patterns), []
-    while remaining:
-        best = min(
-            remaining, key=lambda p: sum(isinstance(t, Var) and t not in slots for t in p)
-        )
-        remaining.remove(best)
-        steps.append(slot_states(best, slots, Var))
-    return tuple(steps)
+def _projection(head: Pattern, pattern: Pattern, layout: tuple) -> tuple:
+    """``(head constants to append, head projection)`` for the rows seeded
+    at ``pattern``, whose slots ``layout`` names.
 
-
-def _compile_firings(head: Pattern, body: Sequence[Pattern]) -> tuple:
-    """One firing program per body position: ``(seed match program,
-    partitions to ask before seeding, partitions to ask after, step
-    states, head constants to append, head projection)`` — the
-    partitions are the other patterns' constant predicates.
-
-    A seed row is the batch triple itself, each seed variable at its
-    first position; the steps append slots from 3 on.  A head constant
-    the seed pattern also has is read at its position in the row; the
-    others are appended after the last slot, so the projection is one
-    ``itemgetter`` over ``row + constants``.
+    A head constant the seed pattern also has is read at its position in
+    the row; the others are appended after the last slot, so the
+    projection is one ``itemgetter`` over ``row + constants``.
     """
-    firings = []
-    for index, pattern in enumerate(body):
-        rest = body[:index] + body[index + 1:]
-        slots: dict = {}
-        for position, term in enumerate(pattern):
-            if isinstance(term, Var) and term not in slots:
-                slots[term] = position
-            else:
-                slots[("seed", position)] = position  # a constant or repeat
-        steps = _steps(rest, slots)
-        seeded = {term: position for position, term in enumerate(pattern)
-                  if not isinstance(term, Var)}
-        consts = tuple(dict.fromkeys(
-            term for term in head if not isinstance(term, Var) and term not in seeded
-        ))
-        width = len(slots)
-        project = itemgetter(*[
-            slots[term] if isinstance(term, Var)
-            else seeded[term] if term in seeded
-            else width + consts.index(term)
-            for term in head
-        ])
-        seed = match_program(slot_states(pattern, {}, Var))
-        partitions = tuple(
-            dict.fromkeys(p.predicate for p in rest if not isinstance(p.predicate, Var))
-        )
-        if isinstance(pattern.predicate, Var):
-            firings.append((seed, partitions, (), steps, consts, project))
-        else:
-            firings.append((seed, (), partitions, steps, consts, project))
-    return tuple(firings)
+    seeded = {term: position for position, term in enumerate(pattern)
+              if not isinstance(term, Var)}
+    consts = tuple(dict.fromkeys(
+        term for term in head if not isinstance(term, Var) and term not in seeded
+    ))
+    width = len(layout)
+    project = itemgetter(*[
+        layout.index(term) if isinstance(term, Var)
+        else seeded[term] if term in seeded
+        else width + consts.index(term)
+        for term in head
+    ])
+    return consts, project
 
 
 class SingleRule(Rule):

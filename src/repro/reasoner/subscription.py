@@ -7,13 +7,13 @@ BGP language as :mod:`repro.store.query`) and is re-evaluated against
 each committed revision's :class:`~repro.reasoner.delta.InferenceReport`
 — *incrementally*:
 
-* **additions** — the BGP is compiled once, at registration, into an
-  :class:`~repro.store.planner.IncrementalBGPPlan`: one pre-ordered
-  join plan per pattern position a delta triple can enter through.
-  Each pattern matches the added triples *in encoded integer space*;
-  each hit is a row that seeds that pattern's rest-plan, so work
-  scales with the delta and the plan, not with the graph — and no plan
-  is recomputed per revision;
+* **additions** — a standing BGP is a headless rule: at registration
+  it compiles into an :class:`~repro.store.planner.IncrementalBGPPlan`
+  on the rules' own compiled conjunction.  Each pattern matches the
+  added triples *in encoded integer space*; each hit is a row that the
+  other patterns extend over the store in a static most-bound order,
+  so work scales with the delta and the body, not with the graph — and
+  nothing is planned per revision;
 * **removals** — a maintained solution dies iff one of its (fully
   instantiated, hence unique) supporting triples is in the revision's
   net-removed set; no re-join is needed because a net-removed triple is
@@ -119,8 +119,8 @@ class Subscription:
         #: The support index: every instantiated pattern triple of every
         #: live solution → the keys of the solutions resting on it.
         self._support: dict[tuple[Term, Term, Term], dict[frozenset, None]] = {}
-        #: Compiled incremental join plans (full + one rest-plan per
-        #: pattern), built against the graph's statistics at seed time.
+        #: The BGP as a headless rule: its full evaluation seeds the
+        #: solutions, its compiled conjunction folds each delta in.
         self._plan = IncrementalBGPPlan(self.patterns)
         # Constant predicates let the delta be filtered in integer space
         # before decoding; any variable predicate disables the filter.
@@ -162,12 +162,8 @@ class Subscription:
 
     # --- engine side -------------------------------------------------------
     def _seed(self, graph: Graph) -> None:
-        """Materialize the initial solution set (no event is emitted).
-
-        Compiles the incremental plans against the graph's statistics as
-        a side effect; they are maintained (and re-planned on size
-        drift) by the plan itself from here on.
-        """
+        """Materialize the initial solution set (no event is emitted) and
+        compile the conjunction the deltas fold in through."""
         with self._lock:
             self._plan.compile(graph)
             self._solutions.clear()

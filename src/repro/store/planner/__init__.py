@@ -10,15 +10,15 @@ the relational treatment of the same problem:
   join step bound to the cheapest index permutation (PSO / POS / SPO /
   OSP / membership / scan) for its bound-position shape;
 * :mod:`~repro.store.planner.executor` — the one join core (queries,
-  subscription deltas, DRed's support check): slot-indexed rows of ids,
-  decoded only at the edge, with optional
+  rule firings, subscription deltas, DRed's support check):
+  slot-indexed rows of ids, decoded only at the edge, with optional
   per-step actual-row counters for ``explain``; ``solution_blocks``
   hands the same executor its first step's rows a block at a time for
   callers that stop early (``limit``, ``ASK``);
-* :mod:`~repro.store.planner.incremental` — compile a *standing* BGP
-  into per-delta join plans (one per pattern position a delta triple can
-  enter through), the O(delta) maintenance path the subscription layer
-  uses instead of re-running seeded ``solve`` every revision.
+* :mod:`~repro.store.planner.incremental` — a *standing* BGP as a
+  headless rule: compiled once into the rules' conjunction form, the
+  O(delta) maintenance path the subscription layer uses instead of
+  re-running seeded ``solve`` every revision.
 
 ``solve`` in :mod:`repro.store.query` delegates here; the written-order
 reference evaluator (``solve_naive``) stays behind as the differential

@@ -1,22 +1,25 @@
 """Plan execution in encoded integer space: the one join core.
 
 Every conjunction of triple patterns over a store's read half runs here
-— ``solve`` / ``select`` / ``ask``, a standing subscription's delta
-seeds, every rule firing and DRed's head-bound
+— ``solve`` / ``select`` / ``ask``, every rule firing, a standing
+subscription's delta and DRed's head-bound
 :meth:`~repro.reasoner.rules.Rule.supports`.  A plan gives each
 variable a slot (:func:`~repro.store.planner.plan.slot_states`) and a
 row is a tuple of ids: a step probes the index its access path names
 and extends a row by concatenation (``row + (o,)``); a bound or
-repeated variable is a comparison of positions.  Given triples (a
-delta, the head triple of a support check) enter through
-:func:`match_rows`; a firing's batch triples are rows themselves
-(:func:`match_triples`).  :func:`decode_rows` turns ids into terms
-exactly once, at the edge — the naive evaluator instead decodes every
-candidate triple and compares term objects at every step.
+repeated variable is a comparison of positions.  A head triple enters
+a support check through :func:`match_rows`, and :func:`decode_rows`
+turns ids into terms exactly once, at the edge — the naive evaluator
+instead decodes every candidate triple and compares term objects at
+every step.
 
-A firing's join steps go through :func:`join_rows`, which answers a
-large batch of rows with one grouped hash join over the step's
-partition instead of one probe per row; queries keep
+A rule body and a standing query are one thing here, a conjunction
+evaluated over an update (:func:`compile_conjunction`,
+:func:`seeded_rows`): per body position, the batch triples matching
+that pattern are the seed rows, and :func:`join_rows` extends them
+through the other patterns, answering a large batch with one grouped
+hash join over a step's partition.  A rule projects the rows onto its
+head; a standing query decodes them onto its variables.  Queries keep
 :func:`extend_rows`'s per-row access paths.
 """
 
@@ -27,7 +30,7 @@ from typing import Iterator, Sequence
 
 from ..graph import Graph
 from ..query import Binding, TriplePattern
-from .plan import BOUND, CONST, FREE, QueryPlan, plan_bgp
+from .plan import BOUND, CONST, FREE, QueryPlan, plan_bgp, slot_states
 
 __all__ = [
     "solve_planned",
@@ -40,6 +43,9 @@ __all__ = [
     "match_triples",
     "match_rows",
     "has_row",
+    "order_steps",
+    "compile_conjunction",
+    "seeded_rows",
     "decode_rows",
     "resolve_states",
     "BLOCK_ROWS",
@@ -169,12 +175,17 @@ def decode_rows(
 ) -> list[Binding]:
     """Term-level bindings of encoded rows: the one place ids become terms.
 
-    ``carried`` names slots whose values are terms already.
+    ``slots`` names the variable of each slot; a ``None`` slot is not
+    decoded.  ``carried`` names slots whose values are terms already.
     """
     decode = graph.dictionary.decode
     # A plain loop: dict(zip(slots, map(decode, row))) measures about
     # twice as slow on these short rows.
-    layout = [(slot, variable, slot not in carried) for slot, variable in enumerate(slots)]
+    layout = [
+        (slot, variable, slot not in carried)
+        for slot, variable in enumerate(slots)
+        if variable is not None
+    ]
     bindings = []
     for row in rows:
         binding = {}
@@ -224,9 +235,9 @@ def match_triples(program, triples, row: tuple = ()) -> Sequence:
     """The ``triples`` that match under a :func:`match_program`, in order.
 
     A constant position must equal its id, a bound one the row's slot,
-    a repeated fresh variable its first occurrence.  A rule firing's
-    seed rows are its batch's matching triples themselves: each
-    variable of the seed pattern sits at its position.
+    a repeated fresh variable its first occurrence.  The seed rows of a
+    :func:`compile_conjunction` entry are its batch's matching triples
+    themselves: each variable of the seed pattern sits at its position.
     """
     checks, bound, repeats, _, _ = program
     batch = triples
@@ -244,9 +255,8 @@ def match_rows(program, triples, row: tuple = ()) -> list[tuple]:
     """The rows ``triples`` extend ``row`` to under a :func:`match_program`:
     each of :func:`match_triples` appends its fresh positions.
 
-    This seeds a subscription's rows from a delta's added triples and a
-    support check's from the head triple, and is the generic extension
-    of a join step.
+    This seeds a support check's rows from the head triple, and is the
+    generic extension of a join step.
     """
     batch = match_triples(program, triples, row)
     positions, take = program[3], program[4]
@@ -262,11 +272,13 @@ def extend_rows(store, states, rows: list[tuple]) -> list[tuple]:
     """One join step: every row extended by each stored triple it matches.
 
     ``states`` are resolved (constants are ids); the access path follows
-    from which positions are known.
+    from which positions are known.  The probes append to one list: a
+    comprehension per row costs more than a small row's probe.
     """
     (s_tag, s_val), (p_tag, p_val), (o_tag, o_val) = states
     s_const, p_const, o_const = s_tag == CONST, p_tag == CONST, o_tag == CONST
     out: list[tuple] = []
+    append = out.append
 
     if p_tag != FREE:
         if s_tag != FREE and o_tag != FREE:
@@ -275,38 +287,45 @@ def extend_rows(store, states, rows: list[tuple]) -> list[tuple]:
                 p = p_val if p_const else row[p_val]
                 o = o_val if o_const else row[o_val]
                 if (s, p, o) in store:
-                    out.append(row)
+                    append(row)
             return out
         if s_tag != FREE:  # bind the object from the PSO permutation
             objects = store.objects
             for row in rows:
                 s = s_val if s_const else row[s_val]
                 p = p_val if p_const else row[p_val]
-                out.extend([row + (o,) for o in objects(p, s)])
+                for o in objects(p, s):
+                    append(row + (o,))
             return out
         if o_tag != FREE:  # bind the subject from the POS permutation
             subjects = store.subjects
             for row in rows:
                 p = p_val if p_const else row[p_val]
                 o = o_val if o_const else row[o_val]
-                out.extend([row + (s,) for s in subjects(p, o)])
+                for s in subjects(p, o):
+                    append(row + (s,))
             return out
         # Predicate known, both ends free: walk the predicate partition.
         pairs = store.pairs_for_predicate
         for row in rows:
             p = p_val if p_const else row[p_val]
             if s_val == o_val:
-                out.extend([row + (s,) for s, o in pairs(p) if s == o])
+                for s, o in pairs(p):
+                    if s == o:
+                        append(row + (s,))
             else:
-                out.extend([row + pair for pair in pairs(p)])
+                for pair in pairs(p):
+                    append(row + pair)
         return out
 
     # Free predicate variable: use the SPO / OSP permutations.
     if s_tag != FREE and o_tag != FREE:
+        between = store.predicates_between
         for row in rows:
             s = s_val if s_const else row[s_val]
             o = o_val if o_const else row[o_val]
-            out.extend([row + (p,) for p in store.predicates_between(s, o)])
+            for p in between(s, o):
+                append(row + (p,))
         return out
     program = match_program(states)
     if s_tag != FREE:
@@ -372,6 +391,80 @@ def join_rows(store, states, rows: list[tuple]) -> list[tuple]:
         if extensions:
             out.extend([row + extension for extension in extensions])
     return out
+
+
+def order_steps(patterns: Sequence, slots: dict, variable: type) -> tuple:
+    """The step states of ``patterns``, most-bound first (fewest unbound
+    variable positions once the earlier ones are bound), ties in body
+    order.  ``slots`` maps each variable to its row slot and gains the
+    new ones; ``variable`` is the patterns' variable type."""
+    remaining, steps = list(patterns), []
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda p: sum(isinstance(t, variable) and t not in slots for t in p),
+        )
+        remaining.remove(best)
+        steps.append(slot_states(best, slots, variable))
+    return tuple(steps)
+
+
+def compile_conjunction(body: Sequence, variable: type) -> tuple:
+    """A conjunction of patterns compiled for :func:`seeded_rows`, one
+    entry per body position: ``(seed match program, partitions to ask
+    before seeding, partitions to ask after, step states, layout)``.
+
+    Constants must be ids.  The partitions are the other patterns'
+    constant predicates: when one is empty no row can extend through
+    it.  A seed with a constant predicate is matched first (few batch
+    triples carry it); one with a variable predicate matches the whole
+    batch, so the partitions are asked first.  A seed row is the batch
+    triple itself, each seed variable at its first position; the steps
+    append slots from 3 on.  The layout names the variable of each
+    slot, ``None`` for a seed position holding a constant or a repeat.
+    """
+    body = tuple(tuple(pattern) for pattern in body)
+    entries = []
+    for index, pattern in enumerate(body):
+        rest = body[:index] + body[index + 1:]
+        slots: dict = {}
+        for position, term in enumerate(pattern):
+            if isinstance(term, variable) and term not in slots:
+                slots[term] = position
+            else:
+                slots[("seed", position)] = position  # a constant or repeat
+        steps = order_steps(rest, slots, variable)
+        layout = tuple(term if isinstance(term, variable) else None for term in slots)
+        seed = match_program(slot_states(pattern, {}, variable))
+        partitions = tuple(dict.fromkeys(
+            p[1] for p in rest if not isinstance(p[1], variable)
+        ))
+        if isinstance(pattern[1], variable):
+            entries.append((seed, partitions, (), steps, layout))
+        else:
+            entries.append((seed, (), partitions, steps, layout))
+    return tuple(entries)
+
+
+def seeded_rows(store, entry, triples) -> Sequence:
+    """The rows of one :func:`compile_conjunction` entry: its pattern
+    over ``triples`` joined with the other patterns over ``store``.
+
+    Empty without a seed when another pattern's partition is empty; if
+    a triple matching it arrives later, *its* entry finds ``triples``
+    already stored.
+    """
+    seed, before, after, steps, _ = entry
+    if before and not all(map(store.has_predicate, before)):
+        return ()
+    rows = match_triples(seed, triples)
+    if not rows or after and not all(map(store.has_predicate, after)):
+        return ()
+    for states in steps:
+        if not rows:
+            break
+        rows = join_rows(store, states, rows)
+    return rows
 
 
 def has_row(store, steps: Sequence, rows: list[tuple], start: int = 0) -> bool:

@@ -1,24 +1,24 @@
-"""Incremental join plans for standing BGPs.
+"""Standing BGPs as headless rules.
 
-Following the "queries under updates" treatment, a standing BGP is
-compiled *once* into k+1 plans (k = pattern count):
+Following the "queries under updates" treatment, a standing BGP's new
+solutions after a commit are the conjunction evaluated over the
+commit's added triples — exactly what a rule firing computes over its
+batch, without the head.  So a standing BGP compiles once into the
+rules' form, :func:`~repro.store.planner.executor.compile_conjunction`:
+per pattern position, the added triples matching that pattern seed
+rows that the static most-bound steps extend over the store, and
+:func:`~repro.store.planner.executor.decode_rows` turns the rows into
+bindings.  Maintenance work is O(delta × body), never O(data).
 
-* the **full plan** — used to materialize the initial solution set at
-  registration time;
-* one **rest plan per pattern** — the join of the other k-1 patterns,
-  ordered assuming that pattern's variables are already bound.  When a
-  committed delta adds triples, each added triple is unified against
-  each pattern *in encoded space*; every hit seeds the matching rest
-  plan, so maintenance work is O(delta × plan), never O(data).
+The patterns are term-level and the compiled form holds ids, so
+:meth:`IncrementalBGPPlan.compile` resolves the constants once.  While
+a constant is unseen no triple can hold it and no solution exists;
+once every constant is interned its id never changes.
 
 Removals need no plan at all: a maintained solution dies iff one of its
 fully-instantiated supporting triples is net-removed (the subscription
-layer keeps that logic).
-
-Plans age as the graph grows — statistics collected over an empty graph
-at subscribe time would order joins arbitrarily forever — so the plan
-recompiles itself when the store size drifts past 2× (either way) of
-the size it was planned at.
+layer keeps that logic).  The initial solution set is the planner's
+full evaluation.
 """
 
 from __future__ import annotations
@@ -28,102 +28,63 @@ from typing import Sequence
 from ...rdf.terms import Variable
 from ..graph import Graph
 from ..query import Binding, TriplePattern
-from .executor import (
-    decode_rows,
-    execute_encoded,
-    execute_plan,
-    match_program,
-    match_rows,
-    resolve_states,
-)
-from .plan import plan_bgp, slot_states
+from .executor import compile_conjunction, decode_rows, execute_plan, seeded_rows
+from .plan import plan_bgp
 
 __all__ = ["IncrementalBGPPlan"]
 
-#: Recompile when the store size drifts past this factor of the planned
-#: size (with a small absolute floor so tiny graphs don't thrash).
-_REPLAN_FACTOR = 2
-_REPLAN_FLOOR = 64
-
 
 class IncrementalBGPPlan:
-    """Compiled maintenance plans for one standing BGP."""
+    """One standing BGP: its full evaluation and its compiled conjunction."""
 
-    __slots__ = (
-        "patterns",
-        "_entries",
-        "_full_plan",
-        "_rest_plans",
-        "_planned_size",
-    )
+    __slots__ = ("patterns", "_conjunction")
 
     def __init__(self, patterns: Sequence[TriplePattern]):
         self.patterns: tuple[TriplePattern, ...] = tuple(tuple(p) for p in patterns)
-        # Per pattern: its states as the step a delta triple enters
-        # through (every variable a fresh slot, in first-occurrence
-        # order); the rows it seeds enter that pattern's rest plan.
-        self._entries = tuple(slot_states(pattern, {}) for pattern in self.patterns)
-        self._full_plan = None
-        self._rest_plans: tuple | None = None
-        self._planned_size = -1
+        self._conjunction: tuple | None = None
 
-    # --- compilation -------------------------------------------------------
     def compile(self, graph: Graph) -> None:
-        """(Re)build all plans against the graph's current statistics."""
-        self._full_plan = plan_bgp(graph, self.patterns)
-        self._rest_plans = tuple(
-            plan_bgp(
-                graph,
-                self.patterns[:index] + self.patterns[index + 1 :],
-                bound=[term for term in pattern if isinstance(term, Variable)],
-            )
-            for index, pattern in enumerate(self.patterns)
-        )
-        self._planned_size = len(graph.store)
-
-    def _ensure_fresh(self, graph: Graph) -> None:
-        if self._full_plan is None:
-            self.compile(graph)
+        """Resolve the constants to ids and compile the conjunction; left
+        for a later call while a constant is unseen."""
+        if self._conjunction is not None:
             return
-        size = len(graph.store)
-        planned = self._planned_size
-        if (
-            size > planned * _REPLAN_FACTOR + _REPLAN_FLOOR
-            or planned > size * _REPLAN_FACTOR + _REPLAN_FLOOR
-        ):
-            self.compile(graph)
+        lookup = graph.dictionary.lookup
+        body = []
+        for pattern in self.patterns:
+            resolved = tuple(
+                term if isinstance(term, Variable) else lookup(term) for term in pattern
+            )
+            if any(term is None for term in resolved):
+                return
+            body.append(resolved)
+        self._conjunction = compile_conjunction(body, Variable)
 
-    # --- evaluation --------------------------------------------------------
     def solutions(self, graph: Graph) -> list[Binding]:
         """Full materialization (registration / reseeding)."""
-        self._ensure_fresh(graph)
-        return execute_plan(graph, self._full_plan)
+        return execute_plan(graph, plan_bgp(graph, self.patterns))
 
     def additions(
         self, graph: Graph, added_encoded: Sequence[tuple[int, int, int]]
     ) -> list[Binding]:
         """Candidate new solutions introduced by a delta's added triples.
 
-        Returns term-level bindings, possibly with duplicates across
-        entry patterns — the caller dedupes against its maintained set.
+        Returns term-level bindings, one per entry pattern an added
+        triple instantiates — the caller dedupes against its maintained
+        set.
         """
         if not added_encoded:
             return []
-        self._ensure_fresh(graph)
-        lookup = graph.dictionary.lookup
+        self.compile(graph)
+        if self._conjunction is None:
+            return []  # a constant is unseen: no triple holds it
+        store = graph.store
         results: list[Binding] = []
-        for entry, rest_plan in zip(self._entries, self._rest_plans):
-            states = resolve_states(entry, lookup)
-            if states is None:
-                continue  # a constant this pattern needs is unseen: no match
-            rows = match_rows(match_program(states), added_encoded)
-            if rows and rest_plan.steps:
-                rows = execute_encoded(graph, rest_plan, rows)
-            results.extend(decode_rows(graph, rest_plan.slots, rows))
+        for entry in self._conjunction:
+            rows = seeded_rows(store, entry, added_encoded)
+            if rows:
+                results.extend(decode_rows(graph, entry[-1], rows))
         return results
 
     def __repr__(self):
-        return (
-            f"<IncrementalBGPPlan patterns={len(self.patterns)} "
-            f"planned_size={self._planned_size}>"
-        )
+        state = "compiled" if self._conjunction is not None else "awaiting constants"
+        return f"<IncrementalBGPPlan patterns={len(self.patterns)} {state}>"
