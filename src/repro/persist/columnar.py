@@ -222,17 +222,20 @@ class ColumnarSnapshot:
 
     @property
     def triple_count(self) -> int:
+        """Stored triples in the image, explicit plus inferred."""
         return self.explicit_count + self.inferred_count
 
     # --- lazy v1-compatible views ----------------------------------------
     @property
     def terms(self) -> list[Term]:
+        """Every term, indexed by its snapshot id (decoded on first access)."""
         if self._terms is None:
             self._terms = [self.term(i) for i in range(self.term_count)]
         return self._terms
 
     @property
     def explicit(self) -> list[EncodedTriple]:
+        """The asserted partition as id triples, in (s, p, o) order."""
         if self._explicit is None:
             spo_s, spo_p, spo_o = self.spo
             self._explicit = [
@@ -242,6 +245,7 @@ class ColumnarSnapshot:
 
     @property
     def inferred(self) -> list[EncodedTriple]:
+        """The derived partition as id triples, in (s, p, o) order."""
         if self._inferred is None:
             explicit = set(self.explicit_rows)
             spo_s, spo_p, spo_o = self.spo

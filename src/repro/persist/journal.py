@@ -332,6 +332,7 @@ class JournalWriter:
         return self._handle.tell()
 
     def close(self) -> None:
+        """Close the file handle (idempotent); appends after it fail."""
         if not self._handle.closed:
             self._handle.close()
 

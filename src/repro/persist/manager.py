@@ -197,6 +197,8 @@ class PersistenceManager:
         return len(blob)
 
     def close(self) -> None:
+        """Close the changelog writer and release the directory lock
+        (idempotent), so another engine can open the directory."""
         if self._writer is not None:
             self._writer.close()
             self._writer = None

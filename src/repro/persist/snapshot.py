@@ -93,6 +93,7 @@ class Snapshot:
 
     @property
     def triple_count(self) -> int:
+        """Stored triples in the image, explicit plus inferred."""
         return len(self.explicit) + len(self.inferred)
 
     def restore(self, dictionary: TermDictionary, store) -> set[EncodedTriple]:

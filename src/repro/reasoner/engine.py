@@ -44,8 +44,13 @@ changed (explicit/inferred additions, DRed removals, re-derivations,
 per-module timings).  :meth:`Slider.transaction` builds a delta
 incrementally; :meth:`Slider.subscribe` registers standing BGP queries
 notified with binding-level diffs; :meth:`Slider.flush_async` pipelines
-the commit barrier.  The legacy one-shot :meth:`add` / :meth:`retract`
-remain as thin shims over the same pipeline.
+the commit barrier.  :meth:`add` is the streaming ingest path
+(:class:`~repro.reasoner.stream.StreamPump`,
+:class:`~repro.reasoner.window.WindowedReasoner` and
+:func:`~repro.bench.harness.run_slider` feed through it): it stages
+assertions without the barrier, and the next :meth:`flush` or
+:meth:`apply` commits them.  :meth:`retract` is a one-shot
+retraction-only :meth:`apply`.
 
 >>> from repro import Slider
 >>> reasoner = Slider(fragment="rhodf", workers=0)
@@ -53,7 +58,7 @@ remain as thin shims over the same pipeline.
 ...     tx.add(new_triples)
 ...     tx.retract(stale_triples)
 >>> tx.report.inferred_added_count       # what the commit changed
->>> reasoner.add(triples)                # legacy shim — deferred one-shot
+>>> reasoner.add(triples)                # streaming ingest, deferred
 >>> reasoner.flush()                     # barrier: commits the revision
 
 Durability
@@ -63,10 +68,12 @@ Durability
 is journaled to an fsynced write-ahead changelog before :meth:`apply`
 returns, and a threshold (or an explicit :meth:`Slider.snapshot` call)
 compacts the changelog into an atomic binary snapshot.  Start-up over a
-non-empty directory *recovers* — snapshot load plus changelog replay
-through the normal pipeline — so a killed process resumes at the exact
-closure and revision id it had committed (see
-:mod:`repro.persist` and :class:`RecoveryInfo`).
+non-empty directory *recovers* the way a replica starts: the engine is
+built in-memory, the snapshot goes in through :meth:`restore_snapshot`
+and every journaled revision re-commits through :meth:`apply_at`; only
+then is the journal attached.  A killed process resumes at the exact
+closure and revision id it had committed (see :mod:`repro.persist` and
+:class:`RecoveryInfo`).
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -122,6 +130,7 @@ class SliderError(RuntimeError):
     """A rule-module instance failed; carries the underlying cause."""
 
 
+@dataclass(eq=False)
 class RecoveryInfo:
     """What a durable engine restored at start-up.
 
@@ -129,29 +138,13 @@ class RecoveryInfo:
     ``None`` for a cold (empty-directory) start.
     """
 
-    __slots__ = (
-        "snapshot_revision",
-        "snapshot_triples",
-        "replayed_records",
-        "reports",
-        "torn_bytes_dropped",
-    )
-
-    def __init__(
-        self,
-        snapshot_revision: int,
-        snapshot_triples: int,
-        replayed_records: int,
-        reports: "list[InferenceReport]",
-        torn_bytes_dropped: int,
-    ):
-        self.snapshot_revision = snapshot_revision
-        self.snapshot_triples = snapshot_triples
-        self.replayed_records = replayed_records
-        #: The reports the journal replay re-fired, in revision order —
-        #: deterministic re-runs of the lost process's commits.
-        self.reports = reports
-        self.torn_bytes_dropped = torn_bytes_dropped
+    snapshot_revision: int
+    snapshot_triples: int
+    replayed_records: int
+    #: The reports the journal replay re-fired, in revision order —
+    #: deterministic re-runs of the lost process's commits.
+    reports: list[InferenceReport]
+    torn_bytes_dropped: int
 
     @property
     def recovered_revision(self) -> int:
@@ -255,7 +248,7 @@ class Slider:
         revision is journaled to an fsynced write-ahead changelog
         before :meth:`apply` returns, and start-up *recovers*: the
         latest snapshot is loaded and the changelog tail is replayed
-        through the normal :meth:`apply` pipeline (reports re-fire
+        through :meth:`apply_at`, the replica path (reports re-fire
         deterministically; see :attr:`recovery`).  ``None`` (default)
         keeps the engine purely in-memory.
     persist_fsync:
@@ -292,51 +285,25 @@ class Slider:
         self.fragment = fragment if isinstance(fragment, Fragment) else get_fragment(fragment)
         self.dictionary = dictionary if dictionary is not None else TermDictionary()
         self.store = create_store(store)
-        # Durability: load the snapshot before anything can dispatch, so
-        # the recovered closure never re-enters the rule pipeline.
+        # Durability is attached last (see _recover): until then this is
+        # an in-memory engine, so recovery journals nothing.
         self._persist: PersistenceManager | None = None
-        self._replaying = False
         self._staged_assertions: list[Triple] = []
         self._staged_retractions: list[Triple] = []
         self.recovery: RecoveryInfo | None = None
-        loaded_snapshot = None
-        replay_records: list = []
-        recovered_explicit: set[EncodedTriple] | None = None
+        manager = None
         if persist_dir is not None:
             if not isinstance(self.dictionary, TermDictionary):
                 raise SliderError(
                     "persistence requires a TermDictionary "
                     f"(got {type(self.dictionary).__name__})"
                 )
-            self._persist = PersistenceManager(
+            manager = PersistenceManager(
                 persist_dir,
                 fsync=persist_fsync,
                 compact_bytes=compact_journal_bytes,
                 fragment=self.fragment.name,
             )
-            try:
-                loaded_snapshot, replay_records = self._persist.load()
-                for source, recorded in (
-                    ("snapshot", getattr(loaded_snapshot, "fragment", None)),
-                    ("changelog", self._persist.journal_fragment),
-                ):
-                    # Replaying under different rules would silently
-                    # produce a different closure — refuse both
-                    # durable artifacts.
-                    if recorded is not None and recorded != self.fragment.name:
-                        raise SliderError(
-                            f"{source} in {persist_dir} was built under fragment "
-                            f"{recorded!r}, engine runs {self.fragment.name!r}"
-                        )
-                if loaded_snapshot is not None:
-                    recovered_explicit = loaded_snapshot.restore(
-                        self.dictionary, self.store
-                    )
-            except BaseException:
-                # A failed start-up must release the directory lock and
-                # file handles, or a retrying caller is wedged out.
-                self._persist.close()
-                raise
         self.vocab = Vocabulary(self.dictionary)
         self.trace = trace if trace is not None else NullTrace()
         self.buffer_size = buffer_size
@@ -372,11 +339,11 @@ class Slider:
         # Two locks, always acquired commit-then-tx: _commit_lock
         # serializes whole commits (apply/flush) against each other,
         # while _tx_lock is the short writer gate — writers (the add
-        # shims) hold it per batch, and a commit only holds it for the
-        # final quiet-check + snapshot, so a background flush_async can
+        # ingest path) hold it per batch, and a commit only holds it for
+        # the final quiet-check + snapshot, so a background flush_async can
         # compute the fixpoint while service threads keep queueing.
         self._changes = ChangeLog()
-        self._revision = 0 if loaded_snapshot is None else loaded_snapshot.revision
+        self._revision = 0
         # Per-rule-module metric children, resolved lazily on the first
         # commit and reused on every one after (see _commit_revision).
         self._obs_rule_children: dict[str, object] = {}
@@ -417,10 +384,6 @@ class Slider:
             trace=self.trace,
             on_new=self._record_explicit,
         )
-        if recovered_explicit is not None:
-            # The snapshot's assertion partition survives recovery: DRed
-            # immunity and input_count depend on it.
-            self.input_manager.explicit.update(recovered_explicit)
         if adaptive is True:
             adaptive = AdaptiveBufferController()
         self.adaptive = adaptive or None
@@ -450,20 +413,8 @@ class Slider:
         axioms = self.fragment.axioms()
         if axioms:
             self._axiom_count = self.input_manager.add(axioms)
-        if loaded_snapshot is not None:
-            # Recovered axioms are already stored (the add above was a
-            # no-op); the baseline comes from the snapshot header.
-            self._axiom_count = loaded_snapshot.axiom_count
-        if self._persist is not None:
-            try:
-                self._recover(loaded_snapshot, replay_records)
-            except BaseException:
-                self._persist.close()
-                raise
-            finally:
-                close_image = getattr(loaded_snapshot, "close", None)
-                if close_image is not None:  # columnar images hold an mmap
-                    close_image()
+        if manager is not None:
+            self._recover(manager)
 
     # --- delta pipeline (the transactional entry point) ---------------------
     def apply(self, delta: Delta) -> InferenceReport:
@@ -480,9 +431,9 @@ class Slider:
 
         Deltas are net-normalized: a triple asserted *and* retracted in
         the same delta is a no-op.  Any mutations deferred earlier (the
-        one-shot :meth:`add` shim, stream chunks) are folded into this
-        revision, so the report remains the precise diff against the
-        previous revision.
+        streaming :meth:`add` ingest) are folded into this revision, so
+        the report remains the precise diff against the previous
+        revision.
 
         A graph-scoped delta (``Delta(graph=...)``) additionally tags
         the revision's newly-explicit assertions — including any folded
@@ -654,22 +605,23 @@ class Slider:
                 self._commit_listeners.remove(listener)
 
     def apply_at(self, revision: int, delta: Delta) -> InferenceReport:
-        """Commit ``delta`` as exactly revision ``revision`` (replicas).
+        """Commit ``delta`` as exactly revision ``revision`` (replicas,
+        changelog replay).
 
-        The follower-side twin of changelog replay: the revision counter
-        fast-forwards over the gap (unjournaled empty revisions on the
-        leader) and the delta commits through the ordinary
-        :meth:`apply` pipeline, so the replica reaches the same closure
-        under the same revision id, fires the same reports and
-        subscription events, and — when itself durable — journals the
+        The revision counter fast-forwards over the gap (unjournaled
+        empty revisions on the leader) and the delta commits through the
+        ordinary :meth:`apply` pipeline, so a replica — or a durable
+        engine replaying its own changelog at start-up — reaches the
+        same closure under the same revision id and fires the same
+        reports and subscription events; a durable replica journals the
         same record.  ``revision`` must be ahead of the engine's current
-        revision; replicated streams only move forward.
+        revision; replicated and journaled streams only move forward.
         """
         self._check_open()
         with self._commit_lock, self._tx_lock:
             if revision <= self._revision:
                 raise SliderError(
-                    f"replicated revision {revision} is not ahead of "
+                    f"revision {revision} is not ahead of "
                     f"engine revision {self._revision}"
                 )
             previous = self._revision
@@ -702,13 +654,15 @@ class Slider:
 
         Only valid on an engine that has never committed a revision: the
         snapshot's closure, explicit partition, axiom baseline and
-        revision id *become* the engine's state, exactly as a durable
-        engine restores its own ``snapshot.slider`` at start-up.  The
-        fragment's own axioms (ingested at construction) are already
-        part of the image, so the union is the snapshot closure
-        bit-for-bit.  On a durable engine the restored image is sealed
-        to disk immediately, so a restart recovers locally instead of
-        re-bootstrapping.
+        revision id *become* the engine's state; a durable engine
+        restores its own ``snapshot.slider`` at start-up through here
+        too.  The fragment's own axioms (ingested at construction) are
+        already part of the image, so the union is the snapshot closure
+        bit-for-bit.  With a journal attached (a durable follower's
+        bootstrap) the restored image is sealed to disk immediately, so
+        a restart recovers locally instead of re-bootstrapping; start-up
+        recovery attaches its journal only afterwards, so it never
+        re-seals the image it loaded.
         """
         self._check_open()
         if snapshot.fragment and snapshot.fragment != self.fragment.name:
@@ -733,7 +687,7 @@ class Slider:
             self._staged_assertions = []
             self._staged_retractions = []
             if self._persist is not None:
-                self._write_snapshot_locked()
+                self._persist.write_snapshot(**self._image_state())
 
     def snapshot_bytes(self) -> bytes:
         """The committed state as one self-verifying snapshot blob.
@@ -742,9 +696,9 @@ class Slider:
         without touching the durable files or truncating the changelog.
         The engine is locked for the duration, so the image is exactly
         the last committed revision.  (Mutations deferred through the
-        legacy ``add`` shim are settled into the image without a commit
-        — on the coalesced service path every write commits, so the
-        image and revision always agree.)
+        streaming ``add`` ingest are settled into the image without a
+        commit — on the coalesced service path every write commits, so
+        the image and revision always agree.)
         """
         self._check_open()
         with self._commit_lock, self._tx_lock:
@@ -796,7 +750,7 @@ class Slider:
                             or self._staged_retractions
                         ):
                             self._commit_revision()
-                        self._write_snapshot_locked()
+                        self._persist.write_snapshot(**self._image_state())
                         return self._persist.snapshot_path
 
     def _image_state(self) -> dict:
@@ -819,63 +773,67 @@ class Slider:
             graphs=graphs,
         )
 
-    def _write_snapshot_locked(self) -> None:
-        """Seal the quiesced state (callers hold both locks)."""
-        self._persist.write_snapshot(**self._image_state())
+    def _recover(self, manager: PersistenceManager) -> None:
+        """Start a durable engine the way a replica starts, then attach it.
 
-    def _recover(self, snapshot, records) -> None:
-        """Replay the changelog tail through the normal pipeline.
-
-        Runs last in ``__init__``: the snapshot (if any) is already in
-        the store, so each journaled revision re-commits through
-        :meth:`apply` exactly as the lost process committed it — same
-        revision ids, same closure, deterministically re-fired reports.
+        Runs last in ``__init__``, on an engine that is still in-memory:
+        the snapshot (if any) goes in through :meth:`restore_snapshot`
+        and each journaled revision re-commits through :meth:`apply_at`,
+        exactly as a follower reaches its leader's closure and revision
+        ids.  Only then is ``manager`` attached, so replay journals
+        nothing, feeds no listener and never re-seals the snapshot it
+        just loaded.  A failed start-up stops the engine and releases
+        the directory lock, so a retry can open the directory at once.
         """
-        if snapshot is None and not records and not self._persist.torn_bytes_dropped:
-            return  # cold start: nothing durable yet
-        reports: list[InferenceReport] = []
-        self._replaying = True
+        image = None
         try:
-            for record in records:
-                if record.revision <= self._revision:
-                    raise SliderError(
-                        f"changelog replay drifted: journal revision "
-                        f"{record.revision} at or below engine revision "
-                        f"{self._revision}"
-                    )
-                # Gaps are empty revisions (bare flushes) that were
-                # deliberately not journaled: fast-forward over them.
-                self._revision = record.revision - 1
-                report = self.apply(
-                    Delta(
-                        assertions=record.assertions,
-                        retractions=record.retractions,
-                        graph=record.graph,
-                    )
+            image, records = manager.load()
+            recorded = manager.journal_fragment
+            if recorded is not None and recorded != self.fragment.name:
+                # Replaying under different rules would silently produce
+                # a different closure (restore_snapshot refuses a
+                # mismatched image the same way).
+                raise SliderError(
+                    f"changelog in {manager.directory} was built under "
+                    f"fragment {recorded!r}, engine runs {self.fragment.name!r}"
                 )
-                assert report.revision == record.revision
-                reports.append(report)
+            if image is not None:
+                self.restore_snapshot(image)
+            reports = [
+                self.apply_at(
+                    record.revision,
+                    Delta(record.assertions, record.retractions, graph=record.graph),
+                )
+                for record in records
+            ]
+            if image is not None or records or manager.torn_bytes_dropped:
+                self.recovery = RecoveryInfo(
+                    snapshot_revision=image.revision if image is not None else 0,
+                    snapshot_triples=image.triple_count if image is not None else 0,
+                    replayed_records=len(records),
+                    reports=reports,
+                    torn_bytes_dropped=manager.torn_bytes_dropped,
+                )
+        except BaseException:
+            manager.close()
+            self._shut_down(wait=True)
+            raise
         finally:
-            self._replaying = False
-        self.recovery = RecoveryInfo(
-            snapshot_revision=snapshot.revision if snapshot is not None else 0,
-            snapshot_triples=snapshot.triple_count if snapshot is not None else 0,
-            replayed_records=len(records),
-            reports=reports,
-            torn_bytes_dropped=self._persist.torn_bytes_dropped,
-        )
+            close_image = getattr(image, "close", None)
+            if close_image is not None:  # columnar images hold an mmap
+                close_image()
+        self._persist = manager
 
-    # --- one-shot shims (deprecated in favour of apply/transaction) ---------
+    # --- streaming ingest and the one-shot retraction ----------------------
     def add(self, triples: Iterable[Triple] | Triple) -> int:
         """Feed explicit triples (incremental). Returns how many were new.
 
-        .. deprecated::
-            Thin shim over the delta pipeline — equivalent to staging
-            ``Delta(assertions=triples)`` without the commit barrier;
-            the triples land in the revision committed by the next
-            :meth:`flush` / :meth:`apply`.  Prefer
-            :meth:`transaction` (or :meth:`apply`) to get an
-            :class:`~repro.reasoner.delta.InferenceReport` back.
+        The streaming ingest path: equivalent to staging
+        ``Delta(assertions=triples)`` without the commit barrier, so
+        full buffers fire while the stream keeps arriving; the triples
+        land in the revision committed by the next :meth:`flush` /
+        :meth:`apply`.  Use :meth:`transaction` (or :meth:`apply`) to
+        get an :class:`~repro.reasoner.delta.InferenceReport` back.
         """
         self._check_open()
         if isinstance(triples, Triple):
@@ -1070,14 +1028,7 @@ class Slider:
         try:
             self.flush()
         finally:
-            self._closed = True
-            self._sweeper_stop.set()
-            if self._sweeper is not None:
-                self._sweeper.join(timeout=2.0)
-            self._executor.shutdown(wait=True)
-            if self._persist is not None:
-                self._persist.close()
-            self._unhook()
+            self._shut_down(wait=True)
 
     def __enter__(self) -> "Slider":
         return self
@@ -1086,12 +1037,19 @@ class Slider:
         if exc_type is None:
             self.close()
         else:  # don't mask the original error with a flush failure
-            self._closed = True
-            self._sweeper_stop.set()
-            self._executor.shutdown(wait=False)
-            if self._persist is not None:
-                self._persist.close()
-            self._unhook()
+            self._shut_down(wait=False)
+
+    def _shut_down(self, wait: bool) -> None:
+        """Stop the sweeper and the pool, release the durable files and
+        unhook; ``wait`` joins the threads."""
+        self._closed = True
+        self._sweeper_stop.set()
+        if wait and self._sweeper is not None:
+            self._sweeper.join(timeout=2.0)
+        self._executor.shutdown(wait=wait)
+        if self._persist is not None:
+            self._persist.close()
+        self._unhook()
 
     # --- inspection ----------------------------------------------------------
     def __len__(self) -> int:
@@ -1198,25 +1156,24 @@ class Slider:
         """
         self._revision += 1
         report = self._changes.snapshot(self._revision, self.dictionary, graph=graph)
-        # Drain the staged requested delta in every case (replay stages
-        # too); journal/feed it only for live, content-bearing commits —
-        # the replay source *is* the journal, and a completely empty
-        # revision (a bare flush, e.g. the implicit one in close())
-        # writes no record: journaling it would cost an fsync per no-op
-        # cycle, and both replay and followers fast-forward the revision
-        # counter over gaps.
+        # Drain the staged requested delta; journal it only for
+        # content-bearing commits — a completely empty revision (a bare
+        # flush, e.g. the implicit one in close()) writes no record:
+        # journaling it would cost an fsync per no-op cycle, and both
+        # replay and followers fast-forward the revision counter over
+        # gaps.  Recovery replays before the journal is attached, so it
+        # journals nothing.
         assertions = self._staged_assertions
         retractions = self._staged_retractions
         self._staged_assertions = []
         self._staged_retractions = []
-        content = not self._replaying and bool(assertions or retractions or report)
-        if self._persist is not None and content:
+        if self._persist is not None and (assertions or retractions or report):
             self._persist.journal_commit(
                 self._revision, assertions, retractions, graph=graph
             )
             if self._persist.should_compact():
-                self._write_snapshot_locked()
-        if self._commit_listeners and not self._replaying:
+                self._persist.write_snapshot(**self._image_state())
+        if self._commit_listeners:
             # Every live commit, content-bearing or not: an empty
             # revision still consumes a revision id, and the feed must
             # advance its watermark so followers can track the leader's

@@ -416,19 +416,23 @@ class Follower:
         service.replication = self.status
         return service
 
-    def _ensure_service(self) -> None:
-        """First start: recover locally when durable, else start fresh."""
-        if self._service is not None:
-            return
-        fragment = self._discover_fragment()
-        reasoner = Slider(
-            fragment=fragment,
+    def _new_engine(self) -> Slider:
+        """The replica engine; over a durable directory that holds state
+        its constructor recovers it (snapshot restore + changelog replay)."""
+        return Slider(
+            fragment=self._discover_fragment(),
             workers=self._workers,
             timeout=self._timeout,
             buffer_size=self._buffer_size,
             persist_dir=self._persist_dir,
             persist_fsync=self._persist_fsync,
         )
+
+    def _ensure_service(self) -> None:
+        """First start: recover locally when durable, else start fresh."""
+        if self._service is not None:
+            return
+        reasoner = self._new_engine()
         self._swap_service(self._build_service(reasoner))
         self._note_progress(applied=reasoner.revision)
 
@@ -508,14 +512,7 @@ class Follower:
                 stale = self._persist_dir / name
                 if stale.exists():
                     stale.unlink()
-        reasoner = Slider(
-            fragment=self._fragment,
-            workers=self._workers,
-            timeout=self._timeout,
-            buffer_size=self._buffer_size,
-            persist_dir=self._persist_dir,
-            persist_fsync=self._persist_fsync,
-        )
+        reasoner = self._new_engine()
         try:
             reasoner.restore_snapshot(snapshot)
         except SliderError:

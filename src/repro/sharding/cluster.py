@@ -30,7 +30,8 @@ How a commit works
    (broadcast for derived schema, owner-directed for instance triples);
    a shard's net-removed triples that are not user-asserted broadcast
    as retractions to the shards still holding them, so remotely
-   supported copies are DRed-checked and either re-derived or dropped.
+   supported copies are DRed-checked and either re-derived or dropped;
+   a copy one shard re-derives goes back to the shards that dropped it.
    Rounds repeat until no forwards remain — the global fixpoint.
 5. **One global revision.**  The vector of per-shard revisions advances
    by however many sub-commits each shard performed; the cluster
@@ -489,9 +490,12 @@ class ShardedReasoner:
             totals = {"dred_deleted": 0, "dred_rederived": 0, "dred_probes": 0}
 
             reports = self._run_streams(streams)
+            retracted = [t for delta in deltas for t in delta.retractions]
             rounds = 0
             while True:
-                forwards = self._merge(reports, g_added, g_removed, timings, totals)
+                forwards = self._merge(
+                    reports, retracted, g_added, g_removed, timings, totals
+                )
                 if not any(forwards):
                     break
                 rounds += 1
@@ -502,6 +506,7 @@ class ShardedReasoner:
                     )
                 self._forwards["rounds"] += 1
                 reports = self._run_streams([[d] if d else [] for d in forwards])
+                retracted = [t for d in forwards if d for t in d.retractions]
 
             self._revision += 1
             explicit = tuple(t for t in g_added if t in asserted_ids)
@@ -568,6 +573,7 @@ class ShardedReasoner:
     def _merge(
         self,
         reports: list[list[InferenceReport]],
+        retracted: Sequence[Triple],
         g_added: dict[EncodedTriple, None],
         g_removed: dict[EncodedTriple, None],
         timings: dict[str, float],
@@ -576,11 +582,13 @@ class ShardedReasoner:
         """Fold one round of shard reports into cluster state.
 
         Deterministic: shards in index order, each shard's reports in
-        stream order, triples in report order.  Returns the next
-        round's per-shard forward deltas (``None`` where idle).
+        stream order, triples in report order.  ``retracted``: the
+        retractions the shards ran.  Returns the next round's per-shard
+        forward deltas (``None`` where idle).
         """
         fwd_assert: list[dict[Triple, None]] = [{} for _ in range(self.shards)]
         fwd_retract: list[dict[Triple, None]] = [{} for _ in range(self.shards)]
+        lost: dict[Triple, None] = {}
         encode = self.dictionary.encode_triple
         route = self.router.route
         holders = self._holders
@@ -633,12 +641,34 @@ class ShardedReasoner:
                         else:
                             g_removed[encoded] = None
                     if encoded not in self._explicit:
-                        # The deriving shard lost this triple's support;
-                        # every shard still holding a copy must DRed-check
-                        # its own (and either re-derive or drop it).
-                        for dest in range(self.shards):
-                            if (mask >> dest) & 1:
-                                fwd_retract[dest][triple] = None
+                        lost[triple] = None
+
+        # A shard lost support for a triple no user asserted: every copy
+        # still held at the end of the round (one forwarded to a shard
+        # that reports later in this merge included) is DRed-checked.
+        for triple in lost:
+            mask = holders.get(encode(triple), 0)
+            for shard in range(self.shards):
+                if (mask >> shard) & 1:
+                    fwd_retract[shard][triple] = None
+        # A copy re-derived on retraction, or kept while another shard
+        # lost its own, is in no report's additions: forward it again to
+        # where routing puts it, from a holder that derives it (a
+        # forwarded, shard-explicit copy proves nothing).
+        for triple in (*lost, *retracted):
+            encoded = encode(triple)
+            if encoded in self._explicit:
+                continue
+            mask = holders.get(encoded, 0)
+            if any(
+                (mask >> shard) & 1
+                and engine.dictionary.encode_triple(triple)
+                not in engine.input_manager.explicit
+                for shard, engine in enumerate(self.engines)
+            ):
+                owner = route(triple)
+                for dest in range(self.shards) if owner == BROADCAST else (owner,):
+                    fwd_assert[dest][triple] = None
 
         # A forward computed early in the merge can be satisfied — or its
         # source triple removed outright — by a later report in the same

@@ -3,8 +3,8 @@
 Mirrors ruff's pydocstyle D1 rules (undocumented public module / class
 / method / function; dunders and underscore-prefixed names exempt, as
 are ``TYPE_CHECKING``-only and overload stubs) over the packages whose
-public API is documentation-critical: ``server/``, ``sharding/``,
-``store/planner/``, and the new ``tenancy/``. CI runs the same rules
+public API is documentation-critical: ``obs/``, ``persist/``,
+``server/``, ``sharding/``, ``store/planner/`` and ``tenancy/``. CI runs the same rules
 through ``ruff check --select D1`` in the lint job; this stdlib
 implementation keeps the gate enforceable in environments without ruff
 (it is the tier-1 copy of the gate).
@@ -20,7 +20,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 
-GATED_PACKAGES = ("obs", "server", "sharding", "store/planner", "tenancy")
+GATED_PACKAGES = ("obs", "persist", "server", "sharding", "store/planner", "tenancy")
 
 
 def _is_public(name: str) -> bool:

@@ -23,7 +23,7 @@ CI replays one pinned Hypothesis run via ``SLIDER_DIFF_SEED``.
 import os
 
 import pytest
-from hypothesis import HealthCheck, given, seed, settings, strategies as st
+from hypothesis import HealthCheck, example, given, seed, settings, strategies as st
 
 from repro import Delta, Slider
 from repro.dictionary import TermDictionary
@@ -149,9 +149,51 @@ def test_supports_equals_derive_all(fragment, triples):
         )
 
 
+# A user retraction of a schema edge that one shard re-derives (from
+# ``(p0 p0 p1)`` through the meta-edge) while the other drops it: the
+# survivor must be forwarded back, or the dropping shard loses
+# ``(p1 p1 p0)``.
+_RETRACTED_SCHEMA_REDERIVED = [
+    Delta(assertions=[
+        Triple(CLASSES[0], RDFS.subClassOf, CLASSES[0]),
+        Triple(PROPERTIES[0], RDFS.subPropertyOf, PROPERTIES[1]),
+        Triple(PROPERTIES[0], PROPERTIES[0], PROPERTIES[1]),
+        Triple(PROPERTIES[1], PROPERTIES[0], PROPERTIES[0]),
+    ]),
+    Delta(assertions=[Triple(PROPERTIES[0], RDFS.subPropertyOf, RDFS.subPropertyOf)]),
+    Delta(),
+    Delta(retractions=[
+        Triple(CLASSES[0], RDFS.subClassOf, CLASSES[0]),
+        Triple(PROPERTIES[0], RDFS.subPropertyOf, PROPERTIES[1]),
+    ]),
+]
+
+
+# The same loss one round later: ``(p0 subPropertyOf p2)`` dies with
+# ``(p1 p2 p2)`` on the shard that derived it, and the shard holding a
+# forwarded copy re-derives it (through the new meta-edge) when the
+# retraction is forwarded to it.
+_FORWARDED_RETRACTION_REDERIVED = [
+    Delta(assertions=[
+        Triple(CLASSES[0], RDFS.subClassOf, CLASSES[0]),
+        Triple(PROPERTIES[1], PROPERTIES[2], PROPERTIES[2]),
+        Triple(NODES[0], PROPERTIES[0], NODES[0]),
+        Triple(PROPERTIES[2], RDFS.subPropertyOf, RDFS.subPropertyOf),
+        Triple(PROPERTIES[0], RDFS.subPropertyOf, PROPERTIES[1]),
+        Triple(PROPERTIES[0], PROPERTIES[0], PROPERTIES[2]),
+    ]),
+    Delta(
+        assertions=[Triple(PROPERTIES[0], RDFS.subPropertyOf, RDFS.subPropertyOf)],
+        retractions=[Triple(PROPERTIES[1], PROPERTIES[2], PROPERTIES[2])],
+    ),
+]
+
+
 @pytest.mark.parametrize("fragment", SHARDED_FRAGMENTS)
 @_replay
 @given(script=scripts())
+@example(script=_RETRACTED_SCHEMA_REDERIVED)
+@example(script=_FORWARDED_RETRACTION_REDERIVED)
 @_settings
 def test_two_shards_equal_single_node(fragment, script):
     with Slider(fragment=fragment, workers=0, timeout=None) as single, \
